@@ -10,20 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .field import MINUS, PLUS, FieldSetup, ValClass
-from .germs import constant_germ, function_from_germ
+from .germs import constant_germ, function_from_germ, shell_box
 from .orbital import (Box, Interval, InvariantFunction, clear_diagonal,
                       diagonal_killer, integral_indicator, unit_diag_indicator)
-
-
-def _shell_box(w2: int, pin: int | None, lo_c2: int = 0,
-               lvl_a: Interval | None = None, lvl_d: Interval | None = None) -> Box:
-    return Box(i_a=Interval(0, 0), i_b=Interval(w2, w2), i_c=Interval(lo_c2, None),
-               i_d=Interval(0, 0), sgn_b_req=pin, lvl_a_req=lvl_a, lvl_d_req=lvl_d)
-
-
-def _c_shell_box(w2: int, pin: int | None, lo_b2: int = 0) -> Box:
-    return Box(i_a=Interval(0, 0), i_b=Interval(lo_b2, None), i_c=Interval(w2, w2),
-               i_d=Interval(0, 0), sgn_c_req=pin)
 
 
 def germ_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
@@ -32,30 +21,30 @@ def germ_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
     pin = PLUS if ram else None
     neg = MINUS if ram else None
     entries: list[tuple[str, InvariantFunction]] = [
-        ("b_shell_0", InvariantFunction.from_box(_shell_box(0, pin))),
-        ("b_shell_neg", InvariantFunction.from_box(_shell_box(-4, pin), Fraction(3, 2))),
-        ("b_shell_pos", InvariantFunction.from_box(_shell_box(2, pin), -2)),
-        ("c_shell_0", InvariantFunction.from_box(_c_shell_box(0, pin))),
-        ("c_shell_pos", InvariantFunction.from_box(_c_shell_box(4, pin), Fraction(-1, 2))),
-        ("b_plus_c_shells", InvariantFunction.from_box(_shell_box(0, pin))
-         + InvariantFunction.from_box(_c_shell_box(2, pin), Fraction(1, 3))),
+        ("b_shell_0", InvariantFunction.from_box(shell_box(0, 0, pin))),
+        ("b_shell_neg", InvariantFunction.from_box(shell_box(0, -4, pin), Fraction(3, 2))),
+        ("b_shell_pos", InvariantFunction.from_box(shell_box(0, 2, pin), -2)),
+        ("c_shell_0", InvariantFunction.from_box(shell_box(1, 0, pin))),
+        ("c_shell_pos", InvariantFunction.from_box(shell_box(1, 4, pin), Fraction(-1, 2))),
+        ("b_plus_c_shells", InvariantFunction.from_box(shell_box(0, 0, pin))
+         + InvariantFunction.from_box(shell_box(1, 2, pin), Fraction(1, 3))),
         ("levelled_shell", InvariantFunction.from_box(
-            _shell_box(0, pin, lvl_a=Interval(1, None), lvl_d=Interval(0, 2)))),
+            shell_box(0, 0, pin, lvl_a=Interval(1, None), lvl_d=Interval(0, 2)))),
         ("wide_b_window", InvariantFunction.from_box(Box(
             i_a=Interval(0, 0), i_b=Interval(-2, 2), i_c=Interval(0, None),
             i_d=Interval(0, 0), sgn_b_req=pin))),
         ("cleared_units", clear_diagonal(unit_diag_indicator())),
         ("cleared_integral", clear_diagonal(integral_indicator())),
-        ("pulled_shell", InvariantFunction.from_box(_shell_box(0, pin)).pulled_back(ValClass(2, MINUS))),
-        ("deep_c_floor", InvariantFunction.from_box(_shell_box(0, pin, lo_c2=4))),
+        ("pulled_shell", InvariantFunction.from_box(shell_box(0, 0, pin)).pulled_back(ValClass(2, MINUS))),
+        ("deep_c_floor", InvariantFunction.from_box(shell_box(0, 0, pin, floor2=4))),
     ]
     if ram:
         entries.extend([
-            ("ram_odd_b_shell", InvariantFunction.from_box(_shell_box(1, PLUS))),
-            ("ram_odd_b_shell_neg", InvariantFunction.from_box(_shell_box(-3, MINUS), 5)),
-            ("ram_odd_c_shell", InvariantFunction.from_box(_c_shell_box(1, PLUS))),
-            ("ram_minus_pins", InvariantFunction.from_box(_shell_box(0, MINUS))
-             + InvariantFunction.from_box(_c_shell_box(2, MINUS), -1)),
+            ("ram_odd_b_shell", InvariantFunction.from_box(shell_box(0, 1, PLUS))),
+            ("ram_odd_b_shell_neg", InvariantFunction.from_box(shell_box(0, -3, MINUS), 5)),
+            ("ram_odd_c_shell", InvariantFunction.from_box(shell_box(1, 1, PLUS))),
+            ("ram_minus_pins", InvariantFunction.from_box(shell_box(0, 0, MINUS))
+             + InvariantFunction.from_box(shell_box(1, 2, MINUS), -1)),
         ])
     else:
         entries.extend([
@@ -63,7 +52,7 @@ def germ_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
                 setup, [(None, None, Fraction(1, 2), Fraction(1, 2))]))),
             ("transfer_01", function_from_germ(constant_germ(
                 setup, [(Interval(0, None), Interval(1, None), Fraction(-1, 2), Fraction(1, 2))]))),
-            ("unram_mixed_sign_shell", InvariantFunction.from_box(_shell_box(-2, neg))),
+            ("unram_mixed_sign_shell", InvariantFunction.from_box(shell_box(0, -2, neg))),
         ])
     return entries
 

@@ -7,7 +7,8 @@ ati (growth plus end-to-end residual checks).  Reports are deterministic:
 rows are sorted by their parameter tuple, numbers render canonically, and a
 fixed schema number leads the document, so identical configs yield identical
 bytes.  Exit code 0 means every row passed, 1 means some verification failed,
-2 means the configuration was rejected.
+2 means the configuration was rejected: unparsable ranges, an invalid residue
+size, or ranges that select no rows.
 
 AFL_CALC_THREADS caps row-level parallelism (default 1, serial).
 """
@@ -27,13 +28,22 @@ from .deformation import (DeformQuery, InadmissibleParityError, hom_height_attai
 from .field import FieldSetup
 from .germs import extract_germ, function_from_germ
 from .matching import (MatchContext, afl_verify, ati_end_to_end, ati_growth_check)
-from .orbital import OrbitData, integral_indicator, orb_s, unramified_orbit
+from .orbital import (InvariantFunction, OrbitData, integral_indicator, orb_s,
+                      unramified_orbit)
 
 SCHEMA = 1
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _setup(q: int, ram: bool, eta_pi: int | None = None) -> FieldSetup:
+    """The field setup of one sweep point; an invalid q is a configuration error."""
+    try:
+        return FieldSetup(q, ram, eta_pi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_range(text: str) -> list[int]:
@@ -94,26 +104,25 @@ def _map(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
-def _afl_row(params: tuple[int, int, int]) -> dict:
-    q, t, v_b = params
-    row = afl_verify(FieldSetup(q, ramified=False), t, v_b).to_json()
-    return row
+def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
+    setup, t, v_b = params
+    return afl_verify(setup, t, v_b).to_json()
 
 
 def run_afl(args) -> dict:
     qs = parse_range(args.q)
     ts = parse_range(args.t)
     vbs = parse_range(args.vb)
-    params = [(q, t, vb) for q in sorted(set(qs)) for t in sorted(set(ts)) if t >= 0
-              for vb in sorted(set(vbs))]
+    setups = [_setup(q, False) for q in sorted(set(qs))]
+    params = [(setup, t, vb) for setup in setups
+              for t in sorted(set(ts)) if t >= 0 for vb in sorted(set(vbs))]
     rows = _map(_afl_row, params)
     return {"command": "afl", "params": {"q": qs, "t": ts, "vb": vbs}, "rows": rows}
 
 
-def _deform_row(params: tuple[bool, int, int, int, int, int]) -> dict:
-    ram, q, i, j, e_rel, l = params
-    setup = FieldSetup(q, ram)
-    row = {"ramified": ram, "q": q, "i": i, "j": j, "e_rel": e_rel, "l": l}
+def _deform_row(params: tuple[FieldSetup, int, int, int, int]) -> dict:
+    setup, i, j, e_rel, l = params
+    row = {"ramified": setup.ramified, "q": setup.q, "i": i, "j": j, "e_rel": e_rel, "l": l}
     try:
         query = DeformQuery(setup, i, j, e_rel, l)
         mirror = DeformQuery(setup, j, i, e_rel, l)
@@ -142,7 +151,7 @@ def run_deform(args) -> dict:
     params = []
     for ram in rams:
         for q in sorted(set(qs)):
-            setup = FieldSetup(q, ram)
+            setup = _setup(q, ram)
             for i in sorted(set(ijs)):
                 for j in sorted(set(ijs)):
                     for e_rel in sorted(set(es)):
@@ -151,7 +160,7 @@ def run_deform(args) -> dict:
                                 raise ConfigError("deform parameters must be non-negative")
                             if not hom_height_attainable(setup, i, j, l):
                                 continue
-                            params.append((ram, q, i, j, e_rel, l))
+                            params.append((setup, i, j, e_rel, l))
     rows = _map(_deform_row, params)
     return {"command": "deform",
             "params": {"ram": rams, "q": qs, "ij": ijs, "e": es, "l": ls,
@@ -159,9 +168,9 @@ def run_deform(args) -> dict:
             "rows": rows}
 
 
-def _orb_row(params: tuple[int, bool, int, int]) -> dict:
-    q, ram, t, v_b = params
-    setup = FieldSetup(q, ram)
+def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
+    setup, t, v_b = params
+    q, ram = setup.q, setup.ramified
     if ram:
         gamma = OrbitData(setup=setup, t=t, v_b2=2 * v_b, b_sign=1,
                           defect_sign=1 if t == 0 else -1)
@@ -184,8 +193,8 @@ def run_orb(args) -> dict:
     rams = parse_ram(args.ram)
     ts = parse_range(args.t)
     vbs = parse_range(args.vb)
-    params = [(q, ram, t, vb)
-              for q in sorted(set(qs)) for ram in rams
+    setups = [_setup(q, ram) for q in sorted(set(qs)) for ram in rams]
+    params = [(setup, t, vb) for setup in setups
               for t in sorted(set(ts)) if t >= 0
               for vb in sorted(set(vbs))]
     rows = _map(_orb_row, params)
@@ -193,11 +202,9 @@ def run_orb(args) -> dict:
             "rows": rows, "f": integral_indicator().to_json()}
 
 
-def _germ_row(params: tuple[int, bool, int, str]) -> dict:
-    q, ram, eta_pi, name = params
-    setup = FieldSetup(q, ram, eta_pi if ram else None)
-    functions = dict(germ_battery(setup))
-    f = functions[name]
+def _germ_row(params: tuple[FieldSetup, str, InvariantFunction]) -> dict:
+    setup, name, f = params
+    q, ram = setup.q, setup.ramified
     germ = extract_germ(setup, f)
     roundtrip = germ.equivalent(extract_germ(setup, function_from_germ(germ)))
     expansion = True
@@ -227,21 +234,20 @@ def run_germ(args) -> dict:
         for ram in rams:
             etas = (1, -1) if ram else (-1,)
             for eta_pi in etas:
-                setup = FieldSetup(q, ram, eta_pi if ram else None)
-                for name, _ in germ_battery(setup):
-                    params.append((q, ram, eta_pi, name))
+                setup = _setup(q, ram, eta_pi if ram else None)
+                for name, f in germ_battery(setup):
+                    params.append((setup, name, f))
     rows = _map(_germ_row, params)
     return {"command": "germ", "params": {"q": qs, "ram": rams}, "rows": rows}
 
 
-def _ati_row(params: tuple[int, bool, int, int, int, tuple[int, ...]]) -> dict:
-    q, ram, i, j, e_rel, ts = params
-    setup = FieldSetup(q, ram)
+def _ati_row(params: tuple[FieldSetup, int, int, int, tuple[int, ...]]) -> dict:
+    setup, i, j, e_rel, ts = params
     ctx = MatchContext(setup, i, j, e_f=e_rel * ramification_index(setup, max(i, j)))
     growth = ati_growth_check(ctx, ts, finite_lvl_a=(0 if i >= 1 else None))
     end_to_end = ati_end_to_end(ctx)
-    return {"q": q, "ramified": ram, "i": i, "j": j, "e_rel": e_rel, "e_f": ctx.e_f,
-            "growth": growth.to_json(), "end_to_end": end_to_end.to_json(),
+    return {"q": setup.q, "ramified": setup.ramified, "i": i, "j": j, "e_rel": e_rel,
+            "e_f": ctx.e_f, "growth": growth.to_json(), "end_to_end": end_to_end.to_json(),
             "passed": growth.passed and end_to_end.passed}
 
 
@@ -255,12 +261,13 @@ def run_ati(args) -> dict:
     params = []
     for q in sorted(set(qs)):
         for ram in rams:
+            setup = _setup(q, ram)
             for i in sorted(set(i_values)):
                 for j in sorted(set(j_values)):
                     for e_rel in sorted(set(es)):
                         if e_rel < 1:
                             raise ConfigError("e_rel must be >= 1")
-                        params.append((q, ram, i, j, e_rel, ts))
+                        params.append((setup, i, j, e_rel, ts))
     rows = _map(_ati_row, params)
     return {"command": "ati",
             "params": {"q": qs, "ram": rams, "i": i_values, "j": j_values,
@@ -355,6 +362,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         body = args.run(args)
+        if not body["rows"]:
+            raise ConfigError("the sweep selects no rows")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -73,10 +73,6 @@ class ValClass:
             raise ZeroDivisionError("zero has no inverse")
         return ValClass(-self.half_val, self.eta_sign)
 
-    def in_base_field(self) -> bool:
-        """Integral valuation, the necessary condition for lying in the base."""
-        return self.is_zero or self.half_val % 2 == 0
-
     def consistent_with(self, setup: FieldSetup) -> bool:
         if self.is_zero:
             return True

@@ -11,7 +11,9 @@ class of b (resp. c) modulo the base field, with values in exact Laurent
 polynomials.  This module extracts (A0, A1) from a box function, rebuilds a
 box function from prescribed germ data using valuation-homogeneous shells,
 solves the two-sided transfer system for germ values, and exposes the
-derivative-form coefficients used by the identity checks.
+derivative-form coefficients of the germ.  The two sides are one
+construction with b and c swapped and the exponent sign flipped, so every
+routine here takes the side (0 = b, 1 = c) as a parameter.
 
 Invariant classes modulo the base field: in the unramified case the class of
 b carries no extra data (class 0); in the ramified case it is the parity of
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partialmethod
+from typing import Iterator, Optional, Sequence
 
 from .field import MINUS, PLUS, FieldSetup
 from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitData,
@@ -66,6 +69,20 @@ class GermPiece:
         }
 
 
+# Side 0 is the b-side (A0), side 1 the c-side (A1).  A0 enters through
+# eta_s(b) and A1 through eta_s(c)^(-1), so a shell at doubled valuation w2
+# contributes T^(SIDE_SIGN * w2 / 2) to its side, and the derivative slope in
+# v(b) resp. v(c) is SIDE_SIGN * A(1).
+SIDES = (0, 1)
+SIDE_SIGN = (-1, 1)
+
+
+def _off_diagonal(gamma: OrbitData) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(doubled valuation, eta sign) of b and of c, indexed by side; the
+    side's twisted character factor is eta * T^(-SIDE_SIGN * v)."""
+    return (gamma.v_b2, gamma.b_sign), (gamma.v_c2, gamma.c_sign)
+
+
 @dataclass(frozen=True)
 class GermExpansion:
     setup: FieldSetup
@@ -73,24 +90,28 @@ class GermExpansion:
     a1: tuple[GermPiece, ...]
     threshold: int
 
+    @property
+    def sides(self) -> tuple[tuple[GermPiece, ...], tuple[GermPiece, ...]]:
+        return self.a0, self.a1
+
     def classes(self) -> tuple[int, ...]:
         return (0, 1) if self.setup.ramified else (0,)
 
-    def eval_a0(self, lvl_a: Optional[int], lvl_d: Optional[int], vclass: int) -> LaurentPoly:
+    def eval_side(self, side: int, lvl_a: Optional[int], lvl_d: Optional[int],
+                  vclass: int) -> LaurentPoly:
+        """Sum of the side's pieces matching the cell (A0 for side 0, A1 for 1)."""
         out = LaurentPoly.zero()
-        for piece in self.a0:
+        for piece in self.sides[side]:
             if piece.matches(lvl_a, lvl_d, vclass):
                 out += piece.poly
         return out
 
-    def eval_a1(self, lvl_a: Optional[int], lvl_d: Optional[int], vclass: int) -> LaurentPoly:
-        out = LaurentPoly.zero()
-        for piece in self.a1:
-            if piece.matches(lvl_a, lvl_d, vclass):
-                out += piece.poly
-        return out
+    eval_a0 = partialmethod(eval_side, 0)
+    eval_a1 = partialmethod(eval_side, 1)
 
-    def _probe_levels(self, other: Optional["GermExpansion"] = None) -> list[Optional[int]]:
+    def _probe_cells(self, other: Optional["GermExpansion"] = None
+                     ) -> Iterator[tuple[int, Optional[int], Optional[int], int]]:
+        """(side, lvl_a, lvl_d, vclass) for every side of every probe cell."""
         tops = [0]
         for germ in (self,) if other is None else (self, other):
             for piece in germ.a0 + germ.a1:
@@ -101,64 +122,36 @@ class GermExpansion:
                         tops.append(iv.lo)
                     if iv.hi is not None:
                         tops.append(iv.hi)
-        top = max(tops) + 1
-        return list(range(0, top + 1)) + [None]
+        probes = list(range(0, max(tops) + 2)) + [None]
+        for la in probes:
+            for ld in probes:
+                for cls in self.classes():
+                    for side in SIDES:
+                        yield side, la, ld, cls
 
     def equivalent(self, other: "GermExpansion") -> bool:
         """Equality of both germ maps on every probe cell (thresholds are
         metadata and are not compared)."""
         if self.setup.ramified != other.setup.ramified:
             return False
-        probes = self._probe_levels(other)
-        for la in probes:
-            for ld in probes:
-                for cls in self.classes():
-                    if self.eval_a0(la, ld, cls) != other.eval_a0(la, ld, cls):
-                        return False
-                    if self.eval_a1(la, ld, cls) != other.eval_a1(la, ld, cls):
-                        return False
-        return True
+        return all(self.eval_side(*cell) == other.eval_side(*cell)
+                   for cell in self._probe_cells(other))
 
     def value_at_s0_is_zero(self) -> bool:
-        probes = self._probe_levels()
-        for la in probes:
-            for ld in probes:
-                for cls in self.classes():
-                    if self.eval_a0(la, ld, cls).eval_at_s0():
-                        return False
-                    if self.eval_a1(la, ld, cls).eval_at_s0():
-                        return False
-        return True
+        return not any(self.eval_side(*cell).eval_at_s0() for cell in self._probe_cells())
 
     def predicted_orb_s(self, gamma: OrbitData) -> LaurentPoly:
         """eta_s(b) A0 + eta_s(c)^(-1) A1 evaluated at the orbit's invariants."""
         cls = gamma.v_b2 % 2
-        a0 = self.eval_a0(gamma.lvl_a, gamma.lvl_d, cls)
-        a1 = self.eval_a1(gamma.lvl_a, gamma.lvl_d, cls)
-        b_part = LaurentPoly.monomial(gamma.v_b2, gamma.b_sign) * a0
-        c_part = LaurentPoly.monomial(-gamma.v_c2, gamma.c_sign) * a1
+        b_part, c_part = (
+            LaurentPoly.monomial(-SIDE_SIGN[side] * v2, sign)
+            * self.eval_side(side, gamma.lvl_a, gamma.lvl_d, cls)
+            for side, (v2, sign) in enumerate(_off_diagonal(gamma)))
         return b_part + c_part
 
-    def predicted_d_orb(self, gamma: OrbitData) -> LogValue:
-        return self.predicted_orb_s(gamma).d_ds_at_s0()
-
     def derivative_parts(self) -> "DerivativeGerm":
-        """Slope/constant coefficients of the derivative integral at s = 0.
-
-        The b-side enters through eta_s(b), whose derivative contributes
-        -v(b) log(q) times the value; the c-side enters inverted, flipping the
-        slope sign.  All four maps are rational multiples of log(q)."""
-        a0_pieces = tuple(
-            DerivativePiece(p.lvl_a, p.lvl_d, p.vclass,
-                            slope=-p.poly.eval_at_s0(),
-                            constant=p.poly.d_ds_at_s0().log_q_part)
-            for p in self.a0)
-        a1_pieces = tuple(
-            DerivativePiece(p.lvl_a, p.lvl_d, p.vclass,
-                            slope=p.poly.eval_at_s0(),
-                            constant=p.poly.d_ds_at_s0().log_q_part)
-            for p in self.a1)
-        return DerivativeGerm(self.setup, a0_pieces, a1_pieces, self.threshold)
+        """Slope/constant coefficients of the derivative integral at s = 0."""
+        return DerivativeGerm(self)
 
     def to_json(self) -> dict:
         return {
@@ -168,59 +161,45 @@ class GermExpansion:
         }
 
 
-@dataclass(frozen=True)
-class DerivativePiece:
-    lvl_a: Optional[Interval]
-    lvl_d: Optional[Interval]
-    vclass: int
-    slope: Fraction
-    constant: Fraction
-
-    def matches(self, lvl_a: Optional[int], lvl_d: Optional[int], vclass: int) -> bool:
-        if self.vclass != vclass:
-            return False
-        if self.lvl_a is not None and not self.lvl_a.contains(lvl_a):
-            return False
-        if self.lvl_d is not None and not self.lvl_d.contains(lvl_d):
-            return False
-        return True
+def _slope_constant(side: int, poly: LaurentPoly) -> tuple[Fraction, Fraction]:
+    """(SIDE_SIGN * A(1), d/ds A at s = 0 in log(q) units) of a side polynomial."""
+    return SIDE_SIGN[side] * poly.eval_at_s0(), poly.d_ds_at_s0().log_q_part
 
 
 @dataclass(frozen=True)
 class DerivativeGerm:
     """Coefficients of d/ds at 0: the derivative integral near the diagonal is
-    eta(b)[v(b)*slope0 + const0] + eta(c)^(-1)[v(c)*slope1 + const1], times log(q)."""
+    eta(b)[v(b)*slope0 + const0] + eta(c)^(-1)[v(c)*slope1 + const1], times log(q).
 
-    setup: FieldSetup
-    a0: tuple[DerivativePiece, ...]
-    a1: tuple[DerivativePiece, ...]
-    threshold: int
+    The b-side enters through eta_s(b), whose derivative contributes
+    -v(b) log(q) times the value; the c-side enters inverted, flipping the
+    slope sign.  Both coefficients are linear in the side polynomial, so they
+    are read off the summed polynomial of a cell."""
 
-    def _sum(self, pieces, lvl_a, lvl_d, vclass) -> tuple[Fraction, Fraction]:
-        slope = Fraction(0)
-        constant = Fraction(0)
-        for p in pieces:
-            if p.matches(lvl_a, lvl_d, vclass):
-                slope += p.slope
-                constant += p.constant
-        return slope, constant
+    germ: GermExpansion
 
-    def eval_a0(self, lvl_a, lvl_d, vclass) -> tuple[Fraction, Fraction]:
-        return self._sum(self.a0, lvl_a, lvl_d, vclass)
+    @property
+    def threshold(self) -> int:
+        return self.germ.threshold
 
-    def eval_a1(self, lvl_a, lvl_d, vclass) -> tuple[Fraction, Fraction]:
-        return self._sum(self.a1, lvl_a, lvl_d, vclass)
+    def eval_side(self, side: int, lvl_a: Optional[int], lvl_d: Optional[int],
+                  vclass: int) -> tuple[Fraction, Fraction]:
+        return _slope_constant(side, self.germ.eval_side(side, lvl_a, lvl_d, vclass))
+
+    eval_a0 = partialmethod(eval_side, 0)
+    eval_a1 = partialmethod(eval_side, 1)
 
     def predicted_d_orb(self, gamma: OrbitData) -> LogValue:
         cls = gamma.v_b2 % 2
-        s0, c0 = self.eval_a0(gamma.lvl_a, gamma.lvl_d, cls)
-        s1, c1 = self.eval_a1(gamma.lvl_a, gamma.lvl_d, cls)
-        log_part = gamma.b_sign * (Fraction(gamma.v_b2, 2) * s0 + c0)
-        log_part += gamma.c_sign * (Fraction(gamma.v_c2, 2) * s1 + c1)
+        log_part = Fraction(0)
+        for side, (v2, sign) in enumerate(_off_diagonal(gamma)):
+            slope, constant = self.eval_side(side, gamma.lvl_a, gamma.lvl_d, cls)
+            log_part += sign * (Fraction(v2, 2) * slope + constant)
         return LogValue(Fraction(0), log_part)
 
     def is_zero(self) -> bool:
-        return all(not p.slope and not p.constant for p in self.a0 + self.a1)
+        return not any(any(_slope_constant(side, p.poly))
+                       for side in SIDES for p in self.germ.sides[side])
 
 
 def _ceil_half(x2: int) -> int:
@@ -230,18 +209,18 @@ def _ceil_half(x2: int) -> int:
 
 def _box_threshold(box: Box) -> int:
     """Smallest t from which the box behaves exactly like its germ shadow."""
-    lo_b, hi_b = box.i_b.lo, box.i_b.hi
-    lo_c, hi_c = box.i_c.lo, box.i_c.hi
-    if lo_b is None or lo_c is None:
+    ivs = (box.i_b, box.i_c)
+    if any(iv.lo is None for iv in ivs):
         raise DivergenceError("box support is unbounded below in valuation")
-    if hi_b is None and hi_c is None:
-        bound = _ceil_half(lo_b + lo_c - 2)
-    elif hi_b is not None and hi_c is None:
-        bound = _ceil_half(lo_c + hi_b)
-    elif hi_b is None and hi_c is not None:
-        bound = _ceil_half(lo_b + hi_c)
+    # an entry bounded above reaches up to its ceiling, an open one only its floor
+    reach = sum(iv.lo if iv.hi is None else iv.hi for iv in ivs)
+    open_sides = sum(iv.hi is None for iv in ivs)
+    if open_sides == 2:
+        bound = _ceil_half(reach - 2)
+    elif open_sides == 1:
+        bound = _ceil_half(reach)
     else:
-        bound = (hi_b + hi_c) // 2 + 1
+        bound = reach // 2 + 1
     if box.t_req is not None:
         if box.t_req.lo is not None:
             bound = max(bound, box.t_req.lo)
@@ -250,15 +229,15 @@ def _box_threshold(box: Box) -> int:
     return bound
 
 
+def _near_diagonal_terms(f: InvariantFunction) -> list[tuple[Fraction, Box]]:
+    """The nonzero terms of f whose box admits unit diagonal entries; no
+    other box is active near the diagonal, where v(a) = 0."""
+    return [(coeff, box) for coeff, box in f.terms
+            if coeff and box.i_a.contains(0) and box.i_d.contains(0)]
+
+
 def validity_threshold(f: InvariantFunction) -> int:
-    bounds = [1]
-    for coeff, box in f.terms:
-        if not coeff:
-            continue
-        if not (box.i_a.contains(0) and box.i_d.contains(0)):
-            continue  # never active near the diagonal, where v(a) = 0
-        bounds.append(_box_threshold(box))
-    return max(bounds)
+    return max([1] + [_box_threshold(box) for _, box in _near_diagonal_terms(f)])
 
 
 def _shell_factor(setup: FieldSetup, sgn_req: Optional[int], w2: int) -> Fraction:
@@ -279,13 +258,33 @@ def _shell_factor(setup: FieldSetup, sgn_req: Optional[int], w2: int) -> Fractio
     return Fraction(shell_sign)
 
 
+def _shell_interval(box: Box, side: int) -> Interval:
+    return box.i_c if side else box.i_b
+
+
+def _sign_pin(box: Box, side: int) -> Optional[int]:
+    return box.sgn_c_req if side else box.sgn_b_req
+
+
+def shell_box(side: int, w2: int, pin: Optional[int], floor2: int = 0,
+              lvl_a: Optional[Interval] = None, lvl_d: Optional[Interval] = None) -> Box:
+    """One valuation shell with unit diagonal entries: the side's entry
+    (0 = b, 1 = c) at doubled valuation w2 with an optional sign pin, the
+    other off-diagonal entry at doubled valuation floor2 or more."""
+    shell, floor = Interval(w2, w2), Interval(floor2, None)
+    i_b, i_c = (floor, shell) if side else (shell, floor)
+    sgn_b, sgn_c = (None, pin) if side else (pin, None)
+    return Box(i_a=Interval(0, 0), i_b=i_b, i_c=i_c, i_d=Interval(0, 0),
+               sgn_b_req=sgn_b, sgn_c_req=sgn_c, lvl_a_req=lvl_a, lvl_d_req=lvl_d)
+
+
 def _collect_side(setup: FieldSetup, boxes: Sequence[tuple[Fraction, Box]],
                   cells_a: Sequence[Interval], cells_d: Sequence[Interval],
-                  b_side: bool) -> list[GermPiece]:
+                  side: int) -> list[GermPiece]:
     """Aggregate shell sums per level cell and valuation class.
 
-    For the b-side germ the shells run over the b-interval of every box whose
-    c-interval is unbounded (and dually).  Boxes reaching the diagonal have
+    The shells of a side run over that side's interval of every box whose
+    other off-diagonal interval is unbounded.  Boxes reaching the diagonal have
     unbounded shell ranges; their tails cancel cell by cell because the
     function vanishes on the diagonal, so summation stops once only unbounded
     boxes remain active."""
@@ -298,28 +297,24 @@ def _collect_side(setup: FieldSetup, boxes: Sequence[tuple[Fraction, Box]],
                 lvl_a_ok = box.lvl_a_req is None or box.lvl_a_req.contains(ca.lo)
                 lvl_d_ok = box.lvl_d_req is None or box.lvl_d_req.contains(cd.lo)
                 if lvl_a_ok and lvl_d_ok:
-                    in_cell.append((coeff, box))
+                    in_cell.append((coeff, _shell_interval(box, side), _sign_pin(box, side)))
             if not in_cell:
                 continue
-            shell_ivs = [box.i_b if b_side else box.i_c for _, box in in_cell]
-            if any(iv.lo is None for iv in shell_ivs):
+            if any(iv.lo is None for _, iv, _ in in_cell):
                 raise DivergenceError("germ integral diverges: shell range unbounded below")
-            lo2 = min(iv.lo for iv in shell_ivs)
-            hi2 = max((iv.hi if iv.hi is not None else iv.lo) for iv in shell_ivs)
+            lo2 = min(iv.lo for _, iv, _ in in_cell)
+            hi2 = max((iv.hi if iv.hi is not None else iv.lo) for _, iv, _ in in_cell)
             for cls in classes:
                 terms: list[tuple[int, Fraction]] = []
                 for w2 in range(lo2, hi2 + 1):
                     if w2 % 2 != cls:
                         continue
                     weight = Fraction(0)
-                    for coeff, box in in_cell:
-                        iv = box.i_b if b_side else box.i_c
-                        if not iv.contains(w2):
-                            continue
-                        req = box.sgn_b_req if b_side else box.sgn_c_req
-                        weight += coeff * _shell_factor(setup, req, w2)
+                    for coeff, iv, pin in in_cell:
+                        if iv.contains(w2):
+                            weight += coeff * _shell_factor(setup, pin, w2)
                     if weight:
-                        terms.append((-w2 if b_side else w2, weight))
+                        terms.append((SIDE_SIGN[side] * w2, weight))
                 if terms:
                     pieces.append(GermPiece(ca, cd, cls, LaurentPoly(terms)))
     return pieces
@@ -335,26 +330,19 @@ def extract_germ(setup: FieldSetup, f: InvariantFunction) -> GermExpansion:
         raise GermPreconditionError(
             "function does not vanish on the degenerate diagonal; its orbital "
             "integrals acquire unboundedly many monomials near it")
-    b_side_boxes = []
-    c_side_boxes = []
-    for coeff, box in f.terms:
-        if not coeff:
-            continue
-        if not (box.i_a.contains(0) and box.i_d.contains(0)):
-            continue
+    side_boxes: tuple[list, list] = ([], [])
+    for coeff, box in _near_diagonal_terms(f):
         if box.t_req is not None and box.t_req.bounded_above:
             continue  # dies before the near-diagonal regime
-        if not box.i_c.bounded_above:
-            b_side_boxes.append((coeff, box))
-        if not box.i_b.bounded_above:
-            c_side_boxes.append((coeff, box))
-    reqs_a = [box.lvl_a_req for _, box in b_side_boxes + c_side_boxes]
-    reqs_d = [box.lvl_d_req for _, box in b_side_boxes + c_side_boxes]
-    cells_a = level_cells(reqs_a)
-    cells_d = level_cells(reqs_d)
-    a0 = _collect_side(setup, b_side_boxes, cells_a, cells_d, b_side=True)
-    a1 = _collect_side(setup, c_side_boxes, cells_a, cells_d, b_side=False)
-    return GermExpansion(setup, tuple(a0), tuple(a1), validity_threshold(f))
+        for side in SIDES:
+            if not _shell_interval(box, 1 - side).bounded_above:
+                side_boxes[side].append((coeff, box))
+    in_play = [box for boxes in side_boxes for _, box in boxes]
+    cells_a = level_cells(box.lvl_a_req for box in in_play)
+    cells_d = level_cells(box.lvl_d_req for box in in_play)
+    a0, a1 = (tuple(_collect_side(setup, side_boxes[side], cells_a, cells_d, side))
+              for side in SIDES)
+    return GermExpansion(setup, a0, a1, validity_threshold(f))
 
 
 def function_from_germ(germ: GermExpansion) -> InvariantFunction:
@@ -367,34 +355,20 @@ def function_from_germ(germ: GermExpansion) -> InvariantFunction:
     The monomial grading must agree with the valuation class."""
     setup = germ.setup
     terms: list[tuple[Fraction, Box]] = []
-    for piece in germ.a0:
-        for e2, c in piece.poly.terms():
-            w2 = -e2
-            if w2 % 2 != piece.vclass:
-                raise GermGradingError(
-                    f"b-side monomial T^{e2}/2 cannot be realized on class {piece.vclass}")
-            if setup.ramified:
-                coeff, pin = 2 * c, PLUS
-            else:
-                coeff, pin = c * _shell_factor(setup, None, w2), None
-            terms.append((coeff, Box(
-                i_a=Interval(0, 0), i_b=Interval(w2, w2), i_c=Interval(0, None),
-                i_d=Interval(0, 0), sgn_b_req=pin,
-                lvl_a_req=piece.lvl_a, lvl_d_req=piece.lvl_d)))
-    for piece in germ.a1:
-        for e2, c in piece.poly.terms():
-            w2 = e2
-            if w2 % 2 != piece.vclass:
-                raise GermGradingError(
-                    f"c-side monomial T^{e2}/2 cannot be realized on class {piece.vclass}")
-            if setup.ramified:
-                coeff, pin = 2 * c, PLUS
-            else:
-                coeff, pin = c * _shell_factor(setup, None, w2), None
-            terms.append((coeff, Box(
-                i_a=Interval(0, 0), i_b=Interval(0, None), i_c=Interval(w2, w2),
-                i_d=Interval(0, 0), sgn_c_req=pin,
-                lvl_a_req=piece.lvl_a, lvl_d_req=piece.lvl_d)))
+    for side, pieces in enumerate(germ.sides):
+        for piece in pieces:
+            for e2, c in piece.poly.terms():
+                w2 = SIDE_SIGN[side] * e2
+                if w2 % 2 != piece.vclass:
+                    raise GermGradingError(
+                        f"{'bc'[side]}-side monomial T^{e2}/2 cannot be realized "
+                        f"on class {piece.vclass}")
+                if setup.ramified:
+                    coeff, pin = 2 * c, PLUS
+                else:
+                    coeff, pin = c * _shell_factor(setup, None, w2), None
+                terms.append((coeff, shell_box(side, w2, pin,
+                                               lvl_a=piece.lvl_a, lvl_d=piece.lvl_d)))
     return InvariantFunction(terms)
 
 
@@ -407,21 +381,17 @@ def constant_germ(setup: FieldSetup,
     ramified half-integral class the nearest realizable gradings T^(-1/2)
     (b-side) and T^(1/2) (c-side) are used, so the s = 0 shadow is the
     prescribed constant on every class."""
-    a0_pieces = []
-    a1_pieces = []
+    sides: tuple[list, list] = ([], [])
     for lvl_a, lvl_d, a0_val, a1_val in cells:
-        a0_val = as_fraction(a0_val)
-        a1_val = as_fraction(a1_val)
-        if a0_val:
-            a0_pieces.append(GermPiece(lvl_a, lvl_d, 0, LaurentPoly.constant(a0_val)))
-        if a1_val:
-            a1_pieces.append(GermPiece(lvl_a, lvl_d, 0, LaurentPoly.constant(a1_val)))
-        if setup.ramified:
-            if a0_val:
-                a0_pieces.append(GermPiece(lvl_a, lvl_d, 1, LaurentPoly.monomial(-1, a0_val)))
-            if a1_val:
-                a1_pieces.append(GermPiece(lvl_a, lvl_d, 1, LaurentPoly.monomial(1, a1_val)))
-    return GermExpansion(setup, tuple(a0_pieces), tuple(a1_pieces), threshold)
+        for side, value in enumerate((a0_val, a1_val)):
+            value = as_fraction(value)
+            if not value:
+                continue
+            sides[side].append(GermPiece(lvl_a, lvl_d, 0, LaurentPoly.constant(value)))
+            if setup.ramified:
+                sides[side].append(GermPiece(lvl_a, lvl_d, 1,
+                                             LaurentPoly.monomial(SIDE_SIGN[side], value)))
+    return GermExpansion(setup, tuple(sides[0]), tuple(sides[1]), threshold)
 
 
 def solve_transfer_germ(c0: Rational, c1: Rational, side_sign_b0: int = PLUS) -> tuple[Fraction, Fraction]:
@@ -444,6 +414,5 @@ def zero_orbit_zero_germ(setup: FieldSetup, f: InvariantFunction) -> bool:
 
     The function is first replaced by a diagonal-vanishing representative with
     the same integrals, then extracted.  A False return signals an engine bug."""
-    from .orbital import clear_diagonal
     germ = extract_germ(setup, clear_diagonal(f))
     return germ.value_at_s0_is_zero()

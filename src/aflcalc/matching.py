@@ -261,8 +261,11 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
                      finite_lvl_a: Optional[int] = None) -> GrowthReport:
     """Growth of Int(t): with unbounded diagonals, 2*Int - e_F*t is constant
     per defect parity from t = i + j on; with a finite diagonal bound, Int
-    saturates to that bound."""
+    saturates to that bound.  No t at or above i + j in the context's parity
+    leaves nothing to check, which is reported as a failure."""
     ts = [t for t in _context_ts(ctx, ts) if t >= ctx.i + ctx.j]
+    if not ts:
+        return GrowthReport({}, {}, (), None, False)
     open_rows: dict[int, list[GrowthRow]] = {}
     for t in ts:
         gamma = context_orbit(ctx, t)

@@ -36,10 +36,6 @@ class Side(enum.Enum):
     U1 = "U1"
 
 
-def _json_endpoint(x: Optional[int]):
-    return None if x is None else x
-
-
 @dataclass(frozen=True)
 class Interval:
     """Integer interval with None endpoints meaning -oo / +oo.
@@ -68,12 +64,8 @@ class Interval:
     def bounded_above(self) -> bool:
         return self.hi is not None
 
-    @property
-    def bounded_below(self) -> bool:
-        return self.lo is not None
-
     def to_json(self) -> list:
-        return [_json_endpoint(self.lo), _json_endpoint(self.hi)]
+        return [self.lo, self.hi]
 
     @classmethod
     def from_json(cls, data) -> "Interval":
@@ -229,12 +221,6 @@ class OrbitData:
     def side(self) -> Side:
         return Side.U0 if self.defect_sign == PLUS else Side.U1
 
-    def b_class(self) -> ValClass:
-        return ValClass(self.v_b2, self.b_sign)
-
-    def c_class(self) -> ValClass:
-        return ValClass(self.v_c2, self.c_sign)
-
     def along_orbit(self, lam: ValClass) -> "OrbitData":
         """The conjugated orbit representative: (v(b), eta(b)) twisted by lam."""
         _require_base(lam)
@@ -388,6 +374,8 @@ def _fixed_tests(gamma: OrbitData, box: Box) -> bool:
 def _shift_range(gamma: OrbitData, box: Box) -> Optional[tuple[int, int]]:
     """Conjugator valuations n for which the box can hold the shifted orbit.
 
+    Every n in the returned range puts v(b) - 2n in i_b and v(c) + 2n in
+    i_c, so callers need not test the off-diagonal intervals again.
     Raises DivergenceError when no finite bound exists on either side."""
     uppers = []
     lowers = []
@@ -437,10 +425,6 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
             continue
         n_lo, n_hi = rng
         for n in range(n_lo, n_hi + 1):
-            if not box.i_b.contains(gamma.v_b2 - 2 * n):
-                continue
-            if not box.i_c.contains(gamma.v_c2 + 2 * n):
-                continue
             w = _shell_measure(gamma, box, n)
             if w:
                 total += LaurentPoly.monomial(2 * n, coeff * w * gamma.setup.eta_shift(n))

@@ -59,9 +59,6 @@ class LaurentPoly:
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self._terms.items()))
 
-    def coefficient(self, e2: int) -> Fraction:
-        return self._terms.get(e2, Fraction(0))
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -90,3 +90,26 @@ class TestReports:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["passed"] and report["total"] == 2
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("command", ["afl", "deform", "orb", "germ", "ati"])
+    def test_invalid_q_exits_two(self, command, capsys):
+        assert main([command, "--q", "1"]) == 2
+        assert "q must be" in capsys.readouterr().err
+
+    def test_empty_sweep_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "afl.json"
+        assert main(["afl", "--t", "-3..-1", "--out", str(out)]) == 2
+        assert "no rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ati_without_growth_range_fails_its_row(self, tmp_path):
+        out = tmp_path / "a.json"
+        code = main(["ati", "--q", "3", "--ram", "0", "--i", "2", "--j", "2",
+                     "--t", "0..1", "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        growth = report["rows"][0]["growth"]
+        assert not growth["passed"]
+        assert growth["open"] == {} and growth["saturated"] == []

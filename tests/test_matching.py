@@ -158,6 +158,14 @@ class TestGrowth:
         tail = report.saturated_rows[-3:]
         assert {row.int_value for row in tail} == {report.saturation_value}
 
+    @pytest.mark.parametrize("finite_lvl_a", [None, 1])
+    def test_no_t_past_the_levels_fails_without_rows(self, finite_lvl_a):
+        ctx = MatchContext(UNRAM3, 2, 2, e_f=ramification_index(UNRAM3, 2))
+        report = ati_growth_check(ctx, range(0, 2), finite_lvl_a=finite_lvl_a)
+        assert not report.passed
+        assert not report.open_rows and not report.saturated_rows
+        assert report.saturation_value is None
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("i,j,witness", [(0, 0, Fraction(-1, 2)),

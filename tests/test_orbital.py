@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, eta_s_inverse
 from aflcalc.orbital import (Box, DivergenceError, Interval, InvariantFunction,
                              OrbitData, Side, clear_diagonal, d_orb, diagonal_killer,
-                             eta_twist_difference, integral_indicator, orb, orb_s,
-                             pullback, transfer_factor, unit_diag_indicator,
+                             _shift_range, eta_twist_difference, integral_indicator,
+                             orb, orb_s, pullback, transfer_factor, unit_diag_indicator,
                              unramified_orbit)
 from aflcalc.symbolic import LaurentPoly, LogValue
 
@@ -332,3 +333,32 @@ class TestDerivativeEquivariance:
                         assert orb(g, f) == 0
                         moved = d_orb(g.along_orbit(lam), f)
                         assert moved == d_orb(g, f).scale(lam.eta_sign), name
+
+
+@st.composite
+def intervals(draw):
+    lo = draw(st.none() | st.integers(-12, 12))
+    hi = draw(st.none() | st.integers(-12, 12))
+    if lo is not None and hi is not None and hi < lo:
+        lo, hi = hi, lo
+    return Interval(lo, hi)
+
+
+class TestShiftRange:
+    @given(setup=st.sampled_from((RAM, RAM_NEG)), t=st.integers(0, 12),
+           v_b2=st.integers(-12, 12), b_sign=st.sampled_from((PLUS, MINUS)),
+           defect_sign=st.sampled_from((PLUS, MINUS)), i_b=intervals(), i_c=intervals())
+    def test_range_is_exactly_the_shifts_inside_both_intervals(
+            self, setup, t, v_b2, b_sign, defect_sign, i_b, i_c):
+        gamma = OrbitData(setup=setup, t=t, v_b2=v_b2, b_sign=b_sign,
+                          defect_sign=defect_sign)
+        box = Box(i_a=Interval(0, 0), i_b=i_b, i_c=i_c, i_d=Interval(0, 0))
+        try:
+            rng = _shift_range(gamma, box)
+        except DivergenceError:
+            return
+        n_lo, n_hi = rng if rng is not None else (0, -1)
+        # with these draws every shift inside both intervals lies in [-24, 12]
+        for n in range(-30, 31):
+            inside = i_b.contains(gamma.v_b2 - 2 * n) and i_c.contains(gamma.v_c2 + 2 * n)
+            assert inside == (n_lo <= n <= n_hi), n
