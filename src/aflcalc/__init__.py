@@ -18,7 +18,7 @@ from .matching import (AflRow, EndToEndReport, EntryHeights, GrowthReport,
 from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitData,
                       Side, clear_diagonal, d_orb, diagonal_killer,
                       eta_twist_difference, integral_indicator, orb, orb_s,
-                      pullback, transfer_factor, unit_diag_indicator,
+                      orbits_at, pullback, transfer_factor, unit_diag_indicator,
                       unramified_orbit)
 from .symbolic import LaurentPoly, LogValue
 

@@ -28,8 +28,7 @@ from .deformation import (DeformQuery, InadmissibleParityError, hom_height_attai
 from .field import FieldSetup
 from .germs import extract_germ, function_from_germ
 from .matching import (MatchContext, afl_verify, ati_end_to_end, ati_growth_check)
-from .orbital import (InvariantFunction, OrbitData, integral_indicator, orb_s,
-                      unramified_orbit)
+from .orbital import InvariantFunction, Side, integral_indicator, orb_s, orbits_at
 
 SCHEMA = 1
 
@@ -149,7 +148,7 @@ def run_deform(args) -> dict:
     es = parse_range(args.e)
     ls = parse_range(args.l)
     params = []
-    for ram in rams:
+    for ram in sorted(set(rams)):
         for q in sorted(set(qs)):
             setup = _setup(q, ram)
             for i in sorted(set(ijs)):
@@ -171,11 +170,10 @@ def run_deform(args) -> dict:
 def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
     setup, t, v_b = params
     q, ram = setup.q, setup.ramified
-    if ram:
-        gamma = OrbitData(setup=setup, t=t, v_b2=2 * v_b, b_sign=1,
-                          defect_sign=1 if t == 0 else -1)
-    else:
-        gamma = unramified_orbit(setup, t, v_b)
+    # a ramified row shows eta(b) = +1 and the U0 orbit at t = 0, the U1 orbit
+    # beyond; an unramified (t, v_b) has one orbit
+    gammas = orbits_at(setup, t, 2 * v_b)
+    gamma = next((g for g in gammas if g.side == (Side.U0 if t == 0 else Side.U1)), gammas[0])
     f = integral_indicator()
     series = orb_s(gamma, f)
     return {
@@ -193,7 +191,7 @@ def run_orb(args) -> dict:
     rams = parse_ram(args.ram)
     ts = parse_range(args.t)
     vbs = parse_range(args.vb)
-    setups = [_setup(q, ram) for q in sorted(set(qs)) for ram in rams]
+    setups = [_setup(q, ram) for q in sorted(set(qs)) for ram in sorted(set(rams))]
     params = [(setup, t, vb) for setup in setups
               for t in sorted(set(ts)) if t >= 0
               for vb in sorted(set(vbs))]
@@ -210,14 +208,7 @@ def _germ_row(params: tuple[FieldSetup, str, InvariantFunction]) -> dict:
     expansion = True
     for t in range(germ.threshold, germ.threshold + 4):
         for v_b2 in range(-4, 5):
-            if not ram and v_b2 % 2:
-                continue
-            if ram:
-                gammas = [OrbitData(setup=setup, t=t, v_b2=v_b2, b_sign=s, defect_sign=d)
-                          for s in (1, -1) for d in (1, -1)]
-            else:
-                gammas = [unramified_orbit(setup, t, v_b2 // 2)]
-            for gamma in gammas:
+            for gamma in orbits_at(setup, t, v_b2):
                 if orb_s(gamma, f) != germ.predicted_orb_s(gamma):
                     expansion = False
     return {"q": q, "ramified": ram, "eta_pi_f": setup.eta_pi_f, "name": name,
@@ -231,10 +222,9 @@ def run_germ(args) -> dict:
     rams = parse_ram(args.ram)
     params = []
     for q in sorted(set(qs)):
-        for ram in rams:
-            etas = (1, -1) if ram else (-1,)
-            for eta_pi in etas:
-                setup = _setup(q, ram, eta_pi if ram else None)
+        for ram in sorted(set(rams)):
+            for eta_pi in _setup(q, ram).signs(2):  # the signs eta(pi_F) can take
+                setup = _setup(q, ram, eta_pi)
                 for name, f in germ_battery(setup):
                     params.append((setup, name, f))
     rows = _map(_germ_row, params)
@@ -260,13 +250,13 @@ def run_ati(args) -> dict:
     ts = tuple(parse_range(args.t))
     params = []
     for q in sorted(set(qs)):
-        for ram in rams:
+        for ram in sorted(set(rams)):
             setup = _setup(q, ram)
             for i in sorted(set(i_values)):
                 for j in sorted(set(j_values)):
                     for e_rel in sorted(set(es)):
-                        if e_rel < 1:
-                            raise ConfigError("e_rel must be >= 1")
+                        if e_rel < 1 or i < 0 or j < 0:
+                            raise ConfigError("ati needs levels i, j >= 0 and e_rel >= 1")
                         params.append((setup, i, j, e_rel, ts))
     rows = _map(_ati_row, params)
     return {"command": "ati",
@@ -352,6 +342,13 @@ def _fuse_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _check_writable(path: str) -> None:
+    """Reject a report path that cannot be written, before the sweep runs."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+        raise ConfigError(f"cannot write the report to {path!r}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
@@ -361,6 +358,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            _check_writable(args.out)
         body = args.run(args)
         if not body["rows"]:
             raise ConfigError("the sweep selects no rows")

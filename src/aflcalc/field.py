@@ -8,9 +8,14 @@ the extension.  The chosen extension of eta to the top field is Galois
 invariant, so eta of an element equals eta of its conjugate.
 
 Conventions: for an unramified extension eta(x) = (-1)^v(x), which pins
-eta(pi_F) = -1.  For a ramified extension eta is nontrivial on units and
-eta(pi_F) is a configurable sign (two uniformizer classes exist); units split
-into two cosets of measure 1/2 each under Vol(O_F^x) = 1.
+eta(pi_F) = -1, and no element has a half-integral valuation.  For a ramified
+extension eta is nontrivial on units, so both signs occur at every valuation,
+and eta(pi_F) is a configurable sign (two uniformizer classes exist); units
+split into two cosets of measure 1/2 each under Vol(O_F^x) = 1.
+
+FieldSetup.signs is the one place this convention lives: every other module
+asks it which eta values a valuation admits, and FieldSetup.classes (the
+valuation classes modulo the base field that occur) is derived from it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ from .symbolic import LaurentPoly
 
 PLUS = 1
 MINUS = -1
+
+
+def _unramified_signs(v2: int) -> tuple[int, ...]:
+    """eta at doubled valuation v2 over an unramified extension: (-1)^v, and
+    no sign at all at a half-integral valuation."""
+    return () if v2 % 2 else (MINUS if v2 % 4 else PLUS,)
 
 
 @dataclass(frozen=True)
@@ -37,14 +48,21 @@ class FieldSetup:
             raise ValueError("residue size q must be an integer >= 2")
         if self.eta_pi_f is None:
             object.__setattr__(self, "eta_pi_f", PLUS if self.ramified else MINUS)
-        if self.eta_pi_f not in (PLUS, MINUS):
-            raise ValueError("eta(pi_F) must be +1 or -1")
-        if not self.ramified and self.eta_pi_f != MINUS:
-            raise ValueError("unramified setups force eta(pi_F) = -1")
+        if self.eta_pi_f not in self.signs(2):
+            raise ValueError("eta(pi_F) must be +1 or -1; unramified setups force -1")
 
     def eta_shift(self, n: int) -> int:
         """eta(pi_F)^n."""
         return self.eta_pi_f if n % 2 else PLUS
+
+    def signs(self, v2: int) -> tuple[int, ...]:
+        """The eta values an element of doubled valuation v2 can have."""
+        return (PLUS, MINUS) if self.ramified else _unramified_signs(v2)
+
+    @property
+    def classes(self) -> tuple[int, ...]:
+        """Valuation classes that occur: 0 for integral v(x), 1 for half-integral."""
+        return tuple(cls for cls in (0, 1) if self.signs(cls))
 
 
 @dataclass(frozen=True)
@@ -74,12 +92,7 @@ class ValClass:
         return ValClass(-self.half_val, self.eta_sign)
 
     def consistent_with(self, setup: FieldSetup) -> bool:
-        if self.is_zero:
-            return True
-        if setup.ramified:
-            return True
-        # unramified: valuations are integral and eta is determined by v
-        return self.half_val % 2 == 0 and self.eta_sign == (MINUS if (self.half_val // 2) % 2 else PLUS)
+        return self.is_zero or self.eta_sign in setup.signs(self.half_val)
 
 
 ONE = ValClass(0, PLUS)
@@ -87,7 +100,7 @@ ONE = ValClass(0, PLUS)
 
 def unramified_class(v: int) -> ValClass:
     """The class of a valuation-v element in an unramified setup."""
-    return ValClass(2 * v, MINUS if v % 2 else PLUS)
+    return ValClass(2 * v, *_unramified_signs(2 * v))
 
 
 def eta_s(x: ValClass, setup: FieldSetup) -> LaurentPoly:

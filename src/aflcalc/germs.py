@@ -15,9 +15,9 @@ derivative-form coefficients of the germ.  The two sides are one
 construction with b and c swapped and the exponent sign flipped, so every
 routine here takes the side (0 = b, 1 = c) as a parameter.
 
-Invariant classes modulo the base field: in the unramified case the class of
-b carries no extra data (class 0); in the ramified case it is the parity of
-the doubled valuation (0 integral, 1 half-integral).
+Invariant classes modulo the base field are FieldSetup.classes: the parity of
+the doubled valuation of b (0 integral, 1 half-integral), of which only class
+0 occurs in the unramified case.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class GermExpansion:
     def sides(self) -> tuple[tuple[GermPiece, ...], tuple[GermPiece, ...]]:
         return self.a0, self.a1
 
-    def classes(self) -> tuple[int, ...]:
-        return (0, 1) if self.setup.ramified else (0,)
-
     def eval_side(self, side: int, lvl_a: Optional[int], lvl_d: Optional[int],
                   vclass: int) -> LaurentPoly:
         """Sum of the side's pieces matching the cell (A0 for side 0, A1 for 1)."""
@@ -111,23 +108,18 @@ class GermExpansion:
 
     def _probe_cells(self, other: Optional["GermExpansion"] = None
                      ) -> Iterator[tuple[int, Optional[int], Optional[int], int]]:
-        """(side, lvl_a, lvl_d, vclass) for every side of every probe cell."""
-        tops = [0]
-        for germ in (self,) if other is None else (self, other):
-            for piece in germ.a0 + germ.a1:
-                for iv in (piece.lvl_a, piece.lvl_d):
-                    if iv is None:
-                        continue
-                    if iv.lo is not None:
-                        tops.append(iv.lo)
-                    if iv.hi is not None:
-                        tops.append(iv.hi)
-        probes = list(range(0, max(tops) + 2)) + [None]
-        for la in probes:
-            for ld in probes:
-                for cls in self.classes():
+        """(side, lvl_a, lvl_d, vclass) for every side of every probe cell.
+
+        Every piece matches a whole level cell or none of it, and level None
+        (a base-field entry) matches like the last, unbounded cell, so one
+        representative level per cell probes everything."""
+        pieces = [piece for germ in ((self,) if other is None else (self, other))
+                  for piece in germ.a0 + germ.a1]
+        for ca in level_cells(piece.lvl_a for piece in pieces):
+            for cd in level_cells(piece.lvl_d for piece in pieces):
+                for cls in self.setup.classes:
                     for side in SIDES:
-                        yield side, la, ld, cls
+                        yield side, ca.lo, cd.lo, cls
 
     def equivalent(self, other: "GermExpansion") -> bool:
         """Equality of both germ maps on every probe cell (thresholds are
@@ -243,19 +235,14 @@ def validity_threshold(f: InvariantFunction) -> int:
 def _shell_factor(setup: FieldSetup, sgn_req: Optional[int], w2: int) -> Fraction:
     """Invariant weight of the valuation shell w2 in a germ integral.
 
-    Unramified shells carry (-1)^w and a sign requirement either agrees with
-    the shell sign or empties it; ramified shells contribute only when sign
-    pinned, each pin selecting a half-measure unit coset."""
-    if setup.ramified:
-        if sgn_req is None:
-            return Fraction(0)
-        return Fraction(sgn_req, 2)
-    if w2 % 2:
-        return Fraction(0)  # no unramified element has half-integral valuation
-    shell_sign = MINUS if (w2 // 2) % 2 else PLUS
-    if sgn_req is not None and sgn_req != shell_sign:
+    The signs the shell admits split it into cosets of equal measure; the
+    eta-weighted measure is the sum of the admitted signs the requirement
+    keeps, over their number.  Unramified shells carry their one sign (-1)^w;
+    ramified shells cancel unless sign pinned, each pin keeping a half."""
+    signs = setup.signs(w2)
+    if not signs:
         return Fraction(0)
-    return Fraction(shell_sign)
+    return Fraction(sum(s for s in signs if sgn_req in (None, s)), len(signs))
 
 
 def _shell_interval(box: Box, side: int) -> Interval:
@@ -288,7 +275,6 @@ def _collect_side(setup: FieldSetup, boxes: Sequence[tuple[Fraction, Box]],
     unbounded shell ranges; their tails cancel cell by cell because the
     function vanishes on the diagonal, so summation stops once only unbounded
     boxes remain active."""
-    classes = (0, 1) if setup.ramified else (0,)
     pieces: list[GermPiece] = []
     for ca in cells_a:
         for cd in cells_d:
@@ -304,7 +290,7 @@ def _collect_side(setup: FieldSetup, boxes: Sequence[tuple[Fraction, Box]],
                 raise DivergenceError("germ integral diverges: shell range unbounded below")
             lo2 = min(iv.lo for _, iv, _ in in_cell)
             hi2 = max((iv.hi if iv.hi is not None else iv.lo) for _, iv, _ in in_cell)
-            for cls in classes:
+            for cls in setup.classes:
                 terms: list[tuple[int, Fraction]] = []
                 for w2 in range(lo2, hi2 + 1):
                     if w2 % 2 != cls:
@@ -387,10 +373,9 @@ def constant_germ(setup: FieldSetup,
             value = as_fraction(value)
             if not value:
                 continue
-            sides[side].append(GermPiece(lvl_a, lvl_d, 0, LaurentPoly.constant(value)))
-            if setup.ramified:
-                sides[side].append(GermPiece(lvl_a, lvl_d, 1,
-                                             LaurentPoly.monomial(SIDE_SIGN[side], value)))
+            for cls in setup.classes:
+                sides[side].append(GermPiece(lvl_a, lvl_d, cls,
+                                             LaurentPoly.monomial(cls * SIDE_SIGN[side], value)))
     return GermExpansion(setup, tuple(sides[0]), tuple(sides[1]), threshold)
 
 

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .deformation import DeformQuery, lift_bound, ramification_index
+from .deformation import DeformQuery, lift_bound, ramification_index, reduction_commutes
 from .field import MINUS, PLUS, FieldSetup
 from .germs import (GermExpansion, constant_germ, extract_germ, function_from_germ,
                     solve_transfer_germ)
 from .orbital import (Interval, OrbitData, Side, d_orb, integral_indicator,
-                      orb, transfer_factor, unramified_orbit)
+                      orb, orbits_at, transfer_factor, unramified_orbit)
 from .symbolic import LogValue
 
 
@@ -57,12 +57,17 @@ class MatchContext:
 
     @property
     def first_case(self) -> bool:
-        """Ramified or i + j even; decides the unitary group the context uses."""
-        return self.setup.ramified or (self.i + self.j) % 2 == 0
+        """Ramified or i + j even, i.e. reductions commute with the order
+        action; decides the unitary group the context uses."""
+        return reduction_commutes(self.setup, self.i, self.j)
 
     @property
     def side(self) -> Side:
         return Side.U1 if self.first_case else Side.U0
+
+    @property
+    def defect_sign(self) -> int:  # eta(1 - N(a)) on the context's side
+        return PLUS if self.side == Side.U0 else MINUS
 
     def e_rel(self, level_i: int, level_j: int) -> int:
         return self.e_f // ramification_index(self.setup, max(level_i, level_j))
@@ -144,16 +149,17 @@ def intersection_length(heights: EntryHeights, ctx: MatchContext) -> int:
 
 def context_orbit(ctx: MatchContext, t: int, v_b2: int = 0, b_sign: int = PLUS,
                   lvl_a: Optional[int] = None, lvl_d: Optional[int] = None) -> OrbitData:
-    """An orbit with defect valuation t inside the context's matching locus."""
+    """An orbit with defect valuation t inside the context's matching locus;
+    b_sign is ignored where the setup forces eta(b) from v(b)."""
     setup = ctx.setup
     if setup.ramified:
         return OrbitData(setup=setup, t=t, v_b2=v_b2, b_sign=b_sign,
-                         defect_sign=PLUS if ctx.side == Side.U0 else MINUS,
+                         defect_sign=ctx.defect_sign,
                          lvl_a=lvl_a, lvl_d=lvl_d)
-    gamma = unramified_orbit(setup, t, v_b2 // 2, lvl_a=lvl_a, lvl_d=lvl_d)
-    if not in_context_locus(gamma, ctx):
-        raise MatchingError(f"defect valuation {t} has the wrong parity for this context")
-    return gamma
+    gammas = [g for g in orbits_at(setup, t, v_b2, lvl_a, lvl_d) if in_context_locus(g, ctx)]
+    if not gammas:
+        raise MatchingError(f"no unramified orbit with t = {t}, v_b2 = {v_b2} is in this context")
+    return gammas[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +205,7 @@ def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
     d_value = d_orb(gamma, f)
     lhs = d_value.scale(omega)
     orb_value = orb(gamma, f)
-    if t % 2:
+    if gamma.side == Side.U1:  # odd t
         ctx = MatchContext(setup, 0, 0, e_f=1)
         heights = entry_heights(gamma, ctx)
         int_value = intersection_length(heights, ctx)
@@ -247,14 +253,8 @@ class GrowthReport:
 
 
 def _context_ts(ctx: MatchContext, ts: Sequence[int]) -> list[int]:
-    good = []
-    for t in ts:
-        if not ctx.setup.ramified:
-            want_odd = ctx.first_case  # even i + j matches U1, i.e. odd defect valuation
-            if (t % 2 == 1) != want_odd:
-                continue
-        good.append(t)
-    return good
+    """The defect valuations t admitting the defect sign of the context's side."""
+    return [t for t in ts if ctx.defect_sign in ctx.setup.signs(2 * t)]
 
 
 def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
@@ -373,10 +373,9 @@ def ati_end_to_end(ctx: MatchContext, t_count: int = 8,
     f = function_from_germ(prescribed)
     threshold = max(extract_germ(ctx.setup, f).threshold, ctx.i + ctx.j, 1)
     ts = _context_ts(ctx, range(threshold, threshold + 2 * t_count))[:t_count]
-    classes = (0, 1) if ctx.setup.ramified else (0,)
     half_ef = Fraction(ctx.e_f, 2)
     rows: dict[int, list[EndToEndRow]] = {}
-    for cls in classes:
+    for cls in ctx.setup.classes:
         for t in ts:
             for v_b2 in (2 * ((t // 2) % 3) - 2 + cls, cls, 4 + cls):
                 gamma = context_orbit(ctx, t, v_b2=v_b2)

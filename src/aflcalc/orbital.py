@@ -190,20 +190,18 @@ class OrbitData:
             raise ValueError("the defect valuation t must be >= 0")
         if self.v_a2 < 0:
             raise ValueError("the a-entry must be integral")
-        if self.b_sign not in (PLUS, MINUS) or self.defect_sign not in (PLUS, MINUS):
-            raise ValueError("signs must be +1 or -1")
         for lvl in (self.lvl_a, self.lvl_d):
             if lvl is not None and lvl < 0:
                 raise ValueError("conductor levels are >= 0")
         if self.v_a2 > 0 and (self.t != 0 or self.defect_sign != PLUS):
             raise ValueError("a non-unit a-entry forces t = 0 with sign +1")
-        if not self.setup.ramified:
-            if self.v_a2 % 2 or self.v_b2 % 2:
-                raise ValueError("unramified valuations are integral")
-            if self.b_sign != (MINUS if (self.v_b2 // 2) % 2 else PLUS):
-                raise ValueError("unramified eta(b) is determined by v(b)")
-            if self.defect_sign != (MINUS if self.t % 2 else PLUS):
-                raise ValueError("unramified eta(1 - N(a)) is determined by t")
+        signs = self.setup.signs
+        if not signs(self.v_a2):
+            raise ValueError("no element of the setup has valuation v(a)")
+        if self.b_sign not in signs(self.v_b2):
+            raise ValueError("eta(b) is not a sign valuation v(b) admits")
+        if self.defect_sign not in signs(2 * self.t):
+            raise ValueError("eta(1 - N(a)) is not a sign valuation t admits")
 
     @property
     def v_c2(self) -> int:
@@ -248,15 +246,22 @@ class OrbitData:
                    lvl_a=data.get("lvl_a"), lvl_d=data.get("lvl_d"))
 
 
+def orbits_at(setup: FieldSetup, t: int, v_b2: int,
+              lvl_a: Optional[int] = None, lvl_d: Optional[int] = None) -> list[OrbitData]:
+    """Every orbit with unit diagonal entries and the given invariants, one
+    per sign pair (eta(b), eta(1 - N(a))) the setup admits."""
+    return [OrbitData(setup=setup, t=t, v_b2=v_b2, b_sign=b_sign, defect_sign=defect_sign,
+                      lvl_a=lvl_a, lvl_d=lvl_d)
+            for b_sign in setup.signs(v_b2) for defect_sign in setup.signs(2 * t)]
+
+
 def unramified_orbit(setup: FieldSetup, t: int, v_b: int,
                      lvl_a: Optional[int] = None, lvl_d: Optional[int] = None) -> OrbitData:
-    """Unramified orbit with unit diagonal entries and forced signs."""
+    """The one unramified orbit with unit diagonal entries and these invariants."""
     if setup.ramified:
         raise ValueError("expected an unramified setup")
-    return OrbitData(setup=setup, t=t, v_b2=2 * v_b,
-                     b_sign=MINUS if v_b % 2 else PLUS,
-                     defect_sign=MINUS if t % 2 else PLUS,
-                     lvl_a=lvl_a, lvl_d=lvl_d)
+    (gamma,) = orbits_at(setup, t, 2 * v_b, lvl_a, lvl_d)
+    return gamma
 
 
 def _require_base(lam: ValClass) -> None:
@@ -345,7 +350,7 @@ def level_cells(reqs: Iterable[Optional[Interval]]) -> list[Interval]:
         if req.lo is not None:
             bounds.add(max(req.lo, 0))
         if req.hi is not None:
-            bounds.add(req.hi + 1)
+            bounds.add(max(req.hi + 1, 0))
     ordered = sorted(bounds)
     cells = []
     for lo, nxt in zip(ordered, ordered[1:]):

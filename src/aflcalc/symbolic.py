@@ -117,10 +117,6 @@ class LaurentPoly:
         log_part = -sum((Fraction(e2, 2) * c for e2, c in self._terms.items()), Fraction(0))
         return LogValue(Fraction(0), log_part)
 
-    def s_derivative(self) -> "LaurentPoly":
-        """Termwise coefficient of log(q) in d/ds: maps c*T^m to -m*c*T^m."""
-        return LaurentPoly({e2: -Fraction(e2, 2) * c for e2, c in self._terms.items()})
-
     def text(self) -> str:
         """Canonical rendering, exponents ascending; bit-exact across runs."""
         if not self._terms:

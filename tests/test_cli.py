@@ -113,3 +113,37 @@ class TestConfigContract:
         growth = report["rows"][0]["growth"]
         assert not growth["passed"]
         assert growth["open"] == {} and growth["saturated"] == []
+
+    @pytest.mark.parametrize("flag", ["--i", "--j"])
+    def test_negative_ati_level_exits_two(self, flag, tmp_path, capsys):
+        out = tmp_path / "a.json"
+        assert main(["ati", "--q", "3", "--ram", "0", flag, "-1", "--out", str(out)]) == 2
+        assert "levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exits_two_before_the_sweep(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["afl", "--q", "3", "--t", "1", "--vb", "0", "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
+class TestRamFlags:
+    @pytest.mark.parametrize("command, extra", [
+        ("orb", ["--t", "0..2", "--vb", "0"]),
+        ("deform", ["--q", "3", "--ij", "0..1", "--e", "1", "--l", "0..3"]),
+        ("germ", []),
+        ("ati", ["--q", "3", "--i", "0", "--j", "0..1", "--e", "1", "--t", "0..8"]),
+    ])
+    def test_repeated_and_unsorted_ram_values(self, command, extra, tmp_path):
+        reports = {}
+        for ram in ("0,1", "1,0", "0,0,1,1"):
+            out = tmp_path / f"{ram}.json"
+            main([command, "--ram", ram, "--out", str(out)] + extra)
+            reports[ram] = json.loads(out.read_text())
+        rows = [r["ramified"] for r in reports["0,1"]["rows"]]
+        assert rows == sorted(rows) and len(set(rows)) == 2
+        key = lambda r: json.dumps(r, sort_keys=True)
+        assert len({key(r) for r in reports["0,1"]["rows"]}) == len(rows)
+        for ram in ("1,0", "0,0,1,1"):
+            assert reports[ram]["rows"] == reports["0,1"]["rows"]

@@ -25,6 +25,36 @@ class TestFieldSetup:
             FieldSetup(1, ramified=False)
 
 
+class TestSigns:
+    """FieldSetup.signs against the convention stated directly: unramified
+    eta(x) = (-1)^v(x) and no half-integral valuations; ramified, both signs
+    at every valuation."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_unramified(self, q):
+        setup = FieldSetup(q, ramified=False)
+        for v in range(-20, 21):
+            assert setup.signs(2 * v) == ((-1) ** v,)
+            assert setup.signs(2 * v + 1) == ()
+        assert setup.classes == (0,)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("eta_pi_f", [PLUS, MINUS])
+    def test_ramified(self, q, eta_pi_f):
+        setup = FieldSetup(q, ramified=True, eta_pi_f=eta_pi_f)
+        for v2 in range(-41, 42):
+            assert setup.signs(v2) == (PLUS, MINUS)
+        assert setup.classes == (0, 1)
+
+    def test_consistency_follows_signs(self):
+        for setup in (UNRAM, RAM):
+            for v2 in range(-9, 10):
+                for sign in (PLUS, MINUS):
+                    assert ValClass(v2, sign).consistent_with(setup) == (sign in setup.signs(v2))
+        for v in range(-5, 6):
+            assert unramified_class(v) == ValClass(2 * v, (-1) ** v)
+
+
 class TestValClassMonoid:
     def test_exhaustive_monoid_laws(self):
         grid = [ValClass(h, s) for h in range(-8, 9) for s in (PLUS, MINUS)]

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aflcalc.battery import germ_battery, zero_orbit_battery
 from aflcalc.field import MINUS, PLUS, FieldSetup
@@ -236,8 +237,95 @@ class TestExtractionLinearity:
             gg = extract_germ(setup, g)
             for la in (None, 0, 1, 2, 3):
                 for ld in (None, 0, 1, 2, 3):
-                    for cls in combined.classes():
+                    for cls in combined.setup.classes:
                         want_a0 = gf.eval_a0(la, ld, cls) + gg.eval_a0(la, ld, cls).scale(Fraction(-2, 3))
                         want_a1 = gf.eval_a1(la, ld, cls) + gg.eval_a1(la, ld, cls).scale(Fraction(-2, 3))
                         assert combined.eval_a0(la, ld, cls) == want_a0
                         assert combined.eval_a1(la, ld, cls) == want_a1
+
+
+def grid_equivalent(g, h):
+    """Reference for GermExpansion.equivalent: compare both germ maps on the
+    brute-force grid of every level 0 .. (largest endpoint + 1), plus None."""
+    if g.setup.ramified != h.setup.ramified:
+        return False
+    tops = [0]
+    for germ in (g, h):
+        for piece in germ.a0 + germ.a1:
+            for iv in (piece.lvl_a, piece.lvl_d):
+                if iv is not None:
+                    tops.extend(x for x in (iv.lo, iv.hi) if x is not None)
+    probes = list(range(0, max(tops) + 2)) + [None]
+    classes = (0, 1) if g.setup.ramified else (0,)
+    return all(g.eval_side(side, la, ld, cls) == h.eval_side(side, la, ld, cls)
+               for la in probes for ld in probes for cls in classes for side in (0, 1))
+
+
+@st.composite
+def level_intervals(draw):
+    if draw(st.booleans()):
+        return None
+    lo = draw(st.none() | st.integers(0, 4))
+    # an interval ending below level 0 matches no level at all
+    hi = draw(st.none() | st.integers(-3 if lo is None else lo, 5))
+    return Interval(lo, hi)
+
+
+@st.composite
+def germ_pieces(draw, setup):
+    poly = LaurentPoly(draw(st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=2)))
+    return GermPiece(draw(level_intervals()), draw(level_intervals()),
+                     draw(st.sampled_from(setup.classes)), poly)
+
+
+@st.composite
+def germ_pairs(draw):
+    """A random germ g and a germ h built from it: the same pieces in another
+    order, pieces added on both sides of h that cancel, a level interval split
+    in two, and sometimes one stray piece that may break equivalence."""
+    setup = draw(st.sampled_from(SETUPS))
+    sides = [draw(st.lists(germ_pieces(setup), max_size=4)) for _ in range(2)]
+    h_sides = []
+    for pieces in sides:
+        out = list(reversed(pieces))
+        for extra in draw(st.lists(germ_pieces(setup), max_size=2)):
+            out += [extra, GermPiece(extra.lvl_a, extra.lvl_d, extra.vclass, -extra.poly)]
+        if out and draw(st.booleans()):
+            first = out.pop(0)
+            iv = first.lvl_a
+            if iv is not None and iv.lo is not None and iv.hi != iv.lo:
+                cut = iv.lo if iv.hi is None else (iv.lo + iv.hi) // 2
+                out += [GermPiece(Interval(iv.lo, cut), first.lvl_d, first.vclass, first.poly),
+                        GermPiece(Interval(cut + 1, iv.hi), first.lvl_d, first.vclass, first.poly)]
+            else:
+                out.append(first)
+        if draw(st.booleans()):
+            out.append(draw(germ_pieces(setup)))
+        h_sides.append(out)
+    threshold = draw(st.integers(1, 3))
+    return (GermExpansion(setup, tuple(sides[0]), tuple(sides[1]), threshold),
+            GermExpansion(setup, tuple(h_sides[0]), tuple(h_sides[1]), 1))
+
+
+class TestProbeCells:
+    @given(germ_pairs())
+    def test_equivalent_matches_the_level_grid(self, pair):
+        g, h = pair
+        assert g.equivalent(h) == grid_equivalent(g, h)
+        assert h.equivalent(g) == grid_equivalent(h, g)
+        assert g.equivalent(g)
+
+    def test_intervals_below_level_zero_match_nothing(self):
+        pieces = tuple(GermPiece(Interval(None, hi), None, 0, LaurentPoly.one()) for hi in (-1, -3))
+        below = GermExpansion(UNRAM, pieces, (), 1)
+        assert below.equivalent(GermExpansion(UNRAM, (), (), 1))
+        assert below.value_at_s0_is_zero()
+
+    @given(germ_pairs())
+    def test_value_at_s0_matches_the_level_grid(self, pair):
+        g, _ = pair
+        zero = GermExpansion(g.setup, (), (), 1)
+        at_s0 = GermExpansion(g.setup, *(
+            tuple(GermPiece(p.lvl_a, p.lvl_d, p.vclass, LaurentPoly.constant(p.poly.eval_at_s0()))
+                  for p in pieces) for pieces in g.sides), 1)
+        assert g.value_at_s0_is_zero() == grid_equivalent(at_s0, zero)

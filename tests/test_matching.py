@@ -40,6 +40,14 @@ class TestContextLocus:
         assert ctx.side == Side.U0
         assert in_context_locus(unramified_orbit(UNRAM3, 2, 0), ctx)
 
+    def test_unramified_context_orbit_rejects_what_no_orbit_has(self):
+        ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
+        assert context_orbit(ctx, 3, v_b2=2) == unramified_orbit(UNRAM3, 3, 1)
+        with pytest.raises(MatchingError):
+            context_orbit(ctx, 2)  # even t is on the other side
+        with pytest.raises(MatchingError):
+            context_orbit(ctx, 3, v_b2=1)  # no half-integral v(b)
+
     def test_ramified_always_u1(self):
         ctx = MatchContext(RAM3, 0, 1, e_f=ramification_index(RAM3, 1))
         assert ctx.side == Side.U1

@@ -7,8 +7,8 @@ from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, eta_s_inverse
 from aflcalc.orbital import (Box, DivergenceError, Interval, InvariantFunction,
                              OrbitData, Side, clear_diagonal, d_orb, diagonal_killer,
                              _shift_range, eta_twist_difference, integral_indicator,
-                             orb, orb_s, pullback, transfer_factor, unit_diag_indicator,
-                             unramified_orbit)
+                             orb, orb_s, orbits_at, pullback, transfer_factor,
+                             unit_diag_indicator, unramified_orbit)
 from aflcalc.symbolic import LaurentPoly, LogValue
 
 UNRAM = FieldSetup(3, ramified=False)
@@ -362,3 +362,32 @@ class TestShiftRange:
         for n in range(-30, 31):
             inside = i_b.contains(gamma.v_b2 - 2 * n) and i_c.contains(gamma.v_c2 + 2 * n)
             assert inside == (n_lo <= n <= n_hi), n
+
+
+class TestOrbitsAt:
+    """orbits_at returns exactly the sign pairs OrbitData accepts."""
+
+    @pytest.mark.parametrize("setup", SETUPS, ids=["unram", "ram", "ram-neg"])
+    def test_brute_force_over_sign_pairs(self, setup):
+        for t in range(0, 6):
+            for v_b2 in range(-5, 6):
+                for lvl_a, lvl_d in ((None, None), (0, 2)):
+                    accepted = set()
+                    for b_sign in (PLUS, MINUS):
+                        for defect_sign in (PLUS, MINUS):
+                            try:
+                                OrbitData(setup=setup, t=t, v_b2=v_b2, b_sign=b_sign,
+                                          defect_sign=defect_sign, lvl_a=lvl_a, lvl_d=lvl_d)
+                            except ValueError:
+                                continue
+                            accepted.add((b_sign, defect_sign))
+                    gammas = orbits_at(setup, t, v_b2, lvl_a, lvl_d)
+                    assert len(gammas) == len(accepted)
+                    assert {(g.b_sign, g.defect_sign) for g in gammas} == accepted
+                    assert all((g.t, g.v_b2, g.v_a2, g.lvl_a, g.lvl_d) == (t, v_b2, 0, lvl_a, lvl_d)
+                               for g in gammas)
+
+    def test_unramified_orbit_is_the_only_one(self):
+        for t in range(0, 6):
+            for v_b in range(-3, 4):
+                assert orbits_at(UNRAM, t, 2 * v_b) == [unramified_orbit(UNRAM, t, v_b)]
