@@ -100,7 +100,8 @@ def _map(fn: Callable, items: Sequence) -> list:
     if n == 1 or len(items) < 4:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+        # about four chunks per worker: rows are too small to ship one by one
+        return list(pool.map(fn, items, chunksize=-(-len(items) // (4 * n))))
 
 
 def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
@@ -247,7 +248,8 @@ def run_ati(args) -> dict:
     i_values = parse_range(args.i)
     j_values = parse_range(args.j)
     es = parse_range(args.e)
-    ts = tuple(parse_range(args.t))
+    ts = parse_range(args.t)
+    growth_ts = tuple(sorted(set(ts)))
     params = []
     for q in sorted(set(qs)):
         for ram in sorted(set(rams)):
@@ -257,11 +259,11 @@ def run_ati(args) -> dict:
                     for e_rel in sorted(set(es)):
                         if e_rel < 1 or i < 0 or j < 0:
                             raise ConfigError("ati needs levels i, j >= 0 and e_rel >= 1")
-                        params.append((setup, i, j, e_rel, ts))
+                        params.append((setup, i, j, e_rel, growth_ts))
     rows = _map(_ati_row, params)
     return {"command": "ati",
             "params": {"q": qs, "ram": rams, "i": i_values, "j": j_values,
-                       "e": es, "t": list(ts)},
+                       "e": es, "t": ts},
             "rows": rows}
 
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .deformation import DeformQuery, lift_bound, ramification_index, reduction_commutes
 from .field import MINUS, PLUS, FieldSetup
 from .germs import (GermExpansion, constant_germ, extract_germ, function_from_germ,
                     solve_transfer_germ)
 from .orbital import (Interval, OrbitData, Side, d_orb, integral_indicator,
-                      orb, orbits_at, transfer_factor, unramified_orbit)
+                      orb, transfer_factor, unramified_orbit)
 from .symbolic import LogValue
 
 
@@ -110,23 +110,20 @@ def entry_heights(gamma: OrbitData, ctx: MatchContext,
     height, with the canonical derived value as default."""
     if not in_context_locus(gamma, ctx):
         raise MatchingError("orbit does not match into the context's unitary group")
-    if gamma.lvl_a is None or gamma.lvl_a >= ctx.i:
-        h1 = None
-    else:
-        h1 = diag_1 if diag_1 is not None else derived_diag_height(ctx.setup, gamma.lvl_a)
-    if gamma.lvl_d is None or gamma.lvl_d >= ctx.j:
-        h4 = None
-    else:
-        h4 = diag_4 if diag_4 is not None else derived_diag_height(ctx.setup, gamma.lvl_d)
-    return EntryHeights(off_diag=gamma.t, diag_1=h1, diag_4=h4)
+    diag = []
+    for lvl, level, h in ((gamma.lvl_a, ctx.i, diag_1), (gamma.lvl_d, ctx.j, diag_4)):
+        if lvl is None or lvl >= level:
+            diag.append(None)
+        else:
+            diag.append(h if h is not None else derived_diag_height(ctx.setup, lvl))
+    return EntryHeights(gamma.t, *diag)
 
 
 def diag_height_attainable(setup: FieldSetup, level: int, h: int) -> bool:
     """Whether h is a class height a diagonal entry of some conductor level
     below the lift level can have: the derived values 2*lvl (plus one when
     ramified) for lvl in [0, level)."""
-    offset = 1 if setup.ramified else 0
-    return h % 2 == offset and 0 <= h <= 2 * (level - 1) + offset
+    return any(h == derived_diag_height(setup, lvl) for lvl in range(level))
 
 
 def intersection_length(heights: EntryHeights, ctx: MatchContext) -> int:
@@ -151,15 +148,17 @@ def context_orbit(ctx: MatchContext, t: int, v_b2: int = 0, b_sign: int = PLUS,
                   lvl_a: Optional[int] = None, lvl_d: Optional[int] = None) -> OrbitData:
     """An orbit with defect valuation t inside the context's matching locus;
     b_sign is ignored where the setup forces eta(b) from v(b)."""
-    setup = ctx.setup
-    if setup.ramified:
-        return OrbitData(setup=setup, t=t, v_b2=v_b2, b_sign=b_sign,
-                         defect_sign=ctx.defect_sign,
-                         lvl_a=lvl_a, lvl_d=lvl_d)
-    gammas = [g for g in orbits_at(setup, t, v_b2, lvl_a, lvl_d) if in_context_locus(g, ctx)]
-    if not gammas:
-        raise MatchingError(f"no unramified orbit with t = {t}, v_b2 = {v_b2} is in this context")
-    return gammas[0]
+    b_signs = ctx.setup.signs(v_b2)
+    if not b_signs or ctx.defect_sign not in ctx.setup.signs(2 * t):
+        raise MatchingError(f"no orbit with t = {t}, v_b2 = {v_b2} is in this context")
+    return OrbitData(setup=ctx.setup, t=t, v_b2=v_b2,
+                     b_sign=b_sign if len(b_signs) > 1 else b_signs[0],
+                     defect_sign=ctx.defect_sign, lvl_a=lvl_a, lvl_d=lvl_d)
+
+
+def _int_at(gamma: OrbitData, ctx: MatchContext) -> int:
+    """Int of the element an orbit of the context's locus matches."""
+    return intersection_length(entry_heights(gamma, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +205,7 @@ def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
     lhs = d_value.scale(omega)
     orb_value = orb(gamma, f)
     if gamma.side == Side.U1:  # odd t
-        ctx = MatchContext(setup, 0, 0, e_f=1)
-        heights = entry_heights(gamma, ctx)
-        int_value = intersection_length(heights, ctx)
+        int_value = _int_at(gamma, MatchContext(setup, 0, 0, e_f=1))
         closed = Fraction(1 + t, 2)
         passed = (lhs == LogValue.of(0, int_value)
                   and Fraction(int_value) == closed
@@ -257,6 +254,12 @@ def _context_ts(ctx: MatchContext, ts: Sequence[int]) -> list[int]:
     return [t for t in ts if ctx.defect_sign in ctx.setup.signs(2 * t)]
 
 
+def _constant(values: Iterable[Fraction]) -> Optional[Fraction]:
+    """The one value all values share, or None when they differ or are none."""
+    distinct = set(values)
+    return distinct.pop() if len(distinct) == 1 else None
+
+
 def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
                      finite_lvl_a: Optional[int] = None) -> GrowthReport:
     """Growth of Int(t): with unbounded diagonals, 2*Int - e_F*t is constant
@@ -268,41 +271,26 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
         return GrowthReport({}, {}, (), None, False)
     open_rows: dict[int, list[GrowthRow]] = {}
     for t in ts:
-        gamma = context_orbit(ctx, t)
-        value = intersection_length(entry_heights(gamma, ctx), ctx)
-        row = GrowthRow(t, value, Fraction(value) - Fraction(ctx.e_f * t, 2))
+        value = _int_at(context_orbit(ctx, t), ctx)
+        row = GrowthRow(t, value, value - Fraction(ctx.e_f * t, 2))
         open_rows.setdefault(t % 2, []).append(row)
-    open_constants = {}
-    passed = True
-    for parity, rows in open_rows.items():
-        constants = {row.residual for row in rows}
-        if len(constants) == 1:
-            open_constants[parity] = constants.pop()
-        else:
-            passed = False
+    constants = {p: _constant(row.residual for row in rows) for p, rows in open_rows.items()}
+    open_constants = {p: c for p, c in constants.items() if c is not None}
+    passed = len(open_constants) == len(open_rows)
     saturated_rows: list[GrowthRow] = []
     saturation_value: Optional[int] = None
     if finite_lvl_a is not None:
         if finite_lvl_a >= ctx.i:
             raise ValueError("finite regime needs a conductor level below the lift level")
         for t in ts:
-            gamma = context_orbit(ctx, t, lvl_a=finite_lvl_a)
-            value = intersection_length(entry_heights(gamma, ctx), ctx)
+            value = _int_at(context_orbit(ctx, t, lvl_a=finite_lvl_a), ctx)
             saturated_rows.append(GrowthRow(t, value, Fraction(value)))
-        diag_bound = intersection_length(
+        saturation_value = intersection_length(
             EntryHeights(off_diag=max(ts), diag_1=derived_diag_height(ctx.setup, finite_lvl_a),
                          diag_4=None), ctx)
-        tail = [row.int_value for row in saturated_rows if row.int_value == diag_bound]
-        saturation_value = diag_bound
-        # Int must saturate: once the off-diagonal bound passes the diagonal
-        # one, every later value equals the diagonal bound.
-        seen_plateau = False
-        for row in saturated_rows:
-            if row.int_value == diag_bound:
-                seen_plateau = True
-            elif seen_plateau:
-                passed = False
-        if not tail:
+        # Int must saturate: the rows at the diagonal bound are a non-empty suffix.
+        at_bound = [row.int_value == saturation_value for row in saturated_rows]
+        if True not in at_bound or not all(at_bound[at_bound.index(True):]):
             passed = False
     return GrowthReport({p: tuple(r) for p, r in open_rows.items()}, open_constants,
                         tuple(saturated_rows), saturation_value, passed)
@@ -373,46 +361,31 @@ def ati_end_to_end(ctx: MatchContext, t_count: int = 8,
     f = function_from_germ(prescribed)
     threshold = max(extract_germ(ctx.setup, f).threshold, ctx.i + ctx.j, 1)
     ts = _context_ts(ctx, range(threshold, threshold + 2 * t_count))[:t_count]
-    half_ef = Fraction(ctx.e_f, 2)
-    rows: dict[int, list[EndToEndRow]] = {}
-    for cls in ctx.setup.classes:
-        for t in ts:
-            for v_b2 in (2 * ((t // 2) % 3) - 2 + cls, cls, 4 + cls):
-                gamma = context_orbit(ctx, t, v_b2=v_b2)
-                analytic = d_orb(gamma, f).scale(transfer_factor(gamma)).log_q_part
-                int_value = intersection_length(entry_heights(gamma, ctx), ctx)
-                rows.setdefault(cls, []).append(EndToEndRow(
-                    t, v_b2, analytic, int_value,
-                    analytic - half_ef * t, Fraction(int_value) - half_ef * t,
-                    analytic - int_value))
-    witnesses: dict[int, Fraction] = {}
-    passed = True
-    for cls, cls_rows in rows.items():
-        if len({r.analytic_residual for r in cls_rows}) != 1:
-            passed = False
-        if len({r.geometric_residual for r in cls_rows}) != 1:
-            passed = False
-        corrections = {r.correction for r in cls_rows}
-        if len(corrections) == 1:
-            witnesses[cls] = corrections.pop()
-        else:
-            passed = False
-    outside_rows: list[EndToEndRow] = []
+
+    def row(gamma: OrbitData, offset: Fraction) -> EndToEndRow:
+        analytic = d_orb(gamma, f).scale(transfer_factor(gamma)).log_q_part
+        int_value = _int_at(gamma, ctx)
+        return EndToEndRow(gamma.t, gamma.v_b2, analytic, int_value,
+                           analytic - offset, int_value - offset, analytic - int_value)
+
+    def steady(group: Sequence[EndToEndRow]) -> bool:
+        """Both residuals and the correction are constant over the group."""
+        return None not in (_constant(r.analytic_residual for r in group),
+                            _constant(r.geometric_residual for r in group),
+                            _constant(r.correction for r in group))
+
+    rows = {cls: tuple(row(context_orbit(ctx, t, v_b2=v_b2), Fraction(ctx.e_f * t, 2))
+                       for t in ts for v_b2 in (2 * ((t // 2) % 3) - 2 + cls, cls, 4 + cls))
+            for cls in ctx.setup.classes}
+    corrections = {cls: _constant(r.correction for r in group) for cls, group in rows.items()}
+    witnesses = {cls: c for cls, c in corrections.items() if c is not None}
+    passed = all(steady(group) for group in rows.values())
+    outside_rows: tuple[EndToEndRow, ...] = ()
     outside_witness: Optional[Fraction] = None
     if ctx.i >= 1:
-        for t in ts:
-            gamma = context_orbit(ctx, t, lvl_a=ctx.i - 1)
-            analytic = d_orb(gamma, f).scale(transfer_factor(gamma)).log_q_part
-            int_value = intersection_length(entry_heights(gamma, ctx), ctx)
-            outside_rows.append(EndToEndRow(t, 0, analytic, int_value,
-                                            analytic, Fraction(int_value),
-                                            analytic - int_value))
-        corrections = {r.correction for r in outside_rows}
-        ints = {r.int_value for r in outside_rows}
-        analytics = {r.analytic for r in outside_rows}
-        if len(corrections) == 1 and len(ints) == 1 and analytics == {Fraction(0)}:
-            outside_witness = corrections.pop()
+        outside_rows = tuple(row(context_orbit(ctx, t, lvl_a=ctx.i - 1), Fraction(0)) for t in ts)
+        if steady(outside_rows) and all(r.analytic == 0 for r in outside_rows):
+            outside_witness = outside_rows[0].correction
         else:
             passed = False
-    return EndToEndReport({c: tuple(r) for c, r in rows.items()}, witnesses,
-                          tuple(outside_rows), outside_witness, threshold, passed)
+    return EndToEndReport(rows, witnesses, outside_rows, outside_witness, threshold, passed)

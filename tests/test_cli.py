@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -147,3 +148,63 @@ class TestRamFlags:
         assert len({key(r) for r in reports["0,1"]["rows"]}) == len(rows)
         for ram in ("1,0", "0,0,1,1"):
             assert reports[ram]["rows"] == reports["0,1"]["rows"]
+
+
+class TestAtiTimes:
+    def test_t_order_and_repeats_do_not_change_rows(self, tmp_path):
+        echoes = {"0..16": list(range(17)),
+                  ",".join(map(str, range(16, -1, -1))): list(range(16, -1, -1)),
+                  "0..16,3,3": list(range(17)) + [3, 3]}
+        reports = {}
+        for ts in echoes:
+            out = tmp_path / "a.json"
+            main(["ati", "--q", "3", "--ram", "0,1", "--i", "0..2", "--j", "0..1",
+                  "--e", "1", "--t", ts, "--out", str(out)])
+            reports[ts] = json.loads(out.read_text())
+        for ts, report in reports.items():
+            assert report["rows"] == reports["0..16"]["rows"]
+            assert report["params"]["t"] == echoes[ts]  # the raw list is echoed
+
+
+# One small grid per command, reaching every row kind: afl odd and even t,
+# deform inadmissible-parity and ok rows, ati rows with i >= 1 (outside and
+# saturated rows).  The digests were recorded from the reports these grids
+# gave when the test was written; a change that alters report bytes on
+# purpose must re-record them and say why.
+GOLDEN = {
+    "afl": (["afl", "--q", "3", "--t", "0..4", "--vb", "-1..1"],
+            "ef3eeaba94806678a23a763d694107d620586c567d699e677dde60084c5b7f47"),
+    "deform": (["deform", "--ram", "0,1", "--q", "3", "--ij", "0..2", "--e", "1,2",
+                "--l", "0..4"],
+               "da796a00bfa3696c88aa97bea39a92598d19822de51d3ae8f588f88d78d49764"),
+    "orb": (["orb", "--q", "3", "--ram", "0,1", "--t", "0..3", "--vb", "-1..1"],
+            "501977fa08d1c0d600505ae58fe033e7ca63d596c59591c0b9aec4d063093351"),
+    "germ": (["germ", "--q", "3", "--ram", "0"],
+             "24b82b814ebe1cb037c6ef00b518404d45f25c815336134a92273e009b134710"),
+    "ati": (["ati", "--q", "3", "--ram", "0,1", "--i", "1", "--j", "0..1", "--e", "1",
+             "--t", "0..12"],
+            "bc8a5ef96cc5f14fad4a4ac42c49181aa3341d8c2ed1b490f092c9a3d4faf723"),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_report_digest(self, command, workers, tmp_path, monkeypatch):
+        # two workers take the process-pool path: same bytes as serial
+        monkeypatch.setenv("AFL_CALC_THREADS", workers)
+        argv, digest = GOLDEN[command]
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_grids_reach_every_row_kind(self, tmp_path):
+        rows = {}
+        for command, (argv, _) in GOLDEN.items():
+            out = tmp_path / f"{command}.json"
+            main(argv + ["--out", str(out)])
+            rows[command] = json.loads(out.read_text())["rows"]
+        assert {r["t"] % 2 for r in rows["afl"]} == {0, 1}
+        assert {r["status"] for r in rows["deform"]} == {"inadmissible-parity", "ok"}
+        assert all(r["end_to_end"]["outside"] and r["growth"]["saturated"]
+                   for r in rows["ati"])

@@ -11,9 +11,8 @@ from aflcalc.germs import (GermExpansion, GermGradingError, GermPiece,
                            zero_orbit_zero_germ)
 from aflcalc.orbital import (Box, Interval, InvariantFunction, OrbitData,
                              clear_diagonal, d_orb, diagonal_killer,
-                             integral_indicator, orb, orb_s, unit_diag_indicator,
-                             unramified_orbit)
-from aflcalc.symbolic import LaurentPoly, LogValue
+                             integral_indicator, orb, orb_s, unramified_orbit)
+from aflcalc.symbolic import LaurentPoly
 
 UNRAM = FieldSetup(3, ramified=False)
 RAM = FieldSetup(3, ramified=True)

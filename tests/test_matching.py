@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from aflcalc import matching
 from aflcalc.deformation import ramification_index
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
 from aflcalc.germs import GermExpansion
@@ -10,7 +11,7 @@ from aflcalc.matching import (EntryHeights, MatchContext, MatchingError, afl_ver
                               derived_diag_height, entry_heights, in_context_locus,
                               intersection_length, match_side,
                               prescribed_transfer_germ)
-from aflcalc.orbital import OrbitData, Side, unramified_orbit
+from aflcalc.orbital import OrbitData, Side, orbits_at, transfer_factor, unramified_orbit
 from aflcalc.symbolic import LogValue
 
 UNRAM3 = FieldSetup(3, ramified=False)
@@ -47,6 +48,21 @@ class TestContextLocus:
             context_orbit(ctx, 2)  # even t is on the other side
         with pytest.raises(MatchingError):
             context_orbit(ctx, 3, v_b2=1)  # no half-integral v(b)
+
+    @pytest.mark.parametrize("setup", [UNRAM3, RAM3])
+    @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 1)])
+    def test_context_orbit_is_the_orbits_at_member_in_the_locus(self, setup, i, j):
+        ctx = MatchContext(setup, i, j, e_f=ramification_index(setup, max(i, j)))
+        for t in range(0, 6):
+            for v_b2 in range(-3, 4):
+                members = [g for g in orbits_at(setup, t, v_b2) if in_context_locus(g, ctx)]
+                for b_sign in (PLUS, MINUS):
+                    if not members:
+                        with pytest.raises(MatchingError):
+                            context_orbit(ctx, t, v_b2=v_b2, b_sign=b_sign)
+                        continue
+                    wanted = [g for g in members if g.b_sign == b_sign] or members
+                    assert context_orbit(ctx, t, v_b2=v_b2, b_sign=b_sign) == wanted[0]
 
     def test_ramified_always_u1(self):
         ctx = MatchContext(RAM3, 0, 1, e_f=ramification_index(RAM3, 1))
@@ -217,6 +233,89 @@ class TestEndToEnd:
         a0_odd = g_odd.eval_a0(1, 1, 0).eval_at_s0()
         assert a0_even == Fraction(even_ctx.e_f, 2)
         assert a0_odd == -Fraction(odd_ctx.e_f, 2)
+
+
+def _perturb_int(monkeypatch, delta, at):
+    """Shift Int by delta wherever at(heights) holds."""
+    real = matching.intersection_length
+    monkeypatch.setattr(matching, "intersection_length",
+                        lambda heights, ctx: real(heights, ctx) + (delta if at(heights) else 0))
+
+
+def _perturb_analytic(monkeypatch, delta, at):
+    """Shift omega * dOrb(f) by delta * log q wherever at(gamma) holds."""
+    real = matching.d_orb
+
+    def d_orb(gamma, f):
+        shift = LogValue.of(0, delta * transfer_factor(gamma)) if at(gamma) else LogValue.zero()
+        return real(gamma, f) + shift  # omega = +-1, so omega * shift = delta * log q
+    monkeypatch.setattr(matching, "d_orb", d_orb)
+
+
+class TestVerdictFailures:
+    """One perturbed value must fail the check that watches it."""
+
+    def test_non_constant_open_residual(self, monkeypatch):
+        ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
+        _perturb_int(monkeypatch, 1, lambda h: h.off_diag == 5)
+        report = ati_growth_check(ctx, range(1, 22))
+        assert not report.passed
+        assert report.open_constants == {}
+
+    def test_leaving_the_plateau(self, monkeypatch):
+        ctx = MatchContext(UNRAM3, 2, 2, e_f=ramification_index(UNRAM3, 2))
+        _perturb_int(monkeypatch, -1, lambda h: h.off_diag == 11 and h.diag_1 is not None)
+        report = ati_growth_check(ctx, range(4, 20), finite_lvl_a=1)
+        assert not report.passed
+        assert report.open_constants  # the open regime is untouched
+        assert [r.int_value for r in report.saturated_rows] == [5, 5, 5, 4, 5, 5, 5, 5]
+
+    def test_end_to_end_without_rows_fails(self):
+        ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
+        report = ati_end_to_end(ctx, t_count=0)
+        assert not report.passed and report.witnesses == {}
+
+    def _inside_t(self, ctx):
+        rows = ati_end_to_end(ctx).rows[0]
+        return rows[len(rows) // 2].t
+
+    def test_varying_analytic_residual(self, monkeypatch):
+        ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
+        t0 = self._inside_t(ctx)
+        _perturb_analytic(monkeypatch, 1, lambda g: g.t == t0)
+        report = ati_end_to_end(ctx)
+        assert not report.passed
+        assert len({r.analytic_residual for r in report.rows[0]}) == 2
+        assert len({r.geometric_residual for r in report.rows[0]}) == 1
+
+    def test_varying_geometric_residual(self, monkeypatch):
+        ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
+        t0 = self._inside_t(ctx)
+        _perturb_int(monkeypatch, 1, lambda h: h.off_diag == t0)
+        report = ati_end_to_end(ctx)
+        assert not report.passed
+        assert len({r.analytic_residual for r in report.rows[0]}) == 1
+        assert len({r.geometric_residual for r in report.rows[0]}) == 2
+
+    def test_witness_survives_varying_residuals(self, monkeypatch):
+        ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
+        t0 = self._inside_t(ctx)
+        _perturb_analytic(monkeypatch, 1, lambda g: g.t == t0)
+        _perturb_int(monkeypatch, 1, lambda h: h.off_diag == t0)
+        report = ati_end_to_end(ctx)
+        assert not report.passed  # both residuals vary at t0
+        assert report.witnesses == {0: Fraction(-1, 2)}  # the correction does not
+
+    def test_nonzero_outside_analytic(self, monkeypatch):
+        ctx = MatchContext(UNRAM3, 1, 1, e_f=ramification_index(UNRAM3, 1))
+        # a constant shift on every outside orbit keeps the correction and Int constant
+        _perturb_analytic(monkeypatch, 1, lambda g: g.lvl_a is not None)
+        report = ati_end_to_end(ctx)
+        assert {r.analytic for r in report.outside_rows} == {1}
+        assert len({r.correction for r in report.outside_rows}) == 1
+        assert not report.passed
+        assert report.outside_witness is None
+        assert report.witnesses == {0: Fraction(0)}  # the support rows are untouched
 
 
 class TestCrossModuleOracles:
