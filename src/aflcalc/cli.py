@@ -3,14 +3,20 @@
 Commands: afl (level-(0,0) identity and transfer sweep), deform (closed-form
 versus recursive lift bounds), orb (orbital integrals of the integral-point
 indicator), germ (extraction round-trip and expansion validity battery), and
-ati (growth plus end-to-end residual checks).  Reports are deterministic:
-rows are sorted by their parameter tuple, numbers render canonically, and a
-fixed schema number leads the document, so identical configs yield identical
-bytes.  Exit code 0 means every row passed, 1 means some verification failed,
-2 means the configuration was rejected: unparsable ranges, an invalid residue
-size, or ranges that select no rows.
+ati (growth plus end-to-end residual checks).  COMMANDS is the flag table:
+each command's help text and the defaults of its range flags.  ``main`` is
+the one sweep driver: it parses every range once, checks LOWER_BOUNDS, hands
+the command's ``run_*`` the sorted, de-duplicated values, counts the failed
+rows and writes the report.  A ``run_*`` only builds its grid and evaluates
+its rows.  Reports are deterministic: rows are sorted by their parameter
+tuple, numbers render canonically, and a fixed schema number leads the
+document, so identical configs yield identical bytes.  Exit code 0 means
+every row passed, 1 means some verification failed, 2 means the
+configuration was rejected: unparsable ranges, an invalid residue size, a
+value below its lower bound, or ranges that select no rows.
 
-AFL_CALC_THREADS caps row-level parallelism (default 1, serial).
+AFL_CALC_THREADS caps row-level parallelism (default 1, serial), and the
+process pool never exceeds the CPU count.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product
 from typing import Callable, Sequence
 
 from .battery import germ_battery
@@ -31,6 +38,24 @@ from .matching import (MatchContext, afl_verify, ati_end_to_end, ati_growth_chec
 from .orbital import InvariantFunction, Side, integral_indicator, orb_s, orbits_at
 
 SCHEMA = 1
+
+# command -> (help text, {range flag: default}); --ram takes flags, the other
+# range flags integers.  Every command also takes --out.
+COMMANDS: dict[str, tuple[str, dict[str, str]]] = {
+    "afl": ("level-(0,0) identity and transfer sweep",
+            {"q": "3,5,7", "t": "1..21", "vb": "-8..8"}),
+    "deform": ("closed-form vs recursive lift bounds",
+               {"ram": "0,1", "q": "2..5", "ij": "0..5", "e": "1..3", "l": "0..25"}),
+    "orb": ("orbital integrals of the integral indicator",
+            {"q": "3", "ram": "0", "t": "0..6", "vb": "-3..3"}),
+    "germ": ("germ round-trip and expansion battery", {"q": "3", "ram": "0,1"}),
+    "ati": ("growth and end-to-end residual checks",
+            {"q": "2,3", "ram": "0,1", "i": "0..2", "j": "0..2", "e": "1,2", "t": "0..16"}),
+}
+
+# Levels and class heights are >= 0 and the base ramification e_rel is >= 1,
+# in every command that takes them.
+LOWER_BOUNDS = {"i": 0, "j": 0, "ij": 0, "l": 0, "e": 1}
 
 
 class ConfigError(ValueError):
@@ -96,7 +121,9 @@ def _workers() -> int:
 
 
 def _map(fn: Callable, items: Sequence) -> list:
-    n = _workers()
+    # the executor starts every worker up front, so more than one per CPU
+    # only costs processes
+    n = min(_workers(), os.cpu_count() or 1)
     if n == 1 or len(items) < 4:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=n) as pool:
@@ -109,15 +136,9 @@ def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
     return afl_verify(setup, t, v_b).to_json()
 
 
-def run_afl(args) -> dict:
-    qs = parse_range(args.q)
-    ts = parse_range(args.t)
-    vbs = parse_range(args.vb)
-    setups = [_setup(q, False) for q in sorted(set(qs))]
-    params = [(setup, t, vb) for setup in setups
-              for t in sorted(set(ts)) if t >= 0 for vb in sorted(set(vbs))]
-    rows = _map(_afl_row, params)
-    return {"command": "afl", "params": {"q": qs, "t": ts, "vb": vbs}, "rows": rows}
+def run_afl(q: list[int], t: list[int], vb: list[int]) -> dict:
+    setups = [_setup(q_, False) for q_ in q]
+    return {"rows": _map(_afl_row, list(product(setups, [t_ for t_ in t if t_ >= 0], vb)))}
 
 
 def _deform_row(params: tuple[FieldSetup, int, int, int, int]) -> dict:
@@ -142,30 +163,12 @@ def _deform_row(params: tuple[FieldSetup, int, int, int, int]) -> dict:
     return row
 
 
-def run_deform(args) -> dict:
-    rams = parse_ram(args.ram)
-    qs = parse_range(args.q)
-    ijs = parse_range(args.ij)
-    es = parse_range(args.e)
-    ls = parse_range(args.l)
-    params = []
-    for ram in sorted(set(rams)):
-        for q in sorted(set(qs)):
-            setup = _setup(q, ram)
-            for i in sorted(set(ijs)):
-                for j in sorted(set(ijs)):
-                    for e_rel in sorted(set(es)):
-                        for l in sorted(set(ls)):
-                            if l < 0 or e_rel < 1 or i < 0 or j < 0:
-                                raise ConfigError("deform parameters must be non-negative")
-                            if not hom_height_attainable(setup, i, j, l):
-                                continue
-                            params.append((setup, i, j, e_rel, l))
-    rows = _map(_deform_row, params)
-    return {"command": "deform",
-            "params": {"ram": rams, "q": qs, "ij": ijs, "e": es, "l": ls,
-                       "oracle_cross_check": bool(args.oracle_cross_check)},
-            "rows": rows}
+def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
+               l: list[int]) -> dict:
+    setups = [_setup(q_, ram_) for ram_, q_ in product(ram, q)]
+    params = [(setup, i, j, e_rel, l_) for setup, i, j, e_rel, l_ in product(setups, ij, ij, e, l)
+              if hom_height_attainable(setup, i, j, l_)]
+    return {"rows": _map(_deform_row, params)}
 
 
 def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
@@ -187,18 +190,10 @@ def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
     }
 
 
-def run_orb(args) -> dict:
-    qs = parse_range(args.q)
-    rams = parse_ram(args.ram)
-    ts = parse_range(args.t)
-    vbs = parse_range(args.vb)
-    setups = [_setup(q, ram) for q in sorted(set(qs)) for ram in sorted(set(rams))]
-    params = [(setup, t, vb) for setup in setups
-              for t in sorted(set(ts)) if t >= 0
-              for vb in sorted(set(vbs))]
-    rows = _map(_orb_row, params)
-    return {"command": "orb", "params": {"q": qs, "ram": rams, "t": ts, "vb": vbs},
-            "rows": rows, "f": integral_indicator().to_json()}
+def run_orb(q: list[int], ram: list[bool], t: list[int], vb: list[int]) -> dict:
+    setups = [_setup(q_, ram_) for q_, ram_ in product(q, ram)]
+    params = list(product(setups, [t_ for t_ in t if t_ >= 0], vb))
+    return {"rows": _map(_orb_row, params), "f": integral_indicator().to_json()}
 
 
 def _germ_row(params: tuple[FieldSetup, str, InvariantFunction]) -> dict:
@@ -218,18 +213,12 @@ def _germ_row(params: tuple[FieldSetup, str, InvariantFunction]) -> dict:
             "passed": roundtrip and expansion}
 
 
-def run_germ(args) -> dict:
-    qs = parse_range(args.q)
-    rams = parse_ram(args.ram)
-    params = []
-    for q in sorted(set(qs)):
-        for ram in sorted(set(rams)):
-            for eta_pi in _setup(q, ram).signs(2):  # the signs eta(pi_F) can take
-                setup = _setup(q, ram, eta_pi)
-                for name, f in germ_battery(setup):
-                    params.append((setup, name, f))
-    rows = _map(_germ_row, params)
-    return {"command": "germ", "params": {"q": qs, "ram": rams}, "rows": rows}
+def run_germ(q: list[int], ram: list[bool]) -> dict:
+    # one setup per sign eta(pi_F) can take
+    setups = [_setup(q_, ram_, eta_pi) for q_, ram_ in product(q, ram)
+              for eta_pi in _setup(q_, ram_).signs(2)]
+    params = [(setup, name, f) for setup in setups for name, f in germ_battery(setup)]
+    return {"rows": _map(_germ_row, params)}
 
 
 def _ati_row(params: tuple[FieldSetup, int, int, int, tuple[int, ...]]) -> dict:
@@ -242,29 +231,11 @@ def _ati_row(params: tuple[FieldSetup, int, int, int, tuple[int, ...]]) -> dict:
             "passed": growth.passed and end_to_end.passed}
 
 
-def run_ati(args) -> dict:
-    qs = parse_range(args.q)
-    rams = parse_ram(args.ram)
-    i_values = parse_range(args.i)
-    j_values = parse_range(args.j)
-    es = parse_range(args.e)
-    ts = parse_range(args.t)
-    growth_ts = tuple(sorted(set(ts)))
-    params = []
-    for q in sorted(set(qs)):
-        for ram in sorted(set(rams)):
-            setup = _setup(q, ram)
-            for i in sorted(set(i_values)):
-                for j in sorted(set(j_values)):
-                    for e_rel in sorted(set(es)):
-                        if e_rel < 1 or i < 0 or j < 0:
-                            raise ConfigError("ati needs levels i, j >= 0 and e_rel >= 1")
-                        params.append((setup, i, j, e_rel, growth_ts))
-    rows = _map(_ati_row, params)
-    return {"command": "ati",
-            "params": {"q": qs, "ram": rams, "i": i_values, "j": j_values,
-                       "e": es, "t": ts},
-            "rows": rows}
+def run_ati(q: list[int], ram: list[bool], i: list[int], j: list[int], e: list[int],
+            t: list[int]) -> dict:
+    setups = [_setup(q_, ram_) for q_, ram_ in product(q, ram)]
+    params = [(*point, tuple(t)) for point in product(setups, i, j, e)]
+    return {"rows": _map(_ati_row, params)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,59 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact sweeps for orbital integrals, deformation lengths, "
                     "and the AFL/ATI identity checks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    afl = sub.add_parser("afl", help="level-(0,0) identity and transfer sweep")
-    afl.add_argument("--q", default="3,5,7")
-    afl.add_argument("--t", default="1..21")
-    afl.add_argument("--vb", default="-8..8")
-    afl.set_defaults(run=run_afl)
-
-    deform = sub.add_parser("deform", help="closed-form vs recursive lift bounds")
-    deform.add_argument("--ram", default="0,1")
-    deform.add_argument("--q", default="2..5")
-    deform.add_argument("--ij", default="0..5")
-    deform.add_argument("--e", default="1..3")
-    deform.add_argument("--l", default="0..25")
-    deform.add_argument("--oracle-cross-check", action="store_true")
-    deform.set_defaults(run=run_deform)
-
-    orb_cmd = sub.add_parser("orb", help="orbital integrals of the integral indicator")
-    orb_cmd.add_argument("--q", default="3")
-    orb_cmd.add_argument("--ram", default="0")
-    orb_cmd.add_argument("--t", default="0..6")
-    orb_cmd.add_argument("--vb", default="-3..3")
-    orb_cmd.set_defaults(run=run_orb)
-
-    germ = sub.add_parser("germ", help="germ round-trip and expansion battery")
-    germ.add_argument("--q", default="3")
-    germ.add_argument("--ram", default="0,1")
-    germ.set_defaults(run=run_germ)
-
-    ati = sub.add_parser("ati", help="growth and end-to-end residual checks")
-    ati.add_argument("--q", default="2,3")
-    ati.add_argument("--ram", default="0,1")
-    ati.add_argument("--i", default="0..2")
-    ati.add_argument("--j", default="0..2")
-    ati.add_argument("--e", default="1,2")
-    ati.add_argument("--t", default="0..16")
-    ati.set_defaults(run=run_ati)
-
-    for p in (afl, deform, orb_cmd, germ, ati):
-        p.add_argument("--out", default=None, help="write the JSON report here")
+    for command, (help_text, defaults) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for flag, default in defaults.items():
+            cmd.add_argument(f"--{flag}", default=default)
+        if command == "deform":
+            # only echoed in the report: the recursion always runs
+            cmd.add_argument("--oracle-cross-check", action="store_true")
+        cmd.add_argument("--out", default=None, help="write the JSON report here")
     return parser
 
 
 def render_report(body: dict) -> str:
     report = {"schema": SCHEMA}
     report.update(body)
-    rows = report.get("rows", [])
-    report["total"] = len(rows)
-    report["failures"] = sum(1 for row in rows if not row.get("passed", False))
-    report["passed"] = report["failures"] == 0
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-_VALUE_FLAGS = {"--q", "--t", "--vb", "--ram", "--ij", "--e", "--l", "--i", "--j", "--out"}
+_VALUE_FLAGS = {"--out"} | {f"--{flag}" for _, defaults in COMMANDS.values() for flag in defaults}
 
 
 def _fuse_values(argv: Sequence[str]) -> list[str]:
@@ -362,19 +298,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.out:
             _check_writable(args.out)
-        body = args.run(args)
+        params = {flag: (parse_ram if flag == "ram" else parse_range)(getattr(args, flag))
+                  for flag in COMMANDS[args.command][1]}
+        for flag, low in LOWER_BOUNDS.items():
+            if min(params.get(flag, [low])) < low:
+                raise ConfigError(f"--{flag} must be >= {low} "
+                                  "(levels and heights are >= 0, e_rel is >= 1)")
+        run = globals()[f"run_{args.command}"]  # looked up per call, so a tracer's wrapper runs
+        body = run(**{flag: sorted(set(values)) for flag, values in params.items()})
         if not body["rows"]:
             raise ConfigError("the sweep selects no rows")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "deform":
+        params["oracle_cross_check"] = args.oracle_cross_check
+    failures = sum(1 for row in body["rows"] if not row.get("passed", False))
+    body.update(command=args.command, params=params, total=len(body["rows"]),
+                failures=failures, passed=failures == 0)
     text = render_report(body)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    failures = sum(1 for row in body.get("rows", []) if not row.get("passed", False))
     return 1 if failures else 0
 
 

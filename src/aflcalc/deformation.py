@@ -78,14 +78,6 @@ class DeformQuery:
                 raise InadmissibleParityError(
                     f"height {self.l} at levels ({self.i}, {self.j}) has no attainable parity")
 
-    @property
-    def d(self) -> int:
-        return abs(self.i - self.j)
-
-    @property
-    def n(self) -> int:
-        return (self.l + self.d) // 2
-
 
 def lift_bound(query: DeformQuery) -> int:
     """First infinitesimal thickness at which the class fails to deform

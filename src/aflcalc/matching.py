@@ -369,10 +369,10 @@ def ati_end_to_end(ctx: MatchContext, t_count: int = 8,
                            analytic - offset, int_value - offset, analytic - int_value)
 
     def steady(group: Sequence[EndToEndRow]) -> bool:
-        """Both residuals and the correction are constant over the group."""
+        """Both residuals are constant over the group, and so is their
+        difference, the correction."""
         return None not in (_constant(r.analytic_residual for r in group),
-                            _constant(r.geometric_residual for r in group),
-                            _constant(r.correction for r in group))
+                            _constant(r.geometric_residual for r in group))
 
     rows = {cls: tuple(row(context_orbit(ctx, t, v_b2=v_b2), Fraction(ctx.e_f * t, 2))
                        for t in ts for v_b2 in (2 * ((t // 2) % 3) - 2 + cls, cls, 4 + cls))

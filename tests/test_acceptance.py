@@ -7,8 +7,6 @@ pytest -s / the captured output."""
 import time
 from fractions import Fraction
 
-import pytest
-
 from aflcalc.battery import germ_battery, zero_orbit_battery
 from aflcalc.deformation import (DeformQuery, InadmissibleParityError,
                                  hom_height_attainable, lift_bound,

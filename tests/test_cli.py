@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from aflcalc import cli
 from aflcalc.cli import ConfigError, main, parse_ram, parse_range
 
 
@@ -122,6 +123,17 @@ class TestConfigContract:
         assert "levels" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("deform", "--ij", "-1"), ("deform", "--l", "-1"), ("deform", "--e", "0"),
+        ("ati", "--e", "0"),
+    ])
+    def test_value_below_its_lower_bound_exits_two(self, command, flag, value, tmp_path,
+                                                    capsys):
+        out = tmp_path / "r.json"
+        assert main([command, "--q", "3", "--ram", "0", flag, value, "--out", str(out)]) == 2
+        assert "levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_exits_two_before_the_sweep(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         assert main(["afl", "--q", "3", "--t", "1", "--vb", "0", "--out", str(out)]) == 2
@@ -148,6 +160,37 @@ class TestRamFlags:
         assert len({key(r) for r in reports["0,1"]["rows"]}) == len(rows)
         for ram in ("1,0", "0,0,1,1"):
             assert reports[ram]["rows"] == reports["0,1"]["rows"]
+
+
+class TestProcessPool:
+    @pytest.mark.parametrize("cpus, pools", [(3, [(3, 2)]), (None, [])])
+    def test_workers_capped_at_cpu_count(self, cpus, pools, tmp_path, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records the pool size and chunk size, then maps in process."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                started.append((self.max_workers, chunksize))
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("AFL_CALC_THREADS", "1000000")
+        argv, digest = GOLDEN["afl"]  # 15 rows: two per chunk at four chunks per worker
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert started == pools
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestAtiTimes:
@@ -186,6 +229,15 @@ GOLDEN = {
             "bc8a5ef96cc5f14fad4a4ac42c49181aa3341d8c2ed1b490f092c9a3d4faf723"),
 }
 
+# The reports of each command run with no range flags, which pin every default.
+DEFAULT_DIGESTS = {
+    "afl": "7f8a15238fcc84297ca3ce00269a7aa176bb29aa0dfdfb72a3375122882d1839",
+    "deform": "b7f4ca78d8be979a03c449ad37acd6b8ee7db101dfcacf59f5f95522bb301f87",
+    "orb": "ece5747627e996c042a4de6b92f5455e582b0a34a012f9265f6687bc43cc78f8",
+    "germ": "b9645e0a22bf45770d021b3047d6acbb856f80df01724f633ea42d87adcbbeae",
+    "ati": "b7b81c5c6bb1656b055be36914a21e4509fd7d2c856fadfc58cffe5d4256b6d9",
+}
+
 
 class TestGoldenReports:
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -197,6 +249,13 @@ class TestGoldenReports:
         out = tmp_path / "r.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_DIGESTS))
+    def test_default_report_digest(self, command, tmp_path, monkeypatch):
+        monkeypatch.setenv("AFL_CALC_THREADS", "1")
+        out = tmp_path / "r.json"
+        assert main([command, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_DIGESTS[command]
 
     def test_grids_reach_every_row_kind(self, tmp_path):
         rows = {}

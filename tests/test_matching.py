@@ -213,6 +213,17 @@ class TestEndToEnd:
         assert report.outside_witness is not None
         assert all(row.analytic == 0 for row in report.outside_rows)
 
+    @pytest.mark.parametrize("setup", [UNRAM3, RAM3])
+    @pytest.mark.parametrize("i,j", [(1, 0), (1, 1), (2, 1)])
+    def test_correction_is_the_residual_difference(self, setup, i, j):
+        # so constant residuals imply a constant correction, and steady()
+        # tests only the two residuals
+        ctx = MatchContext(setup, i, j, e_f=ramification_index(setup, max(i, j)))
+        report = ati_end_to_end(ctx)
+        rows = [r for group in report.rows.values() for r in group] + list(report.outside_rows)
+        assert report.outside_rows and len(rows) > len(report.outside_rows)
+        assert all(r.correction == r.analytic_residual - r.geometric_residual for r in rows)
+
     def test_zero_germ_override_rejected(self):
         ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
         zero = GermExpansion(UNRAM3, (), (), 1)
