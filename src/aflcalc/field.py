@@ -95,9 +95,6 @@ class ValClass:
         return self.is_zero or self.eta_sign in setup.signs(self.half_val)
 
 
-ONE = ValClass(0, PLUS)
-
-
 def unramified_class(v: int) -> ValClass:
     """The class of a valuation-v element in an unramified setup."""
     return ValClass(2 * v, *_unramified_signs(2 * v))
@@ -128,19 +125,18 @@ def norm_valclass(x: ValClass) -> ValClass:
     return ValClass(2 * x.half_val, PLUS)
 
 
-def unit_integral(setup: FieldSetup, sign_constraint: int | None, weight_eta: bool) -> Fraction:
-    """Measure of the units with eta equal to sign_constraint (None = all),
-    optionally weighted by eta, under Vol(O_F^x) = 1.
+def unit_integral(setup: FieldSetup, sign_constraint: int | None) -> Fraction:
+    """eta-weighted measure of the units with eta equal to sign_constraint
+    (None = all), under Vol(O_F^x) = 1.
 
     Unramified: eta is trivial on units, so the -1 coset is empty.  Ramified:
-    eta cuts the units into two cosets of measure 1/2; the full eta-weighted
-    integral vanishes.
+    eta cuts the units into two cosets of measure 1/2 and weight +-1; the full
+    eta-weighted integral vanishes.
     """
     if sign_constraint not in (None, PLUS, MINUS):
         raise ValueError("sign constraint must be None, +1 or -1")
     if not setup.ramified:
         return Fraction(0) if sign_constraint == MINUS else Fraction(1)
     if sign_constraint is None:
-        return Fraction(0) if weight_eta else Fraction(1)
-    half = Fraction(1, 2)
-    return sign_constraint * half if weight_eta else half
+        return Fraction(0)
+    return Fraction(sign_constraint, 2)

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partialmethod
 from typing import Iterator, Optional, Sequence
 
-from .field import MINUS, PLUS, FieldSetup
+from .field import PLUS, FieldSetup
 from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitData,
                       clear_diagonal, level_cells)
 from .symbolic import LaurentPoly, LogValue, Rational, as_fraction
@@ -103,9 +102,6 @@ class GermExpansion:
                 out += piece.poly
         return out
 
-    eval_a0 = partialmethod(eval_side, 0)
-    eval_a1 = partialmethod(eval_side, 1)
-
     def _probe_cells(self, other: Optional["GermExpansion"] = None
                      ) -> Iterator[tuple[int, Optional[int], Optional[int], int]]:
         """(side, lvl_a, lvl_d, vclass) for every side of every probe cell.
@@ -177,9 +173,6 @@ class DerivativeGerm:
     def eval_side(self, side: int, lvl_a: Optional[int], lvl_d: Optional[int],
                   vclass: int) -> tuple[Fraction, Fraction]:
         return _slope_constant(side, self.germ.eval_side(side, lvl_a, lvl_d, vclass))
-
-    eval_a0 = partialmethod(eval_side, 0)
-    eval_a1 = partialmethod(eval_side, 1)
 
     def predicted_d_orb(self, gamma: OrbitData) -> LogValue:
         cls = gamma.v_b2 % 2
@@ -359,14 +352,15 @@ def function_from_germ(germ: GermExpansion) -> InvariantFunction:
 
 
 def constant_germ(setup: FieldSetup,
-                  cells: Sequence[tuple[Optional[Interval], Optional[Interval], Rational, Rational]],
-                  threshold: int = 1) -> GermExpansion:
+                  cells: Sequence[tuple[Optional[Interval], Optional[Interval], Rational, Rational]]
+                  ) -> GermExpansion:
     """Germ with prescribed s0-constant values (a0, a1) on each level cell.
 
     On the integral valuation class the values sit in grading T^0; on the
     ramified half-integral class the nearest realizable gradings T^(-1/2)
     (b-side) and T^(1/2) (c-side) are used, so the s = 0 shadow is the
-    prescribed constant on every class."""
+    prescribed constant on every class.  The threshold is 1, the floor of
+    validity_threshold."""
     sides: tuple[list, list] = ([], [])
     for lvl_a, lvl_d, a0_val, a1_val in cells:
         for side, value in enumerate((a0_val, a1_val)):
@@ -376,21 +370,19 @@ def constant_germ(setup: FieldSetup,
             for cls in setup.classes:
                 sides[side].append(GermPiece(lvl_a, lvl_d, cls,
                                              LaurentPoly.monomial(cls * SIDE_SIGN[side], value)))
-    return GermExpansion(setup, tuple(sides[0]), tuple(sides[1]), threshold)
+    return GermExpansion(setup, tuple(sides[0]), tuple(sides[1]), 1)
 
 
-def solve_transfer_germ(c0: Rational, c1: Rational, side_sign_b0: int = PLUS) -> tuple[Fraction, Fraction]:
-    """Solve the matched-orbit system for germ values.
+def solve_transfer_germ(c0: Rational, c1: Rational) -> tuple[Fraction, Fraction]:
+    """Solve the matched-orbit system for germ values on the eta(b) = +1 side.
 
-    Returns (a0, a1) with defect_sign * side_sign_b0^(-1)-weighted a0 plus a1
-    equal to c0 on the +1 side and c1 on the -1 side:
-        a0 = side_sign_b0 * (c0 - c1)/2,   a1 = (c0 + c1)/2.
+    Returns (a0, a1) with defect_sign * a0 + a1 equal to c0 on the +1 side
+    and c1 on the -1 side:
+        a0 = (c0 - c1)/2,   a1 = (c0 + c1)/2.
     """
-    if side_sign_b0 not in (PLUS, MINUS):
-        raise ValueError("side sign must be +1 or -1")
     c0 = as_fraction(c0)
     c1 = as_fraction(c1)
-    return side_sign_b0 * (c0 - c1) / 2, (c0 + c1) / 2
+    return (c0 - c1) / 2, (c0 + c1) / 2
 
 
 def zero_orbit_zero_germ(setup: FieldSetup, f: InvariantFunction) -> bool:

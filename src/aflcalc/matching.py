@@ -99,24 +99,19 @@ def derived_diag_height(setup: FieldSetup, lvl: int) -> int:
     return 2 * lvl + (1 if setup.ramified else 0)
 
 
-def entry_heights(gamma: OrbitData, ctx: MatchContext,
-                  diag_1: Optional[int] = None, diag_4: Optional[int] = None) -> EntryHeights:
+def entry_heights(gamma: OrbitData, ctx: MatchContext) -> EntryHeights:
     """Entry heights of the matched element.
 
     Off-diagonal heights equal t in every case (the twisting element is a unit
     times at most one uniformizer, and the defect norm accounts for the rest).
     Diagonal entries deform arbitrarily far exactly when their conductor level
-    reaches the lift level; otherwise the caller may supply the finite class
-    height, with the canonical derived value as default."""
+    reaches the lift level; otherwise their height is the derived class
+    height of their level."""
     if not in_context_locus(gamma, ctx):
         raise MatchingError("orbit does not match into the context's unitary group")
-    diag = []
-    for lvl, level, h in ((gamma.lvl_a, ctx.i, diag_1), (gamma.lvl_d, ctx.j, diag_4)):
-        if lvl is None or lvl >= level:
-            diag.append(None)
-        else:
-            diag.append(h if h is not None else derived_diag_height(ctx.setup, lvl))
-    return EntryHeights(gamma.t, *diag)
+    return EntryHeights(gamma.t, *(
+        None if lvl is None or lvl >= level else derived_diag_height(ctx.setup, lvl)
+        for lvl, level in ((gamma.lvl_a, ctx.i), (gamma.lvl_d, ctx.j))))
 
 
 def diag_height_attainable(setup: FieldSetup, level: int, h: int) -> bool:
@@ -339,13 +334,15 @@ def prescribed_transfer_germ(ctx: MatchContext) -> GermExpansion:
     (C0, C1) = (e_F, 0) in the first case and (0, e_F) otherwise, supported on
     diagonal levels at least (i, j)."""
     c0, c1 = (ctx.e_f, 0) if ctx.first_case else (0, ctx.e_f)
-    a0, a1 = solve_transfer_germ(c0, c1, side_sign_b0=PLUS)
+    a0, a1 = solve_transfer_germ(c0, c1)
     cell = (Interval(ctx.i, None), Interval(ctx.j, None), a0, a1)
     return constant_germ(ctx.setup, [cell])
 
 
-def ati_end_to_end(ctx: MatchContext, t_count: int = 8,
-                   germ_override: Optional[GermExpansion] = None) -> EndToEndReport:
+T_COUNT = 8  # defect valuations t per valuation class in ati_end_to_end
+
+
+def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
     """Full desk-scale transfer-identity skeleton.
 
     Builds a test function realizing the prescribed transfer germ, then checks
@@ -353,14 +350,9 @@ def ati_end_to_end(ctx: MatchContext, t_count: int = 8,
     both grow with slope e_F/2 in t and that their difference is a constant,
     the correction-term germ witness, per valuation class (and per diagonal
     cell: inside the prescribed support and, when i >= 1, outside it)."""
-    prescribed = prescribed_transfer_germ(ctx)
-    if germ_override is not None:
-        if not germ_override.equivalent(prescribed):
-            raise ValueError("germ does not match the prescribed transfer data")
-        prescribed = germ_override
-    f = function_from_germ(prescribed)
+    f = function_from_germ(prescribed_transfer_germ(ctx))
     threshold = max(extract_germ(ctx.setup, f).threshold, ctx.i + ctx.j, 1)
-    ts = _context_ts(ctx, range(threshold, threshold + 2 * t_count))[:t_count]
+    ts = _context_ts(ctx, range(threshold, threshold + 2 * T_COUNT))[:T_COUNT]
 
     def row(gamma: OrbitData, offset: Fraction) -> EndToEndRow:
         analytic = d_orb(gamma, f).scale(transfer_factor(gamma)).log_q_part

@@ -412,7 +412,7 @@ def _shell_measure(gamma: OrbitData, box: Box, n: int) -> Fraction:
             pin = p
         elif pin != p:
             return Fraction(0)
-    return unit_integral(gamma.setup, pin, weight_eta=True)
+    return unit_integral(gamma.setup, pin)
 
 
 def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
@@ -477,33 +477,26 @@ def unit_diag_indicator(lvl_a_req: Optional[Interval] = None,
         lvl_a_req=lvl_a_req, lvl_d_req=lvl_d_req))
 
 
-DEFAULT_TWIST = ValClass(2, MINUS)  # valuation one, eta = -1; exists in every setup
+TWIST = ValClass(2, MINUS)  # valuation one, eta = -1; exists in every setup
 
 
-def diagonal_killer(lvl_a_req: Optional[Interval], lvl_d_req: Optional[Interval],
-                    lam0: ValClass = DEFAULT_TWIST, lam1: ValClass = DEFAULT_TWIST) -> InvariantFunction:
+def diagonal_killer(lvl_a_req: Optional[Interval], lvl_d_req: Optional[Interval]) -> InvariantFunction:
     """A combination with value 1 on the chosen diagonal cell whose plain and
     derivative orbital integrals both vanish identically.
 
-    Built as a quarter of (1 + lam1-pullback) applied to (1 + lam0-pullback) of
-    the cell indicator; the eta = -1 twists kill the integral and then its
-    derivative."""
-    for lam in (lam0, lam1):
-        _require_base(lam)
-        if lam.eta_sign != MINUS or lam.half_val < 2:
-            raise ValueError("twists need eta = -1 and valuation >= 1")
+    Built as a quarter of (1 + pullback) applied twice to the cell indicator,
+    pulling back by TWIST: its eta = -1 kills the integral, and the
+    second application its derivative."""
     base = unit_diag_indicator(lvl_a_req, lvl_d_req)
-    once = base + base.pulled_back(lam0)
-    return (once + once.pulled_back(lam1)).scale(Fraction(1, 4))
+    once = base + base.pulled_back(TWIST)
+    return (once + once.pulled_back(TWIST)).scale(Fraction(1, 4))
 
 
-def clear_diagonal(f: InvariantFunction,
-                   lam0: ValClass = DEFAULT_TWIST,
-                   lam1: ValClass = DEFAULT_TWIST) -> InvariantFunction:
+def clear_diagonal(f: InvariantFunction) -> InvariantFunction:
     """A function with the same plain and derivative orbital integrals as f
     whose restriction to the degenerate diagonal vanishes."""
     out = f
     for cell_a, cell_d, value in f.diagonal_cells():
         if value:
-            out = out - diagonal_killer(cell_a, cell_d, lam0, lam1).scale(value)
+            out = out - diagonal_killer(cell_a, cell_d).scale(value)
     return out

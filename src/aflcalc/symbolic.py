@@ -104,10 +104,6 @@ class LaurentPoly:
         c = as_fraction(c)
         return LaurentPoly({e2: c * v for e2, v in self._terms.items()})
 
-    def shifted(self, de2: int) -> "LaurentPoly":
-        """Multiply by T^(de2/2)."""
-        return LaurentPoly({e2 + de2: c for e2, c in self._terms.items()})
-
     def eval_at_s0(self) -> Fraction:
         """Value at s = 0, i.e. the coefficient sum."""
         return sum(self._terms.values(), Fraction(0))

@@ -40,8 +40,8 @@ class TestExtraction:
         box = Box(i_a=Interval(0, 0), i_b=Interval(0, 0), i_c=Interval(0, None),
                   i_d=Interval(0, 0))
         germ = extract_germ(UNRAM, InvariantFunction.from_box(box))
-        assert germ.eval_a0(None, None, 0) == LaurentPoly.one()
-        assert germ.eval_a1(None, None, 0).is_zero
+        assert germ.eval_side(0, None, None, 0) == LaurentPoly.one()
+        assert germ.eval_side(1, None, None, 0).is_zero
 
     def test_zero_function(self):
         germ = extract_germ(UNRAM, InvariantFunction.zero())
@@ -147,13 +147,13 @@ class TestDerivativeForm:
     def test_constant_b_side(self):
         germ = GermExpansion(UNRAM, (GermPiece(None, None, 0, LaurentPoly.one()),), (), 1)
         parts = germ.derivative_parts()
-        slope, const = parts.eval_a0(None, None, 0)
+        slope, const = parts.eval_side(0, None, None, 0)
         assert slope == -1 and const == 0
 
     def test_constant_c_side(self):
         germ = GermExpansion(UNRAM, (), (GermPiece(None, None, 0, LaurentPoly.one()),), 1)
         parts = germ.derivative_parts()
-        slope, const = parts.eval_a1(None, None, 0)
+        slope, const = parts.eval_side(1, None, None, 0)
         assert slope == 1 and const == 0
 
     def test_zero_germ(self):
@@ -173,18 +173,20 @@ class TestTransferSolve:
         assert solve_transfer_germ(5, 5) == (Fraction(0), Fraction(5))
 
     def test_half_split(self):
-        assert solve_transfer_germ(1, 0, side_sign_b0=PLUS) == (Fraction(1, 2), Fraction(1, 2))
+        assert solve_transfer_germ(1, 0) == (Fraction(1, 2), Fraction(1, 2))
 
     @pytest.mark.parametrize("e", [1, 2, 3, 6])
     def test_scaled_one_sided(self, e):
-        a0, a1 = solve_transfer_germ(e, 0, side_sign_b0=MINUS)
+        a0, a1 = solve_transfer_germ(0, e)
         assert a0 == -Fraction(e, 2) and a1 == Fraction(e, 2)
 
     @pytest.mark.parametrize("c0", [-2, 0, 1, Fraction(3, 2)])
     @pytest.mark.parametrize("c1", [-1, 0, Fraction(5, 2)])
     @pytest.mark.parametrize("side", [PLUS, MINUS])
     def test_matching_system(self, c0, c1, side):
-        a0, a1 = solve_transfer_germ(c0, c1, side)
+        # the eta(b) = side system weights a0 by side * defect_sign; for
+        # side = -1 it is the +1 system with its two equations traded
+        a0, a1 = solve_transfer_germ(*((c0, c1) if side == PLUS else (c1, c0)))
         # defect sign +1 equation and defect sign -1 equation
         assert PLUS * side * a0 + a1 == c0
         assert MINUS * side * a0 + a1 == c1
@@ -237,10 +239,10 @@ class TestExtractionLinearity:
             for la in (None, 0, 1, 2, 3):
                 for ld in (None, 0, 1, 2, 3):
                     for cls in combined.setup.classes:
-                        want_a0 = gf.eval_a0(la, ld, cls) + gg.eval_a0(la, ld, cls).scale(Fraction(-2, 3))
-                        want_a1 = gf.eval_a1(la, ld, cls) + gg.eval_a1(la, ld, cls).scale(Fraction(-2, 3))
-                        assert combined.eval_a0(la, ld, cls) == want_a0
-                        assert combined.eval_a1(la, ld, cls) == want_a1
+                        for side in (0, 1):
+                            want = gf.eval_side(side, la, ld, cls) \
+                                + gg.eval_side(side, la, ld, cls).scale(Fraction(-2, 3))
+                            assert combined.eval_side(side, la, ld, cls) == want
 
 
 def grid_equivalent(g, h):

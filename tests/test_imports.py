@@ -1,4 +1,5 @@
-"""Every imported name is used in the module that imports it.
+"""Every imported name is used in the module that imports it, and every
+definition in the package is read somewhere in the package or its tests.
 
 A name that only appears in a docstring or a comment is not a use."""
 
@@ -7,10 +8,13 @@ import pathlib
 
 import pytest
 
+from aflcalc.cli import COMMANDS
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "aflcalc").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # the package __init__ re-exports its imports through __all__
-MODULES = ([p for p in sorted((ROOT / "src" / "aflcalc").glob("*.py")) if p.name != "__init__.py"]
-           + sorted((ROOT / "tests").glob("*.py")))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"] + TESTS
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,11 +30,62 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def definitions(source: str) -> list[str]:
+    """Top-level defs, classes and assigned names, and the non-dunder methods
+    of each class as Class.method."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(name.id for target in targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name) and name.id != "__all__")
+        if isinstance(node, ast.ClassDef):
+            out.extend(f"{node.name}.{item.name}" for item in node.body
+                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
+    return out
+
+
+def reads(sources: list[str]) -> set[str]:
+    """Every name read as a Name load or as an attribute."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def unread(defining: str, readers: list[str]) -> list[str]:
+    """The definitions of one module that no reader reads, in source order."""
+    read = reads(readers)
+    return [name for name in definitions(defining) if name.split(".")[-1] not in read]
+
+
 def test_a_docstring_mention_is_not_a_use():
     source = '"""Run under pytest -s."""\nimport os.path\nimport pytest\nos.path.join("a")\n'
     assert unused_imports(source) == ["pytest"]
 
 
+def test_a_definition_mentioned_only_in_text_is_unread():
+    defining = ('"""ONE and TWO; see also Box.area."""\nONE = 1\nTWO = ONE  # Box.area\n'
+                'class Box:\n    def area(self):\n        return 0\n    def __len__(self):\n'
+                '        return 0\n')
+    assert unread(defining, [defining]) == ["TWO", "Box", "Box.area"]
+    assert unread(defining, [defining, "Box().area()\nTWO\n"]) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_definition_is_read(path):
+    readers = [p.read_text() for p in SOURCES + TESTS]
+    # main dispatches run_<command> by name from the COMMANDS table
+    readers.append("\n".join(f"run_{command}" for command in COMMANDS))
+    assert unread(path.read_text(), readers) == []

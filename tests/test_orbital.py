@@ -261,12 +261,6 @@ class TestDiagonal:
             assert orb(g, cleared) == orb(g, f)
             assert d_orb(g, cleared) == d_orb(g, f)
 
-    def test_twist_validation(self):
-        with pytest.raises(ValueError):
-            diagonal_killer(None, None, lam0=ValClass(2, PLUS))
-        with pytest.raises(ValueError):
-            diagonal_killer(None, None, lam1=ValClass(0, MINUS))
-
 
 class TestBoxClosureRules:
     def test_sign_pin_needs_bounded_interval(self):
@@ -391,3 +385,72 @@ class TestOrbitsAt:
         for t in range(0, 6):
             for v_b in range(-3, 4):
                 assert orbits_at(UNRAM, t, 2 * v_b) == [unramified_orbit(UNRAM, t, v_b)]
+
+
+@st.composite
+def orbits(draw):
+    """An orbit with unit diagonal entries over a random setup."""
+    ramified = draw(st.booleans())
+    eta_pi_f = draw(st.sampled_from((PLUS, MINUS))) if ramified else None
+    setup = FieldSetup(draw(st.integers(2, 7)), ramified, eta_pi_f)
+    v_b2 = draw(st.integers(-10, 10))
+    if not ramified:
+        v_b2 -= v_b2 % 2
+    levels = st.none() | st.integers(0, 4)
+    candidates = orbits_at(setup, draw(st.integers(0, 10)), v_b2, draw(levels), draw(levels))
+    return draw(st.sampled_from(candidates))
+
+
+def rarely(strategy):
+    """None three times in four, else a draw of strategy."""
+    return st.sampled_from((False, False, False, True)).flatmap(
+        lambda on: strategy if on else st.none())
+
+
+@st.composite
+def boxes(draw):
+    """Bounded b/c intervals (now and then open at one end, so that some
+    draws diverge), each with an optional sign pin where the closure rules
+    allow one, and optional level and t windows."""
+    def off_diagonal():
+        lo = draw(st.integers(-4, 8))
+        hi = lo + draw(st.integers(0, 8))
+        lo, hi = draw(st.sampled_from(((lo, hi), (lo, hi), (lo, hi), (None, hi), (lo, None))))
+        pin = None if hi is None else draw(st.none() | st.sampled_from((PLUS, MINUS)))
+        return Interval(lo, hi), pin
+
+    windows = rarely(st.builds(Interval, st.integers(0, 3), st.none() | st.integers(3, 6)))
+    (i_b, sgn_b), (i_c, sgn_c) = off_diagonal(), off_diagonal()
+    return Box(i_a=Interval(0, 0), i_b=i_b, i_c=i_c, i_d=Interval(0, 0),
+               sgn_b_req=sgn_b, sgn_c_req=sgn_c, lvl_a_req=draw(windows),
+               lvl_d_req=draw(windows), t_req=draw(windows))
+
+
+coefficients = st.fractions(-4, 4, max_denominator=4)
+functions = st.lists(st.builds(InvariantFunction.from_box, boxes(), coefficients),
+                     min_size=1, max_size=3).map(lambda fs: sum(fs, InvariantFunction.zero()))
+
+
+class TestRandomBoxLaws:
+    """Linearity in f and the pullback law on random boxes, setups and orbits,
+    beyond the fixed battery of criterion 5; a draw whose orbit meets a box in
+    an unbounded set is skipped."""
+
+    @given(gamma=orbits(), f=functions, g=functions, c=coefficients)
+    def test_linear_in_f(self, gamma, f, g, c):
+        combined = f + g.scale(c)
+        try:
+            assert orb_s(gamma, combined) == orb_s(gamma, f) + orb_s(gamma, g).scale(c)
+            assert d_orb(gamma, combined) == d_orb(gamma, f) + d_orb(gamma, g).scale(c)
+        except DivergenceError:
+            return
+
+    @given(gamma=orbits(), f=functions, half=st.integers(-3, 3), data=st.data())
+    def test_pullback_law(self, gamma, f, half, data):
+        setup = gamma.setup
+        lam = ValClass(2 * half, data.draw(st.sampled_from(setup.signs(2 * half))))
+        try:
+            want = eta_s_inverse(lam, setup) * orb_s(gamma, f)
+            assert orb_s(gamma, f.pulled_back(lam)) == want
+        except DivergenceError:
+            return

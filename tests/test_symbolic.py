@@ -27,10 +27,6 @@ class TestBasics:
         assert (-p) + p == LaurentPoly.zero()
         assert p.scale(Fraction(1, 2)) == poly((0, Fraction(1, 2)), (-2, Fraction(-1, 2)))
 
-    def test_shift_is_monomial_multiplication(self):
-        p = poly((0, 3), (2, 1))
-        assert p.shifted(-2) == LaurentPoly.monomial(-2) * p
-
 
 class TestEvalAtZero:
     def test_one_minus_t_inverse(self):
