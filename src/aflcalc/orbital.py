@@ -419,7 +419,13 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
     """The orbital integral as an exact polynomial in T = q^(-s).
 
     Sums over conjugator valuation shells; the shell at valuation n carries
-    weight eta(pi_F)^n T^n times the sign-resolved unit measure.
+    weight eta(pi_F)^n T^n times the sign-resolved unit measure.  Both
+    factors depend on n only through its parity: eta_shift(n) is
+    eta(pi_F)^(n mod 2), and _shell_measure reads n only through
+    eta_shift(n).  So each box's shells form two runs of constant weight.
+    The two weights are computed once per box, each shell costs one dict
+    entry and each contributing box one polynomial addition, which makes
+    the cost linear in the number of output monomials.
     """
     total = LaurentPoly.zero()
     for coeff, box in f.terms:
@@ -429,10 +435,14 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
         if rng is None:
             continue
         n_lo, n_hi = rng
-        for n in range(n_lo, n_hi + 1):
-            w = _shell_measure(gamma, box, n)
+        terms: dict[int, Fraction] = {}
+        for parity in (0, 1):
+            w = coeff * _shell_measure(gamma, box, parity) * gamma.setup.eta_shift(parity)
             if w:
-                total += LaurentPoly.monomial(2 * n, coeff * w * gamma.setup.eta_shift(n))
+                first = n_lo + (parity - n_lo) % 2
+                terms.update(dict.fromkeys(range(2 * first, 2 * n_hi + 1, 4), w))
+        if terms:
+            total = total + LaurentPoly._of(terms)
     return total
 
 

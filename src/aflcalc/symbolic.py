@@ -41,6 +41,14 @@ class LaurentPoly:
         self._terms = {e2: c for e2, c in acc.items() if c}
 
     @classmethod
+    def _of(cls, terms: dict[int, Fraction]) -> "LaurentPoly":
+        """Trusted constructor: terms maps int exponents to nonzero Fractions
+        and becomes the new polynomial's own dict, unchecked and uncopied."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
@@ -80,13 +88,25 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly(list(self._terms.items()) + list(other._terms.items()))
+        # merge the shorter term dict into a copy of the longer one
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        acc = dict(big)
+        for e2, c in small.items():
+            if e2 in acc:
+                c += acc[e2]
+                if not c:
+                    del acc[e2]
+                    continue
+            acc[e2] = c
+        return LaurentPoly._of(acc)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e2: -c for e2, c in self._terms.items()})
+        return LaurentPoly._of({e2: -c for e2, c in self._terms.items()})
 
     def __mul__(self, other: Union["LaurentPoly", Rational]) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -102,7 +122,9 @@ class LaurentPoly:
 
     def scale(self, c: Rational) -> "LaurentPoly":
         c = as_fraction(c)
-        return LaurentPoly({e2: c * v for e2, v in self._terms.items()})
+        if not c:
+            return LaurentPoly.zero()
+        return LaurentPoly._of({e2: c * v for e2, v in self._terms.items()})
 
     def eval_at_s0(self) -> Fraction:
         """Value at s = 0, i.e. the coefficient sum."""

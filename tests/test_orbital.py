@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from aflcalc.battery import germ_battery
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, eta_s_inverse
+from aflcalc.matching import afl_verify
 from aflcalc.orbital import (Box, DivergenceError, Interval, InvariantFunction,
                              OrbitData, Side, clear_diagonal, d_orb, diagonal_killer,
-                             _shift_range, eta_twist_difference, integral_indicator,
+                             _fixed_tests, _shell_measure, _shift_range,
+                             eta_twist_difference, integral_indicator,
                              orb, orb_s, orbits_at, pullback, transfer_factor,
                              unit_diag_indicator, unramified_orbit)
 from aflcalc.symbolic import LaurentPoly, LogValue
@@ -454,3 +457,95 @@ class TestRandomBoxLaws:
             assert orb_s(gamma, f.pulled_back(lam)) == want
         except DivergenceError:
             return
+
+
+def _orb_s_by_shells(gamma, f):
+    """Reference oracle for orb_s: one monomial per conjugator valuation
+    shell, each with its own shell measure and eta(pi_F)^n."""
+    total = LaurentPoly.zero()
+    for coeff, box in f.terms:
+        if not coeff or not _fixed_tests(gamma, box):
+            continue
+        rng = _shift_range(gamma, box)
+        if rng is None:
+            continue
+        n_lo, n_hi = rng
+        for n in range(n_lo, n_hi + 1):
+            w = _shell_measure(gamma, box, n)
+            if w:
+                total += LaurentPoly.monomial(2 * n, coeff * w * gamma.setup.eta_shift(n))
+    return total
+
+
+def outcome(integral, gamma, f):
+    """The polynomial, or the DivergenceError class when the orbit meets a
+    box of f in an unbounded set."""
+    try:
+        return integral(gamma, f)
+    except DivergenceError:
+        return DivergenceError
+
+
+class TestParityRuns:
+    """orb_s sums each box's shells as two parity runs; the shell-by-shell
+    oracle must give the same polynomial (or the same divergence)."""
+
+    @given(gamma=orbits(), f=functions)
+    def test_random_boxes_match_shell_oracle(self, gamma, f):
+        assert outcome(orb_s, gamma, f) == outcome(_orb_s_by_shells, gamma, f)
+
+    @given(gamma=orbits())
+    def test_battery_matches_shell_oracle(self, gamma):
+        for _, f in germ_battery(gamma.setup):
+            assert outcome(orb_s, gamma, f) == outcome(_orb_s_by_shells, gamma, f)
+
+    @pytest.mark.parametrize("pin", (PLUS, MINUS))
+    @pytest.mark.parametrize("c_window", ((0, 0), (0, 2), (0, 6), (-4, 9)))
+    def test_one_parity_weight_zero(self, pin, c_window):
+        # unramified: eta(pi_F) = -1 flips the pinned c-sign every shell and
+        # the eta = -1 unit coset is empty, so one parity run drops out
+        box = Box(i_a=Interval(0, 0), i_b=Interval(-20, 20), i_c=Interval(*c_window),
+                  i_d=Interval(0, 0), sgn_c_req=pin)
+        f = InvariantFunction.from_box(box, Fraction(5, 3))
+        for gamma in unram_grid():
+            got = orb_s(gamma, f)
+            assert got == _orb_s_by_shells(gamma, f)
+            assert len({e2 % 4 for e2, _ in got.terms()}) <= 1
+
+    @pytest.mark.parametrize("setup", SETUPS, ids=["unram", "ram", "ram-neg"])
+    def test_one_shell_ranges(self, setup):
+        for gamma in grid(setup):
+            box = Box(i_a=Interval(0, 0), i_b=Interval(gamma.v_b2, gamma.v_b2 + 1),
+                      i_c=Interval(), i_d=Interval(0, 0),
+                      sgn_b_req=gamma.b_sign)
+            f = InvariantFunction.from_box(box, -2)
+            got = orb_s(gamma, f)
+            assert got == _orb_s_by_shells(gamma, f)
+            assert got.monomial_count() == 1
+
+
+class TestOrbSCost:
+    def test_one_addition_per_term(self, monkeypatch):
+        batteries = [(setup, germ_battery(setup)) for setup in SETUPS]
+        added = []
+        plain_add = LaurentPoly.__add__
+
+        def counting_add(self, other):
+            added.append(other)
+            return plain_add(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__add__", counting_add)
+        for setup, battery in batteries:
+            for _, f in battery:
+                for gamma in grid(setup)[::7]:
+                    added.clear()
+                    if outcome(orb_s, gamma, f) is not DivergenceError:
+                        assert len(added) <= len(f.terms)
+
+    def test_deep_identity_row(self):
+        # 1282 shells; one orb/d_orb pair took seconds when each shell re-added
+        # the growing polynomial
+        setup = FieldSetup(3, ramified=False)
+        gamma = unramified_orbit(setup, 1281, 0)
+        assert orb_s(gamma, integral_indicator()).monomial_count() == 1282
+        assert afl_verify(setup, 1281, 0).passed

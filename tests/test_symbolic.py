@@ -98,6 +98,45 @@ class TestFunctionalProperties:
         assert lhs == rhs
 
 
+# few exponents and coefficients, so that sums collide and often cancel
+dense_polys = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2),
+                     Fraction(1), Fraction(2)]),
+    max_size=5,
+).map(LaurentPoly)
+polys = small_polys | dense_polys
+
+
+class TestAddition:
+    """The dict-merge sum against a rebuild from both term lists."""
+
+    @given(polys, polys)
+    def test_matches_rebuild_from_both_term_lists(self, p, q):
+        total = p + q
+        assert total == LaurentPoly(p.terms() + q.terms())
+        assert total.text() == LaurentPoly(p.terms() + q.terms()).text()
+        assert all(c for _, c in total.terms())
+
+    @given(polys, polys)
+    def test_cancellation(self, p, q):
+        zero = p + (-p)
+        assert zero.is_zero and zero.text() == "0" and zero == LaurentPoly.zero()
+        assert (p + q) - q == p
+
+    @given(polys, polys, rationals)
+    def test_operands_unchanged(self, p, q, c):
+        before = (dict(p._terms), dict(q._terms))
+        _ = (p + q, q + p, p - q, -p, p.scale(c), p * q)
+        assert (p._terms, q._terms) == before
+
+    @given(polys, rationals)
+    def test_scale_and_negation_match_public_constructor(self, p, c):
+        assert p.scale(c) == LaurentPoly([(e2, c * v) for e2, v in p.terms()])
+        assert -p == LaurentPoly([(e2, -v) for e2, v in p.terms()])
+        assert p.scale(0).is_zero
+
+
 class TestRendering:
     def test_canonical_text(self):
         p = poly((-2, -1), (0, 1), (2, -1), (4, 1))
