@@ -20,6 +20,6 @@ from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitDa
                       eta_twist_difference, integral_indicator, orb, orb_s,
                       orbits_at, pullback, transfer_factor, unit_diag_indicator,
                       unramified_orbit)
-from .symbolic import LaurentPoly, LogValue
+from .symbolic import LaurentPoly, log_text
 
 __all__ = [name for name in dir() if not name.startswith("_")]

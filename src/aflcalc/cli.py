@@ -36,6 +36,7 @@ from .field import FieldSetup
 from .germs import extract_germ, function_from_germ
 from .matching import (MatchContext, afl_verify, ati_end_to_end, ati_growth_check)
 from .orbital import InvariantFunction, Side, integral_indicator, orb_s, orbits_at
+from .symbolic import log_text
 
 SCHEMA = 1
 
@@ -70,45 +71,48 @@ def _setup(q: int, ram: bool, eta_pi: int | None = None) -> FieldSetup:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_range(text: str) -> list[int]:
-    """Comma-separated integers and lo..hi spans, e.g. '3,5,7' or '-8..8'."""
-    out: list[int] = []
+def _parse_pieces(text: str, parse_piece: Callable[[str], list]) -> list:
+    """Concatenate parse_piece over the comma-separated pieces of text; an
+    empty piece (as in '3,,5' or '') is a configuration error."""
+    out = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
-            continue
-        if ".." in piece:
-            lo_text, hi_text = piece.split("..", 1)
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError as exc:
-                raise ConfigError(f"bad range piece {piece!r}") from exc
-            if hi < lo:
-                raise ConfigError(f"empty range piece {piece!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(piece))
-            except ValueError as exc:
-                raise ConfigError(f"bad integer {piece!r}") from exc
-    if not out:
-        raise ConfigError(f"empty range {text!r}")
+            raise ConfigError(f"empty piece in {text!r}")
+        out.extend(parse_piece(piece))
     return out
 
 
+def _range_piece(piece: str) -> list[int]:
+    lo_text, span, hi_text = piece.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if span else lo
+    except ValueError as exc:
+        raise ConfigError(f"bad range piece {piece!r}") from exc
+    if hi < lo:
+        raise ConfigError(f"empty range piece {piece!r}")
+    return list(range(lo, hi + 1))
+
+
+_RAM_FLAGS = {"0": False, "f": False, "false": False, "unram": False,
+              "1": True, "t": True, "true": True, "ram": True}
+
+
+def _ram_piece(piece: str) -> list[bool]:
+    flag = _RAM_FLAGS.get(piece.lower())
+    if flag is None:
+        raise ConfigError(f"bad ramified flag {piece!r}")
+    return [flag]
+
+
+def parse_range(text: str) -> list[int]:
+    """Comma-separated integers and lo..hi spans, e.g. '3,5,7' or '-8..8'."""
+    return _parse_pieces(text, _range_piece)
+
+
 def parse_ram(text: str) -> list[bool]:
-    flags = []
-    for piece in text.split(","):
-        piece = piece.strip().lower()
-        if piece in ("0", "f", "false", "unram"):
-            flags.append(False)
-        elif piece in ("1", "t", "true", "ram"):
-            flags.append(True)
-        else:
-            raise ConfigError(f"bad ramified flag {piece!r}")
-    if not flags:
-        raise ConfigError("empty ramified flag list")
-    return flags
+    return _parse_pieces(text, _ram_piece)
 
 
 def _workers() -> int:
@@ -185,7 +189,7 @@ def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
         "gamma": gamma.to_json(),
         "orb_s": series.text(),
         "orb": str(series.eval_at_s0()),
-        "d_orb": series.d_ds_at_s0().text(),
+        "d_orb": log_text(series.d_ds_at_s0()),
         "passed": True,
     }
 

@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 from .field import PLUS, FieldSetup
 from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitData,
                       clear_diagonal, level_cells)
-from .symbolic import LaurentPoly, LogValue, Rational, as_fraction
+from .symbolic import LaurentPoly, Rational, as_fraction
 
 
 class GermPreconditionError(ValueError):
@@ -149,11 +149,6 @@ class GermExpansion:
         }
 
 
-def _slope_constant(side: int, poly: LaurentPoly) -> tuple[Fraction, Fraction]:
-    """(SIDE_SIGN * A(1), d/ds A at s = 0 in log(q) units) of a side polynomial."""
-    return SIDE_SIGN[side] * poly.eval_at_s0(), poly.d_ds_at_s0().log_q_part
-
-
 @dataclass(frozen=True)
 class DerivativeGerm:
     """Coefficients of d/ds at 0: the derivative integral near the diagonal is
@@ -172,19 +167,24 @@ class DerivativeGerm:
 
     def eval_side(self, side: int, lvl_a: Optional[int], lvl_d: Optional[int],
                   vclass: int) -> tuple[Fraction, Fraction]:
-        return _slope_constant(side, self.germ.eval_side(side, lvl_a, lvl_d, vclass))
+        """(SIDE_SIGN * A(1), d/ds A at s = 0 in log(q) units) of the side's
+        polynomial A on the cell."""
+        poly = self.germ.eval_side(side, lvl_a, lvl_d, vclass)
+        return SIDE_SIGN[side] * poly.eval_at_s0(), poly.d_ds_at_s0()
 
-    def predicted_d_orb(self, gamma: OrbitData) -> LogValue:
+    def predicted_d_orb(self, gamma: OrbitData) -> Fraction:
+        """The derivative integral at s = 0 the germ predicts, in log(q) units."""
         cls = gamma.v_b2 % 2
-        log_part = Fraction(0)
+        out = Fraction(0)
         for side, (v2, sign) in enumerate(_off_diagonal(gamma)):
             slope, constant = self.eval_side(side, gamma.lvl_a, gamma.lvl_d, cls)
-            log_part += sign * (Fraction(v2, 2) * slope + constant)
-        return LogValue(Fraction(0), log_part)
+            out += sign * (Fraction(v2, 2) * slope + constant)
+        return out
 
     def is_zero(self) -> bool:
-        return not any(any(_slope_constant(side, p.poly))
-                       for side in SIDES for p in self.germ.sides[side])
+        """Both coefficients vanish on every probe cell, so pieces that
+        cancel on a cell count as zero."""
+        return not any(any(self.eval_side(*cell)) for cell in self.germ._probe_cells())
 
 
 def _ceil_half(x2: int) -> int:

@@ -26,11 +26,11 @@ from typing import Iterable, Optional, Sequence
 
 from .deformation import DeformQuery, lift_bound, ramification_index, reduction_commutes
 from .field import MINUS, PLUS, FieldSetup
-from .germs import (GermExpansion, constant_germ, extract_germ, function_from_germ,
-                    solve_transfer_germ)
+from .germs import (GermExpansion, constant_germ, function_from_germ, solve_transfer_germ,
+                    validity_threshold)
 from .orbital import (Interval, OrbitData, Side, d_orb, integral_indicator,
                       orb, transfer_factor, unramified_orbit)
-from .symbolic import LogValue
+from .symbolic import log_text
 
 
 class MatchingError(ValueError):
@@ -165,8 +165,8 @@ class AflRow:
     t: int
     v_b: int
     omega: int
-    d_orb_value: LogValue
-    lhs: LogValue
+    d_orb_value: Fraction  # in log(q) units, like lhs
+    lhs: Fraction
     int_value: Optional[int]
     closed_form: Optional[Fraction]
     orb_value: Fraction
@@ -176,7 +176,7 @@ class AflRow:
     def to_json(self) -> dict:
         return {
             "q": self.q, "t": self.t, "v_b": self.v_b, "omega": self.omega,
-            "d_orb": self.d_orb_value.text(), "lhs": self.lhs.text(),
+            "d_orb": log_text(self.d_orb_value), "lhs": log_text(self.lhs),
             "int": self.int_value,
             "closed_form": None if self.closed_form is None else str(self.closed_form),
             "orb": str(self.orb_value),
@@ -197,14 +197,12 @@ def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
     f = integral_indicator()
     omega = transfer_factor(gamma)
     d_value = d_orb(gamma, f)
-    lhs = d_value.scale(omega)
+    lhs = omega * d_value
     orb_value = orb(gamma, f)
     if gamma.side == Side.U1:  # odd t
         int_value = _int_at(gamma, MatchContext(setup, 0, 0, e_f=1))
         closed = Fraction(1 + t, 2)
-        passed = (lhs == LogValue.of(0, int_value)
-                  and Fraction(int_value) == closed
-                  and orb_value == 0)
+        passed = lhs == int_value and int_value == closed and orb_value == 0
         return AflRow(setup.q, t, v_b, omega, d_value, lhs, int_value, closed,
                       orb_value, None, passed)
     transfer_value = omega * orb_value
@@ -351,11 +349,11 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
     the correction-term germ witness, per valuation class (and per diagonal
     cell: inside the prescribed support and, when i >= 1, outside it)."""
     f = function_from_germ(prescribed_transfer_germ(ctx))
-    threshold = max(extract_germ(ctx.setup, f).threshold, ctx.i + ctx.j, 1)
+    threshold = max(validity_threshold(f), ctx.i + ctx.j)
     ts = _context_ts(ctx, range(threshold, threshold + 2 * T_COUNT))[:T_COUNT]
 
     def row(gamma: OrbitData, offset: Fraction) -> EndToEndRow:
-        analytic = d_orb(gamma, f).scale(transfer_factor(gamma)).log_q_part
+        analytic = transfer_factor(gamma) * d_orb(gamma, f)
         int_value = _int_at(gamma, ctx)
         return EndToEndRow(gamma.t, gamma.v_b2, analytic, int_value,
                            analytic - offset, int_value - offset, analytic - int_value)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .field import MINUS, PLUS, FieldSetup, ValClass, unit_integral
-from .symbolic import LaurentPoly, LogValue, Rational, as_fraction
+from .symbolic import LaurentPoly, Rational, as_fraction
 
 
 class DivergenceError(ValueError):
@@ -450,7 +450,8 @@ def orb(gamma: OrbitData, f: InvariantFunction) -> Fraction:
     return orb_s(gamma, f).eval_at_s0()
 
 
-def d_orb(gamma: OrbitData, f: InvariantFunction) -> LogValue:
+def d_orb(gamma: OrbitData, f: InvariantFunction) -> Fraction:
+    """The s-derivative of orb_s at s = 0, in log(q) units."""
     return orb_s(gamma, f).d_ds_at_s0()
 
 

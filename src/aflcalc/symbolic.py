@@ -1,15 +1,15 @@
-"""Exact Laurent polynomials in T = q^(-s) and formal values a + b*log(q).
+"""Exact Laurent polynomials in T = q^(-s) and their values at s = 0.
 
 Coefficients are rationals, exponents are half-integers stored doubled, so all
 arithmetic is exact.  Two functionals matter downstream: evaluation at s = 0
-(substitute T = 1) and the s-derivative at s = 0, which lands in rational
-multiples of log(q) because d/ds T^m = -m log(q) T^m.  log(q) stays formal and
-is never evaluated numerically; identity checks compare components.
+(substitute T = 1) and the s-derivative at s = 0, which is a rational
+multiple of log(q) because d/ds T^m = -m log(q) T^m.  log(q) stays formal and
+is never evaluated numerically: a derivative is the Fraction coefficient of
+log(q), and log_text renders it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -50,19 +50,12 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: Fraction(1)})
-
-    @classmethod
-    def constant(cls, c: Rational) -> "LaurentPoly":
-        return cls({0: as_fraction(c)})
+        return cls._of({})
 
     @classmethod
     def monomial(cls, e2: int, coeff: Rational = 1) -> "LaurentPoly":
-        return cls({e2: as_fraction(coeff)})
+        c = as_fraction(coeff)
+        return cls._of({e2: c} if c else {})
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self._terms.items()))
@@ -108,17 +101,15 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._of({e2: -c for e2, c in self._terms.items()})
 
-    def __mul__(self, other: Union["LaurentPoly", Rational]) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            acc: list[tuple[int, Fraction]] = []
-            for e2, c in self._terms.items():
-                for f2, d in other._terms.items():
-                    acc.append((e2 + f2, c * d))
-            return LaurentPoly(acc)
-        return self.scale(other)
-
-    def __rmul__(self, other: Rational) -> "LaurentPoly":
-        return self.scale(other)
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        acc: dict[int, Fraction] = {}
+        for e2, c in self._terms.items():
+            for f2, d in other._terms.items():
+                k = e2 + f2
+                acc[k] = acc[k] + c * d if k in acc else c * d
+        return LaurentPoly._of({e2: c for e2, c in acc.items() if c})
 
     def scale(self, c: Rational) -> "LaurentPoly":
         c = as_fraction(c)
@@ -130,10 +121,9 @@ class LaurentPoly:
         """Value at s = 0, i.e. the coefficient sum."""
         return sum(self._terms.values(), Fraction(0))
 
-    def d_ds_at_s0(self) -> "LogValue":
-        """s-derivative at s = 0: -(sum of m*c_m) as a multiple of log(q)."""
-        log_part = -sum((Fraction(e2, 2) * c for e2, c in self._terms.items()), Fraction(0))
-        return LogValue(Fraction(0), log_part)
+    def d_ds_at_s0(self) -> Fraction:
+        """s-derivative at s = 0 in log(q) units: -(sum of m*c_m)."""
+        return -sum((Fraction(e2, 2) * c for e2, c in self._terms.items()), Fraction(0))
 
     def text(self) -> str:
         """Canonical rendering, exponents ascending; bit-exact across runs."""
@@ -163,60 +153,10 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()})"
 
 
-@dataclass(frozen=True)
-class LogValue:
-    """A value rational_part + log_q_part * log(q), componentwise exact."""
-
-    rational_part: Fraction
-    log_q_part: Fraction
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(Fraction(0), Fraction(0))
-
-    @classmethod
-    def of(cls, rational: Rational = 0, log_q: Rational = 0) -> "LogValue":
-        return cls(as_fraction(rational), as_fraction(log_q))
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.rational_part + other.rational_part,
-                        self.log_q_part + other.log_q_part)
-
-    def __sub__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.rational_part - other.rational_part,
-                        self.log_q_part - other.log_q_part)
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.rational_part, -self.log_q_part)
-
-    def scale(self, c: Rational) -> "LogValue":
-        c = as_fraction(c)
-        return LogValue(c * self.rational_part, c * self.log_q_part)
-
-    def __rmul__(self, c: Rational) -> "LogValue":
-        return self.scale(c)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.rational_part and not self.log_q_part
-
-    def text(self) -> str:
-        if self.is_zero:
-            return "0"
-        chunks = []
-        if self.rational_part:
-            chunks.append(str(self.rational_part))
-        if self.log_q_part:
-            if self.log_q_part == 1:
-                chunks.append("log(q)")
-            elif self.log_q_part == -1:
-                chunks.append("-log(q)")
-            else:
-                chunks.append(f"{self.log_q_part}*log(q)")
-        out = chunks[0]
-        for part in chunks[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"LogValue({self.text()})"
+def log_text(x: Fraction) -> str:
+    """Canonical rendering of x * log(q), the form derivatives at s = 0 take."""
+    if not x:
+        return "0"
+    if abs(x) == 1:
+        return "log(q)" if x > 0 else "-log(q)"
+    return f"{x}*log(q)"

@@ -100,6 +100,17 @@ class TestConfigContract:
         assert main([command, "--q", "1"]) == 2
         assert "q must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["afl", "--q", "3,,5", "--t", "1", "--vb", "0"],
+        ["afl", "--q", "3", "--t", "1,", "--vb", "0"],
+        ["orb", "--ram", "0,,1"],
+    ])
+    def test_empty_range_piece_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "empty piece" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_sweep_exits_two(self, tmp_path, capsys):
         out = tmp_path / "afl.json"
         assert main(["afl", "--t", "-3..-1", "--out", str(out)]) == 2

@@ -84,7 +84,7 @@ class TestEtaS:
         assert eta_s(unramified_class(1), UNRAM) == LaurentPoly.monomial(2, -1)
 
     def test_unramified_unit(self):
-        assert eta_s(unramified_class(0), UNRAM) == LaurentPoly.one()
+        assert eta_s(unramified_class(0), UNRAM) == LaurentPoly.monomial(0)
 
     def test_ramified_half_valuation(self):
         assert eta_s(ValClass(1, PLUS), RAM) == LaurentPoly.monomial(1, 1)
@@ -104,7 +104,7 @@ class TestEtaS:
 
     def test_inverse_flips_exponent(self):
         x = ValClass(3, MINUS)
-        assert eta_s(x, RAM) * eta_s_inverse(x, RAM) == LaurentPoly.one()
+        assert eta_s(x, RAM) * eta_s_inverse(x, RAM) == LaurentPoly.monomial(0)
 
 
 class TestNorm:

@@ -18,6 +18,7 @@ UNRAM = FieldSetup(3, ramified=False)
 RAM = FieldSetup(3, ramified=True)
 RAM_NEG = FieldSetup(3, ramified=True, eta_pi_f=MINUS)
 SETUPS = (UNRAM, RAM, RAM_NEG)
+ONE = LaurentPoly.monomial(0)
 
 
 def near_diagonal_orbits(setup, threshold, t_span=6, vb2_range=range(-6, 7),
@@ -40,7 +41,7 @@ class TestExtraction:
         box = Box(i_a=Interval(0, 0), i_b=Interval(0, 0), i_c=Interval(0, None),
                   i_d=Interval(0, 0))
         germ = extract_germ(UNRAM, InvariantFunction.from_box(box))
-        assert germ.eval_side(0, None, None, 0) == LaurentPoly.one()
+        assert germ.eval_side(0, None, None, 0) == ONE
         assert germ.eval_side(1, None, None, 0).is_zero
 
     def test_zero_function(self):
@@ -105,7 +106,7 @@ class TestRoundTrip:
             assert germ.equivalent(again)
 
     def test_grading_mismatch_rejected(self):
-        bad = GermExpansion(RAM, (GermPiece(None, None, 1, LaurentPoly.one()),), (), 1)
+        bad = GermExpansion(RAM, (GermPiece(None, None, 1, ONE),), (), 1)
         with pytest.raises(GermGradingError):
             function_from_germ(bad)
         bad_unram = GermExpansion(UNRAM, (GermPiece(None, None, 0, LaurentPoly.monomial(1)),), (), 1)
@@ -145,19 +146,29 @@ class TestExpansionValidity:
 
 class TestDerivativeForm:
     def test_constant_b_side(self):
-        germ = GermExpansion(UNRAM, (GermPiece(None, None, 0, LaurentPoly.one()),), (), 1)
+        germ = GermExpansion(UNRAM, (GermPiece(None, None, 0, ONE),), (), 1)
         parts = germ.derivative_parts()
         slope, const = parts.eval_side(0, None, None, 0)
         assert slope == -1 and const == 0
 
     def test_constant_c_side(self):
-        germ = GermExpansion(UNRAM, (), (GermPiece(None, None, 0, LaurentPoly.one()),), 1)
+        germ = GermExpansion(UNRAM, (), (GermPiece(None, None, 0, ONE),), 1)
         parts = germ.derivative_parts()
         slope, const = parts.eval_side(1, None, None, 0)
         assert slope == 1 and const == 0
 
     def test_zero_germ(self):
         assert GermExpansion(UNRAM, (), (), 1).derivative_parts().is_zero()
+
+    def test_cancelling_pieces_are_zero(self):
+        T = LaurentPoly.monomial(2)
+        germ = GermExpansion(UNRAM, (GermPiece(None, None, 0, T), GermPiece(None, None, 0, -T)),
+                             (), 1)
+        assert germ.value_at_s0_is_zero()
+        assert all(germ.eval_side(side, None, None, 0).is_zero for side in (0, 1))
+        assert germ.derivative_parts().is_zero()
+        one_left = GermExpansion(UNRAM, germ.a0[:1], (), 1).derivative_parts()
+        assert not one_left.is_zero()
 
     @pytest.mark.parametrize("setup", SETUPS, ids=["unram", "ram", "ram-neg"])
     def test_derivative_form_matches_engine(self, setup):
@@ -317,7 +328,7 @@ class TestProbeCells:
         assert g.equivalent(g)
 
     def test_intervals_below_level_zero_match_nothing(self):
-        pieces = tuple(GermPiece(Interval(None, hi), None, 0, LaurentPoly.one()) for hi in (-1, -3))
+        pieces = tuple(GermPiece(Interval(None, hi), None, 0, ONE) for hi in (-1, -3))
         below = GermExpansion(UNRAM, pieces, (), 1)
         assert below.equivalent(GermExpansion(UNRAM, (), (), 1))
         assert below.value_at_s0_is_zero()
@@ -327,6 +338,6 @@ class TestProbeCells:
         g, _ = pair
         zero = GermExpansion(g.setup, (), (), 1)
         at_s0 = GermExpansion(g.setup, *(
-            tuple(GermPiece(p.lvl_a, p.lvl_d, p.vclass, LaurentPoly.constant(p.poly.eval_at_s0()))
+            tuple(GermPiece(p.lvl_a, p.lvl_d, p.vclass, LaurentPoly.monomial(0, p.poly.eval_at_s0()))
                   for p in pieces) for pieces in g.sides), 1)
         assert g.value_at_s0_is_zero() == grid_equivalent(at_s0, zero)

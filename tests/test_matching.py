@@ -1,17 +1,19 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from aflcalc import matching
+from aflcalc.cli import COMMANDS, parse_ram, parse_range
 from aflcalc.deformation import ramification_index
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
+from aflcalc.germs import extract_germ, function_from_germ, validity_threshold
 from aflcalc.matching import (EntryHeights, MatchContext, MatchingError, afl_verify,
                               ati_end_to_end, ati_growth_check, context_orbit,
                               derived_diag_height, entry_heights, in_context_locus,
                               intersection_length, match_side,
                               prescribed_transfer_germ)
 from aflcalc.orbital import OrbitData, Side, orbits_at, transfer_factor, unramified_orbit
-from aflcalc.symbolic import LogValue
 
 UNRAM3 = FieldSetup(3, ramified=False)
 RAM3 = FieldSetup(3, ramified=True)
@@ -139,7 +141,7 @@ class TestAflVerify:
     def test_identity_rows(self, q, t, v_b, want_log):
         row = afl_verify(FieldSetup(q, False), t, v_b)
         assert row.passed
-        assert row.lhs == LogValue.of(0, want_log)
+        assert row.lhs == want_log
         assert row.int_value == (1 + t) // 2
 
     def test_even_defect_transfer_value(self):
@@ -217,6 +219,17 @@ class TestEndToEnd:
         assert report.outside_rows and len(rows) > len(report.outside_rows)
         assert all(r.correction == r.analytic_residual - r.geometric_residual for r in rows)
 
+    def test_threshold_needs_no_germ_extraction(self):
+        # ati_end_to_end reads validity_threshold(f) where it once extracted
+        # the whole germ: the two agree, and both are >= 1, on the ati default grid
+        ranges = COMMANDS["ati"][1]
+        q, i, j, e = (parse_range(ranges[flag]) for flag in ("q", "i", "j", "e"))
+        for q_, ram, i_, j_, e_rel in product(q, parse_ram(ranges["ram"]), i, j, e):
+            setup = FieldSetup(q_, ram)
+            ctx = MatchContext(setup, i_, j_, e_f=e_rel * ramification_index(setup, max(i_, j_)))
+            f = function_from_germ(prescribed_transfer_germ(ctx))
+            assert extract_germ(setup, f).threshold == validity_threshold(f) >= 1
+
     def test_prescribed_germ_sign_flips_with_side(self):
         even_ctx = MatchContext(UNRAM3, 1, 1, e_f=ramification_index(UNRAM3, 1))
         odd_ctx = MatchContext(UNRAM3, 0, 1, e_f=ramification_index(UNRAM3, 1))
@@ -240,7 +253,7 @@ def _perturb_analytic(monkeypatch, delta, at):
     real = matching.d_orb
 
     def d_orb(gamma, f):
-        shift = LogValue.of(0, delta * transfer_factor(gamma)) if at(gamma) else LogValue.zero()
+        shift = delta * transfer_factor(gamma) if at(gamma) else 0
         return real(gamma, f) + shift  # omega = +-1, so omega * shift = delta * log q
     monkeypatch.setattr(matching, "d_orb", d_orb)
 
@@ -330,7 +343,6 @@ class TestCrossModuleOracles:
     def test_transfer_function_leading_term(self, i, j):
         # the reconstructed transfer function has no lower-order germ, so the
         # weighted derivative integral is exactly (e_F/2) t on the support
-        from aflcalc.germs import function_from_germ
         from aflcalc.orbital import d_orb, transfer_factor
         setup = UNRAM3
         ctx = MatchContext(setup, i, j, e_f=ramification_index(setup, max(i, j)))
@@ -340,5 +352,5 @@ class TestCrossModuleOracles:
                 gamma = context_orbit(ctx, t, lvl_a=i, lvl_d=j)
             except MatchingError:
                 continue
-            lhs = d_orb(gamma, f).scale(transfer_factor(gamma))
-            assert lhs == LogValue.of(0, Fraction(ctx.e_f * t, 2))
+            lhs = transfer_factor(gamma) * d_orb(gamma, f)
+            assert lhs == Fraction(ctx.e_f * t, 2)

@@ -12,7 +12,7 @@ from aflcalc.orbital import (Box, DivergenceError, Interval, InvariantFunction,
                              eta_twist_difference, integral_indicator,
                              orb, orb_s, orbits_at, pullback, transfer_factor,
                              unit_diag_indicator, unramified_orbit)
-from aflcalc.symbolic import LaurentPoly, LogValue
+from aflcalc.symbolic import LaurentPoly
 
 UNRAM = FieldSetup(3, ramified=False)
 RAM = FieldSetup(3, ramified=True)
@@ -84,9 +84,9 @@ class TestOrbS:
     def test_plain_and_derivative_values(self):
         f = integral_indicator()
         g1 = unramified_orbit(UNRAM, t=1, v_b=0)
-        assert orb(g1, f) == 0 and d_orb(g1, f) == LogValue.of(0, -1)
+        assert orb(g1, f) == 0 and d_orb(g1, f) == -1
         g2 = unramified_orbit(UNRAM, t=3, v_b=2)
-        assert d_orb(g2, f) == LogValue.of(0, -2)
+        assert d_orb(g2, f) == -2
         g3 = unramified_orbit(UNRAM, t=2, v_b=0)
         assert orb(g3, f) == 1
 
@@ -167,7 +167,7 @@ class TestPullback:
                 f = integral_indicator()
                 for g in grid(setup)[:30]:
                     got = d_orb(g, pullback(f, lam))
-                    want = (d_orb(g, f) + LogValue.of(0, v_lam * orb(g, f))).scale(lam.eta_sign)
+                    want = lam.eta_sign * (d_orb(g, f) + v_lam * orb(g, f))
                     assert got == want
 
     def test_eta_invariance_along_orbit(self):
@@ -203,7 +203,7 @@ class TestEtaTwistDifference:
             for f in (integral_indicator(), unit_diag_indicator()):
                 combo = eta_twist_difference(f, lam)
                 for g in grid(setup)[:30]:
-                    want = LogValue.of(0, lam.eta_sign * (-v_lam) * orb(g, f))
+                    want = lam.eta_sign * (-v_lam) * orb(g, f)
                     assert d_orb(g, combo) == want
 
     def test_both_sides_vanish_on_odd_defect(self):
@@ -211,14 +211,14 @@ class TestEtaTwistDifference:
         combo = eta_twist_difference(integral_indicator(), lam)
         g = unramified_orbit(UNRAM, t=1, v_b=0)
         assert orb(g, integral_indicator()) == 0
-        assert d_orb(g, combo) == LogValue.zero()
+        assert d_orb(g, combo) == 0
 
     def test_nonzero_case(self):
         lam = ValClass(2, MINUS)
         f = integral_indicator()
         g = unramified_orbit(UNRAM, t=2, v_b=0)
         combo = eta_twist_difference(f, lam)
-        assert d_orb(g, combo) == LogValue.of(0, 1)  # (-1) * (-1) * Orb = 1
+        assert d_orb(g, combo) == 1  # (-1) * (-1) * Orb = 1
 
 
 class TestDiagonal:
@@ -230,7 +230,7 @@ class TestDiagonal:
         for setup in SETUPS:
             for g in grid(setup):
                 assert orb(g, alpha) == 0
-                assert d_orb(g, alpha) == LogValue.zero()
+                assert d_orb(g, alpha) == 0
 
     def test_killer_value_on_diagonal(self):
         alpha = diagonal_killer(Interval(1, 2), None)
@@ -329,7 +329,7 @@ class TestDerivativeEquivariance:
                     for g in grid(setup)[:24]:
                         assert orb(g, f) == 0
                         moved = d_orb(g.along_orbit(lam), f)
-                        assert moved == d_orb(g, f).scale(lam.eta_sign), name
+                        assert moved == lam.eta_sign * d_orb(g, f), name
 
 
 @st.composite
@@ -444,7 +444,7 @@ class TestRandomBoxLaws:
         combined = f + g.scale(c)
         try:
             assert orb_s(gamma, combined) == orb_s(gamma, f) + orb_s(gamma, g).scale(c)
-            assert d_orb(gamma, combined) == d_orb(gamma, f) + d_orb(gamma, g).scale(c)
+            assert d_orb(gamma, combined) == d_orb(gamma, f) + c * d_orb(gamma, g)
         except DivergenceError:
             return
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from aflcalc.symbolic import LaurentPoly, LogValue
+from aflcalc.symbolic import LaurentPoly, log_text
 
 
 def poly(*pairs):
@@ -41,14 +41,15 @@ class TestEvalAtZero:
 
 class TestDerivativeAtZero:
     def test_one_minus_t_inverse(self):
-        assert poly((0, 1), (-2, -1)).d_ds_at_s0() == LogValue.of(0, -1)
+        value = poly((0, 1), (-2, -1)).d_ds_at_s0()
+        assert type(value) is Fraction and value == -1
 
     def test_constant(self):
-        assert poly((0, 7)).d_ds_at_s0() == LogValue.zero()
+        assert poly((0, 7)).d_ds_at_s0() == 0
 
     def test_four_terms(self):
         p = poly((-2, -1), (0, 1), (2, -1), (4, 1))
-        assert p.d_ds_at_s0() == LogValue.of(0, -2)
+        assert p.d_ds_at_s0() == -2
 
 
 class TestFormalDerivative:
@@ -56,17 +57,17 @@ class TestFormalDerivative:
 
     @pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 5])
     def test_monomial_rule(self, k):
-        assert LaurentPoly.monomial(2 * k).d_ds_at_s0() == LogValue.of(0, -k)
+        assert LaurentPoly.monomial(2 * k).d_ds_at_s0() == -k
 
     def test_constant(self):
-        assert LaurentPoly.one().d_ds_at_s0().is_zero
+        assert LaurentPoly.monomial(0).d_ds_at_s0() == 0
 
     def test_termwise(self):
         p = poly((2, 1), (-2, 3))
-        assert p.d_ds_at_s0() == LogValue.of(0, -1 + 3)
+        assert p.d_ds_at_s0() == -1 + 3
 
     def test_half_exponent(self):
-        assert LaurentPoly.monomial(1).d_ds_at_s0() == LogValue.of(0, Fraction(-1, 2))
+        assert LaurentPoly.monomial(1).d_ds_at_s0() == Fraction(-1, 2)
 
 
 small_polys = st.dictionaries(
@@ -83,7 +84,7 @@ class TestFunctionalProperties:
         combo = p + q.scale(c)
         assert combo.eval_at_s0() == p.eval_at_s0() + c * q.eval_at_s0()
         got = combo.d_ds_at_s0()
-        want = p.d_ds_at_s0() + q.d_ds_at_s0().scale(c)
+        want = p.d_ds_at_s0() + c * q.d_ds_at_s0()
         assert got == want
 
     @given(small_polys, small_polys)
@@ -92,9 +93,8 @@ class TestFunctionalProperties:
 
     @given(small_polys, small_polys)
     def test_product_rule(self, p, q):
-        lhs = (p * q).d_ds_at_s0().log_q_part
-        rhs = (p.d_ds_at_s0().log_q_part * q.eval_at_s0()
-               + p.eval_at_s0() * q.d_ds_at_s0().log_q_part)
+        lhs = (p * q).d_ds_at_s0()
+        rhs = p.d_ds_at_s0() * q.eval_at_s0() + p.eval_at_s0() * q.d_ds_at_s0()
         assert lhs == rhs
 
 
@@ -137,6 +137,25 @@ class TestAddition:
         assert p.scale(0).is_zero
 
 
+class TestProduct:
+    """The dict-accumulated product against a rebuild from all pairwise products."""
+
+    @given(polys, polys)
+    def test_matches_rebuild_from_pairwise_products(self, p, q):
+        product = p * q
+        rebuilt = LaurentPoly([(e2 + f2, c * d) for e2, c in p.terms() for f2, d in q.terms()])
+        assert product == rebuilt and product.text() == rebuilt.text()
+        assert all(c for _, c in product.terms())
+
+    @pytest.mark.parametrize("c", [2, Fraction(1, 2)])
+    def test_scalars_multiply_through_scale_only(self, c):
+        p = poly((0, 1), (2, -1))
+        with pytest.raises(TypeError):
+            p * c
+        with pytest.raises(TypeError):
+            c * p
+
+
 class TestRendering:
     def test_canonical_text(self):
         p = poly((-2, -1), (0, 1), (2, -1), (4, 1))
@@ -150,6 +169,8 @@ class TestRendering:
         assert LaurentPoly.zero().text() == "0"
 
     def test_log_value_text(self):
-        assert LogValue.of(0, -1).text() == "-log(q)"
-        assert LogValue.of(Fraction(3, 2), 2).text() == "3/2 + 2*log(q)"
-        assert LogValue.zero().text() == "0"
+        assert log_text(Fraction(-1)) == "-log(q)"
+        assert log_text(Fraction(0)) == "0"
+        assert log_text(Fraction(1)) == "log(q)"
+        assert log_text(Fraction(2)) == "2*log(q)"
+        assert log_text(Fraction(-3, 2)) == "-3/2*log(q)"
