@@ -22,11 +22,11 @@ process pool never exceeds the CPU count.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, Sequence
 
 from .battery import germ_battery
@@ -259,10 +259,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _render(obj, indent: str, tail: str = "") -> str:
+    """obj as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, its
+    lines after the first indented by indent, followed by tail.  Reports hold
+    only dicts with str keys, lists, tuples, str, int, bool and None; any other
+    type (a float, a Fraction, an int subclass) raises TypeError."""
+    kind = type(obj)
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}" + tail
+        items = []
+        # _escape raises TypeError on a non-str key
+        for key, value in sorted(obj.items()):
+            value_kind = type(value)
+            if value_kind is str:
+                text = _escape(value)
+            elif value_kind is int:
+                text = int.__repr__(value)
+            elif value_kind is bool or value is None:
+                text = _LITERALS[value]
+            else:
+                text = _render(value, inner)
+            items.append(f"{_escape(key)}: {text}")
+        return "".join(("{\n", inner, (",\n" + inner).join(items), "\n", indent, "}", tail))
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]" + tail
+        items = [_render(value, inner) for value in obj]
+        return "".join(("[\n", inner, (",\n" + inner).join(items), "\n", indent, "]", tail))
+    if kind is str:
+        return _escape(obj) + tail
+    if kind is int:
+        return int.__repr__(obj) + tail
+    if kind is bool or obj is None:
+        return _LITERALS[obj] + tail
+    raise TypeError(f"a report cannot hold a {kind.__name__}")
+
+
 def render_report(body: dict) -> str:
     report = {"schema": SCHEMA}
     report.update(body)
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _render(report, "", "\n")
 
 
 _VALUE_FLAGS = {"--out"} | {f"--{flag}" for _, defaults in COMMANDS.values() for flag in defaults}

@@ -48,10 +48,10 @@ def ramification_index(setup: FieldSetup, s: int) -> int:
 
 
 def geometric_sum(n: int, q: int) -> int:
-    """1 + q + ... + q^n, with the empty sum 0 at n = -1."""
+    """1 + q + ... + q^n for q >= 2, with the empty sum 0 at n = -1."""
     if n < -1:
         raise ValueError("geometric sum defined for n >= -1")
-    return sum(q ** k for k in range(n + 1))
+    return (q ** (n + 1) - 1) // (q - 1)
 
 
 @dataclass(frozen=True)

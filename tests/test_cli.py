@@ -1,10 +1,13 @@
+import enum
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aflcalc import cli
-from aflcalc.cli import ConfigError, main, parse_ram, parse_range
+from aflcalc.cli import ConfigError, main, parse_ram, parse_range, render_report
 
 
 class TestRangeParsing:
@@ -278,3 +281,52 @@ class TestGoldenReports:
         assert {r["status"] for r in rows["deform"]} == {"inadmissible-parity", "ok"}
         assert all(r["end_to_end"]["outside"] and r["growth"]["saturated"]
                    for r in rows["ati"])
+
+
+# Strings weighted towards what the encoder escapes: quotes, backslashes,
+# control characters and non-ASCII (including astral) characters.
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e') | st.characters(),
+                max_size=8)
+_SCALARS = (_TEXT | st.integers() | st.integers(-10 ** 40, 10 ** 40) | st.booleans()
+            | st.none())
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=24)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+class TestReportWriter:
+    @given(_TREES)
+    def test_writes_the_bytes_of_json_dumps(self, tree):
+        assert cli._render(tree, "") == json.dumps(tree, sort_keys=True, indent=2)
+
+    @given(st.dictionaries(_TEXT, _TREES, max_size=4))
+    def test_report_is_json_dumps_with_a_final_newline(self, body):
+        report = {"schema": cli.SCHEMA, **body}
+        assert render_report(body) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("body", [
+        {"rows": [{"value": 0.5}]},
+        {"rows": [{"value": Fraction(1, 2)}]},
+        {"rows": [{1: "a"}]},
+        {"rows": [{"value": _Small.ONE}]},
+        {"rows": [_Small.ONE]},
+    ], ids=["float", "fraction", "int-key", "int-subclass", "int-subclass-item"])
+    def test_rejects_every_other_type(self, body):
+        with pytest.raises(TypeError):
+            render_report(body)
+
+    def test_never_calls_json_dumps(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps rendered a report")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setenv("AFL_CALC_THREADS", "1")
+        out = tmp_path / "r.json"
+        assert main(["orb", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_DIGESTS["orb"]

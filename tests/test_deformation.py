@@ -47,6 +47,11 @@ class TestIndices:
         with pytest.raises(ValueError):
             geometric_sum(-2, 3)
 
+    def test_geometric_sum_closed_form_matches_the_series(self):
+        for q in range(2, 14):
+            for n in range(-1, 41):
+                assert geometric_sum(n, q) == sum(q ** k for k in range(n + 1)), (n, q)
+
 
 class TestClosedForm:
     def test_level_zero_odd_height(self):
