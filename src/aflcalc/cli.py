@@ -13,7 +13,8 @@ tuple, numbers render canonically, and a fixed schema number leads the
 document, so identical configs yield identical bytes.  Exit code 0 means
 every row passed, 1 means some verification failed, 2 means the
 configuration was rejected: unparsable ranges, an invalid residue size, a
-value below its lower bound, or ranges that select no rows.
+value below its lower bound, an ``--out`` path that cannot be written, or
+ranges that select no rows.
 
 AFL_CALC_THREADS caps row-level parallelism (default 1, serial), and the
 process pool never exceeds the CPU count.
@@ -328,7 +329,9 @@ def _fuse_values(argv: Sequence[str]) -> list[str]:
 def _check_writable(path: str) -> None:
     """Reject a report path that cannot be written, before the sweep runs."""
     directory = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+    # an empty path, or one ending in a separator, names no file
+    if (not os.path.basename(path) or os.path.isdir(path) or not os.path.isdir(directory)
+            or not os.access(directory, os.W_OK)):
         raise ConfigError(f"cannot write the report to {path!r}")
 
 
@@ -341,7 +344,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.out:
+        if args.out is not None:
             _check_writable(args.out)
         params = {flag: (parse_ram if flag == "ram" else parse_range)(getattr(args, flag))
                   for flag in COMMANDS[args.command][1]}
@@ -362,7 +365,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     body.update(command=args.command, params=params, total=len(body["rows"]),
                 failures=failures, passed=failures == 0)
     text = render_report(body)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as handle:
             handle.write(text)
     else:

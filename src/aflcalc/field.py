@@ -67,11 +67,10 @@ class FieldSetup:
 
 @dataclass(frozen=True)
 class ValClass:
-    """An element of the top field seen as (2*v(x), eta(x)), or zero."""
+    """A nonzero element of the top field seen as (2*v(x), eta(x))."""
 
-    half_val: int = 0  # stores 2*v(x)
-    eta_sign: int = PLUS
-    is_zero: bool = False
+    half_val: int  # stores 2*v(x)
+    eta_sign: int
 
     def __post_init__(self) -> None:
         if self.eta_sign not in (PLUS, MINUS):
@@ -82,17 +81,13 @@ class ValClass:
     def __mul__(self, other: "ValClass") -> "ValClass":
         if not isinstance(other, ValClass):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ValClass(is_zero=True)
         return ValClass(self.half_val + other.half_val, self.eta_sign * other.eta_sign)
 
     def inverse(self) -> "ValClass":
-        if self.is_zero:
-            raise ZeroDivisionError("zero has no inverse")
         return ValClass(-self.half_val, self.eta_sign)
 
     def consistent_with(self, setup: FieldSetup) -> bool:
-        return self.is_zero or self.eta_sign in setup.signs(self.half_val)
+        return self.eta_sign in setup.signs(self.half_val)
 
 
 def unramified_class(v: int) -> ValClass:
@@ -102,26 +97,13 @@ def unramified_class(v: int) -> ValClass:
 
 def eta_s(x: ValClass, setup: FieldSetup) -> LaurentPoly:
     """eta(x) * T^v(x), the twisted character value as a monomial in T = q^(-s)."""
-    if x.is_zero:
-        raise ValueError("eta_s is undefined at zero")
     if not x.consistent_with(setup):
         raise ValueError("class is inconsistent with the unramified sign convention")
     return LaurentPoly.monomial(x.half_val, x.eta_sign)
 
 
-def eta_s_inverse(x: ValClass, setup: FieldSetup) -> LaurentPoly:
-    """eta(x)^(-1) * T^(-v(x)); the sign is its own inverse."""
-    if x.is_zero:
-        raise ValueError("eta_s is undefined at zero")
-    if not x.consistent_with(setup):
-        raise ValueError("class is inconsistent with the unramified sign convention")
-    return LaurentPoly.monomial(-x.half_val, x.eta_sign)
-
-
 def norm_valclass(x: ValClass) -> ValClass:
     """Invariant-level norm to the base field: v doubles, the sign becomes +1."""
-    if x.is_zero:
-        return ValClass(is_zero=True)
     return ValClass(2 * x.half_val, PLUS)
 
 

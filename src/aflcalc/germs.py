@@ -137,39 +137,18 @@ class GermExpansion:
             for side, (v2, sign) in enumerate(_off_diagonal(gamma)))
         return b_part + c_part
 
-    def derivative_parts(self) -> "DerivativeGerm":
-        """Slope/constant coefficients of the derivative integral at s = 0."""
-        return DerivativeGerm(self)
+    def derivative_side(self, side: int, lvl_a: Optional[int], lvl_d: Optional[int],
+                        vclass: int) -> tuple[Fraction, Fraction]:
+        """Derivative-form coefficients (slope, constant) of the side on the
+        cell: SIDE_SIGN * A(1) and d/ds A at s = 0 in log(q) units.
 
-    def to_json(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "a0": [p.to_json() for p in self.a0],
-            "a1": [p.to_json() for p in self.a1],
-        }
-
-
-@dataclass(frozen=True)
-class DerivativeGerm:
-    """Coefficients of d/ds at 0: the derivative integral near the diagonal is
-    eta(b)[v(b)*slope0 + const0] + eta(c)^(-1)[v(c)*slope1 + const1], times log(q).
-
-    The b-side enters through eta_s(b), whose derivative contributes
-    -v(b) log(q) times the value; the c-side enters inverted, flipping the
-    slope sign.  Both coefficients are linear in the side polynomial, so they
-    are read off the summed polynomial of a cell."""
-
-    germ: GermExpansion
-
-    @property
-    def threshold(self) -> int:
-        return self.germ.threshold
-
-    def eval_side(self, side: int, lvl_a: Optional[int], lvl_d: Optional[int],
-                  vclass: int) -> tuple[Fraction, Fraction]:
-        """(SIDE_SIGN * A(1), d/ds A at s = 0 in log(q) units) of the side's
-        polynomial A on the cell."""
-        poly = self.germ.eval_side(side, lvl_a, lvl_d, vclass)
+        Near the diagonal the derivative integral at s = 0 is
+        eta(b)[v(b)*slope0 + const0] + eta(c)^(-1)[v(c)*slope1 + const1],
+        times log(q): the b-side enters through eta_s(b), whose derivative
+        contributes -v(b) log(q) times the value, and the c-side enters
+        inverted, flipping the slope sign.  Both coefficients are linear in
+        the side polynomial, so they are read off the summed polynomial."""
+        poly = self.eval_side(side, lvl_a, lvl_d, vclass)
         return SIDE_SIGN[side] * poly.eval_at_s0(), poly.d_ds_at_s0()
 
     def predicted_d_orb(self, gamma: OrbitData) -> Fraction:
@@ -177,14 +156,21 @@ class DerivativeGerm:
         cls = gamma.v_b2 % 2
         out = Fraction(0)
         for side, (v2, sign) in enumerate(_off_diagonal(gamma)):
-            slope, constant = self.eval_side(side, gamma.lvl_a, gamma.lvl_d, cls)
+            slope, constant = self.derivative_side(side, gamma.lvl_a, gamma.lvl_d, cls)
             out += sign * (Fraction(v2, 2) * slope + constant)
         return out
 
-    def is_zero(self) -> bool:
-        """Both coefficients vanish on every probe cell, so pieces that
-        cancel on a cell count as zero."""
-        return not any(any(self.eval_side(*cell)) for cell in self.germ._probe_cells())
+    def derivative_is_zero(self) -> bool:
+        """Both derivative-form coefficients vanish on every probe cell, so
+        pieces that cancel on a cell count as zero."""
+        return not any(any(self.derivative_side(*cell)) for cell in self._probe_cells())
+
+    def to_json(self) -> dict:
+        return {
+            "threshold": self.threshold,
+            "a0": [p.to_json() for p in self.a0],
+            "a1": [p.to_json() for p in self.a1],
+        }
 
 
 def _ceil_half(x2: int) -> int:

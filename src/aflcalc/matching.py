@@ -83,13 +83,8 @@ class EntryHeights:
     diag_4: Optional[int]
 
 
-def match_side(gamma: OrbitData) -> Side:
-    """U0 when the norm defect is a norm (sign +1), U1 otherwise."""
-    return gamma.side
-
-
 def in_context_locus(gamma: OrbitData, ctx: MatchContext) -> bool:
-    return match_side(gamma) == ctx.side
+    return gamma.side == ctx.side
 
 
 def derived_diag_height(setup: FieldSetup, lvl: int) -> int:

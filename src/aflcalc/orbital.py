@@ -67,10 +67,6 @@ class Interval:
     def to_json(self) -> list:
         return [self.lo, self.hi]
 
-    @classmethod
-    def from_json(cls, data) -> "Interval":
-        return cls(data[0], data[1])
-
 
 INTEGRAL = Interval(0, None)  # v >= 0
 
@@ -147,24 +143,6 @@ class Box:
             out["side"] = self.side_req.value
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Box":
-        def opt_interval(key):
-            return Interval.from_json(data[key]) if key in data else None
-
-        return cls(
-            i_a=Interval.from_json(data["i_a"]),
-            i_b=Interval.from_json(data["i_b"]),
-            i_c=Interval.from_json(data["i_c"]),
-            i_d=Interval.from_json(data["i_d"]),
-            sgn_b_req=data.get("sgn_b"),
-            sgn_c_req=data.get("sgn_c"),
-            lvl_a_req=opt_interval("lvl_a"),
-            lvl_d_req=opt_interval("lvl_d"),
-            t_req=opt_interval("t"),
-            side_req=Side(data["side"]) if "side" in data else None,
-        )
-
 
 @dataclass(frozen=True)
 class OrbitData:
@@ -217,6 +195,7 @@ class OrbitData:
 
     @property
     def side(self) -> Side:
+        """U0 when the norm defect is a norm (sign +1), U1 otherwise."""
         return Side.U0 if self.defect_sign == PLUS else Side.U1
 
     def along_orbit(self, lam: ValClass) -> "OrbitData":
@@ -238,13 +217,6 @@ class OrbitData:
             "lvl_d": self.lvl_d,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "OrbitData":
-        setup = FieldSetup(data["q"], data["ramified"], data.get("eta_pi_f"))
-        return cls(setup=setup, t=data["t"], v_b2=data["v_b2"], b_sign=data["b_sign"],
-                   defect_sign=data["defect_sign"], v_a2=data.get("v_a2", 0),
-                   lvl_a=data.get("lvl_a"), lvl_d=data.get("lvl_d"))
-
 
 def orbits_at(setup: FieldSetup, t: int, v_b2: int,
               lvl_a: Optional[int] = None, lvl_d: Optional[int] = None) -> list[OrbitData]:
@@ -265,7 +237,7 @@ def unramified_orbit(setup: FieldSetup, t: int, v_b: int,
 
 
 def _require_base(lam: ValClass) -> None:
-    if lam.is_zero or lam.half_val % 2:
+    if lam.half_val % 2:
         raise ValueError("the twisting element must lie in the base field")
 
 
@@ -283,10 +255,6 @@ class InvariantFunction:
         return self._terms
 
     @classmethod
-    def zero(cls) -> "InvariantFunction":
-        return cls()
-
-    @classmethod
     def from_box(cls, box: Box, coeff: Rational = 1) -> "InvariantFunction":
         return cls([(coeff, box)])
 
@@ -301,6 +269,7 @@ class InvariantFunction:
         return InvariantFunction([(c * coeff, box) for coeff, box in self._terms])
 
     def pulled_back(self, lam: ValClass) -> "InvariantFunction":
+        """f composed with conjugation by lam from the base field."""
         return InvariantFunction([(c, box.pulled_back(lam)) for c, box in self._terms])
 
     def diagonal_value(self, lvl_a: Optional[int], lvl_d: Optional[int]) -> Fraction:
@@ -333,11 +302,6 @@ class InvariantFunction:
 
     def to_json(self) -> dict:
         return {"terms": [{"coeff": str(c), "box": box.to_json()} for c, box in self._terms]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "InvariantFunction":
-        return cls([(Fraction(entry["coeff"]), Box.from_json(entry["box"]))
-                    for entry in data["terms"]])
 
 
 def level_cells(reqs: Iterable[Optional[Interval]]) -> list[Interval]:
@@ -460,13 +424,8 @@ def transfer_factor(gamma: OrbitData) -> int:
     return gamma.c_sign
 
 
-def pullback(f: InvariantFunction, lam: ValClass) -> InvariantFunction:
-    """f composed with conjugation by lam from the base field."""
-    return f.pulled_back(lam)
-
-
 def eta_twist_difference(f: InvariantFunction, lam: ValClass) -> InvariantFunction:
-    """eta(lam) * f - pullback(f, lam); its derivative integral is a rational
+    """eta(lam) * f - f.pulled_back(lam); its derivative integral is a rational
     multiple of the plain integral of f, with all coefficients exact."""
     _require_base(lam)
     if lam.half_val == 0:

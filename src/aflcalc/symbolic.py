@@ -63,15 +63,8 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def monomial_count(self) -> int:
         return len(self._terms)
-
-    def integral_exponents(self) -> bool:
-        return all(e2 % 2 == 0 for e2 in self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):

@@ -17,7 +17,7 @@ from aflcalc.matching import (MatchContext, afl_verify, ati_end_to_end,
                               ati_growth_check)
 from aflcalc.orbital import (Box, Interval, InvariantFunction, OrbitData,
                              clear_diagonal, d_orb, eta_twist_difference,
-                             integral_indicator, orb, orb_s, pullback,
+                             integral_indicator, orb, orb_s,
                              unit_diag_indicator, unramified_orbit)
 
 UNRAM3 = FieldSetup(3, ramified=False)
@@ -129,7 +129,7 @@ def test_criterion_5_transformation_and_twist_laws():
             for sign in signs:
                 lam = ValClass(2 * v_lam, sign)
                 for name, f in germ_battery(setup)[:8]:
-                    pulled = pullback(f, lam)
+                    pulled = f.pulled_back(lam)
                     combo = eta_twist_difference(f, lam)
                     for gamma in battery_orbits(setup, 0, 5, range(-4, 5, 2),
                                                 lvls=((None, None),)):

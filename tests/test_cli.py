@@ -1,13 +1,19 @@
 import enum
 import hashlib
 import json
+import os
+import pathlib
+import re
+import shlex
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from aflcalc import cli
-from aflcalc.cli import ConfigError, main, parse_ram, parse_range, render_report
+from aflcalc.cli import COMMANDS, ConfigError, main, parse_ram, parse_range, render_report
+
+README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 class TestRangeParsing:
@@ -154,6 +160,20 @@ class TestConfigContract:
         assert "cannot write" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("name", ["", "missing_dir" + os.sep],
+                             ids=["empty", "trailing-separator"])
+    def test_out_naming_no_file_exits_two_before_the_sweep(self, name, tmp_path, capsys,
+                                                           monkeypatch):
+        def refuse(**params):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_orb", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main(["orb", "--t", "0", "--vb", "0", "--out", name]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRamFlags:
     @pytest.mark.parametrize("command, extra", [
@@ -281,6 +301,33 @@ class TestGoldenReports:
         assert {r["status"] for r in rows["deform"]} == {"inadmissible-parity", "ok"}
         assert all(r["end_to_end"]["outside"] and r["growth"]["saturated"]
                    for r in rows["ati"])
+
+
+def _parsed_args(argv):
+    """The namespace main builds from argv, with each range flag parsed as the
+    report echoes it; equal namespaces give equal reports."""
+    args = vars(cli.build_parser().parse_args(cli._fuse_values(argv)))
+    for flag in COMMANDS[args["command"]][1]:
+        args[flag] = (parse_ram if flag == "ram" else parse_range)(args[flag])
+    return args
+
+
+class TestReadme:
+    """README quotes the default sweeps and their digests; no sweep is re-run."""
+
+    def test_cli_examples_are_the_default_sweeps(self):
+        block = README.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                    if line.startswith("aflcalc ")]
+        assert sorted(argv[0] for argv in examples) == sorted(COMMANDS)
+        for argv in examples:
+            assert _parsed_args(argv) == _parsed_args(argv[:1]), argv
+
+    def test_quoted_digests_are_the_default_reports(self):
+        quoted = re.findall(r"\b(afl|deform|orb|germ|ati)\s+`([0-9a-f]{8,64})`", README)
+        assert {command for command, _ in quoted} == set(DEFAULT_DIGESTS)
+        for command, prefix in quoted:
+            assert DEFAULT_DIGESTS[command].startswith(prefix), command
 
 
 # Strings weighted towards what the encoder escapes: quotes, backslashes,

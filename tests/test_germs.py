@@ -42,10 +42,10 @@ class TestExtraction:
                   i_d=Interval(0, 0))
         germ = extract_germ(UNRAM, InvariantFunction.from_box(box))
         assert germ.eval_side(0, None, None, 0) == ONE
-        assert germ.eval_side(1, None, None, 0).is_zero
+        assert not germ.eval_side(1, None, None, 0)
 
     def test_zero_function(self):
-        germ = extract_germ(UNRAM, InvariantFunction.zero())
+        germ = extract_germ(UNRAM, InvariantFunction())
         assert germ.value_at_s0_is_zero()
         assert not germ.a0 and not germ.a1
 
@@ -63,7 +63,7 @@ class TestExtraction:
             alpha = diagonal_killer(Interval(0, 1), None)
             germ = extract_germ(setup, clear_diagonal(alpha))
             assert germ.value_at_s0_is_zero()
-            assert germ.derivative_parts().is_zero()
+            assert germ.derivative_is_zero()
 
 
 class TestRoundTrip:
@@ -147,36 +147,34 @@ class TestExpansionValidity:
 class TestDerivativeForm:
     def test_constant_b_side(self):
         germ = GermExpansion(UNRAM, (GermPiece(None, None, 0, ONE),), (), 1)
-        parts = germ.derivative_parts()
-        slope, const = parts.eval_side(0, None, None, 0)
+        slope, const = germ.derivative_side(0, None, None, 0)
         assert slope == -1 and const == 0
 
     def test_constant_c_side(self):
         germ = GermExpansion(UNRAM, (), (GermPiece(None, None, 0, ONE),), 1)
-        parts = germ.derivative_parts()
-        slope, const = parts.eval_side(1, None, None, 0)
+        slope, const = germ.derivative_side(1, None, None, 0)
         assert slope == 1 and const == 0
 
     def test_zero_germ(self):
-        assert GermExpansion(UNRAM, (), (), 1).derivative_parts().is_zero()
+        assert GermExpansion(UNRAM, (), (), 1).derivative_is_zero()
 
     def test_cancelling_pieces_are_zero(self):
         T = LaurentPoly.monomial(2)
         germ = GermExpansion(UNRAM, (GermPiece(None, None, 0, T), GermPiece(None, None, 0, -T)),
                              (), 1)
         assert germ.value_at_s0_is_zero()
-        assert all(germ.eval_side(side, None, None, 0).is_zero for side in (0, 1))
-        assert germ.derivative_parts().is_zero()
-        one_left = GermExpansion(UNRAM, germ.a0[:1], (), 1).derivative_parts()
-        assert not one_left.is_zero()
+        assert not any(germ.eval_side(side, None, None, 0) for side in (0, 1))
+        assert germ.derivative_is_zero()
+        one_left = GermExpansion(UNRAM, germ.a0[:1], (), 1)
+        assert not one_left.derivative_is_zero()
 
     @pytest.mark.parametrize("setup", SETUPS, ids=["unram", "ram", "ram-neg"])
     def test_derivative_form_matches_engine(self, setup):
         for name, f in germ_battery(setup):
-            parts = extract_germ(setup, f).derivative_parts()
-            for gamma in near_diagonal_orbits(setup, parts.threshold, t_span=4,
+            germ = extract_germ(setup, f)
+            for gamma in near_diagonal_orbits(setup, germ.threshold, t_span=4,
                                               vb2_range=range(-4, 5)):
-                assert d_orb(gamma, f) == parts.predicted_d_orb(gamma), name
+                assert d_orb(gamma, f) == germ.predicted_d_orb(gamma), name
 
 
 class TestTransferSolve:
@@ -341,3 +339,13 @@ class TestProbeCells:
             tuple(GermPiece(p.lvl_a, p.lvl_d, p.vclass, LaurentPoly.monomial(0, p.poly.eval_at_s0()))
                   for p in pieces) for pieces in g.sides), 1)
         assert g.value_at_s0_is_zero() == grid_equivalent(at_s0, zero)
+
+
+class TestFoldedDerivativeForm:
+    @given(germ_pairs(), st.none() | st.integers(0, 6), st.none() | st.integers(0, 6))
+    def test_derivative_form_is_the_derivative_of_the_value_form(self, pair, lvl_a, lvl_d):
+        # ties the slope/constant coefficients to predicted_orb_s without orb_s
+        germ, _ = pair
+        for gamma in near_diagonal_orbits(germ.setup, germ.threshold, t_span=2,
+                                          vb2_range=range(-3, 4), lvl_a=lvl_a, lvl_d=lvl_d):
+            assert germ.predicted_d_orb(gamma) == germ.predicted_orb_s(gamma).d_ds_at_s0()

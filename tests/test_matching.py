@@ -11,8 +11,7 @@ from aflcalc.germs import extract_germ, function_from_germ, validity_threshold
 from aflcalc.matching import (EntryHeights, MatchContext, MatchingError, afl_verify,
                               ati_end_to_end, ati_growth_check, context_orbit,
                               derived_diag_height, entry_heights, in_context_locus,
-                              intersection_length, match_side,
-                              prescribed_transfer_germ)
+                              intersection_length, prescribed_transfer_germ)
 from aflcalc.orbital import OrbitData, Side, orbits_at, transfer_factor, unramified_orbit
 
 UNRAM3 = FieldSetup(3, ramified=False)
@@ -21,14 +20,14 @@ RAM3 = FieldSetup(3, ramified=True)
 
 class TestMatchSide:
     def test_unramified_odd_defect(self):
-        assert match_side(unramified_orbit(UNRAM3, 1, 0)) == Side.U1
+        assert unramified_orbit(UNRAM3, 1, 0).side == Side.U1
 
     def test_unramified_even_defect(self):
-        assert match_side(unramified_orbit(UNRAM3, 4, 0)) == Side.U0
+        assert unramified_orbit(UNRAM3, 4, 0).side == Side.U0
 
     def test_ramified_sign_criterion(self):
         g = OrbitData(setup=RAM3, t=0, v_b2=0, b_sign=PLUS, defect_sign=MINUS)
-        assert match_side(g) == Side.U1
+        assert g.side == Side.U1
 
 
 class TestContextLocus:
@@ -125,7 +124,7 @@ class TestIntersectionLength:
         g = context_orbit(ctx, t=5)
         lam = ValClass(2, MINUS)
         moved = g.along_orbit(lam)
-        assert match_side(moved) == match_side(g)
+        assert moved.side == g.side
         assert intersection_length(entry_heights(moved, ctx), ctx) == \
             intersection_length(entry_heights(g, ctx), ctx)
 

@@ -12,8 +12,8 @@ def poly(*pairs):
 
 class TestBasics:
     def test_zero_coefficients_dropped(self):
-        assert poly((2, 1), (2, -1)).is_zero
-        assert poly((0, 0)).is_zero
+        assert not poly((2, 1), (2, -1))
+        assert not poly((0, 0))
 
     def test_doubled_exponent_type_checked(self):
         with pytest.raises(TypeError):
@@ -121,7 +121,7 @@ class TestAddition:
     @given(polys, polys)
     def test_cancellation(self, p, q):
         zero = p + (-p)
-        assert zero.is_zero and zero.text() == "0" and zero == LaurentPoly.zero()
+        assert not zero and zero.text() == "0" and zero == LaurentPoly.zero()
         assert (p + q) - q == p
 
     @given(polys, polys, rationals)
@@ -134,7 +134,7 @@ class TestAddition:
     def test_scale_and_negation_match_public_constructor(self, p, c):
         assert p.scale(c) == LaurentPoly([(e2, c * v) for e2, v in p.terms()])
         assert -p == LaurentPoly([(e2, -v) for e2, v in p.terms()])
-        assert p.scale(0).is_zero
+        assert not p.scale(0)
 
 
 class TestProduct:
