@@ -4,8 +4,7 @@ quasi-canonical-lift deformation lengths, and the AFL / ATI identity sweeps."""
 from .deformation import (DeformQuery, InadmissibleParityError, geometric_sum,
                           hom_height_attainable, lift_bound, lift_bound_recursive,
                           ramification_index, reduction_commutes, unit_index)
-from .field import (MINUS, PLUS, FieldSetup, ValClass, eta_s,
-                    norm_valclass, unit_integral)
+from .field import MINUS, PLUS, FieldSetup, ValClass, eta_s, unit_integral
 from .germs import (GermExpansion, GermGradingError, GermPiece,
                     GermPreconditionError, constant_germ, extract_germ,
                     function_from_germ, solve_transfer_germ, validity_threshold,

@@ -10,12 +10,13 @@ invariant, so eta of an element equals eta of its conjugate.
 Conventions: for an unramified extension eta(x) = (-1)^v(x), which pins
 eta(pi_F) = -1, and no element has a half-integral valuation.  For a ramified
 extension eta is nontrivial on units, so both signs occur at every valuation,
-and eta(pi_F) is a configurable sign (two uniformizer classes exist); units
-split into two cosets of measure 1/2 each under Vol(O_F^x) = 1.
+and eta(pi_F) is a configurable sign (two uniformizer classes exist).
 
 FieldSetup.signs is the one place this convention lives: every other module
-asks it which eta values a valuation admits, and FieldSetup.classes (the
-valuation classes modulo the base field that occur) is derived from it.
+asks it which eta values a valuation admits.  FieldSetup.classes (the
+valuation classes modulo the base field that occur) and unit_integral (the
+eta-weighted measure of a valuation shell, the one weight every orbital and
+germ integral is built from) are derived from it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ from .symbolic import LaurentPoly
 
 PLUS = 1
 MINUS = -1
-
-
-def _unramified_signs(v2: int) -> tuple[int, ...]:
-    """eta at doubled valuation v2 over an unramified extension: (-1)^v, and
-    no sign at all at a half-integral valuation."""
-    return () if v2 % 2 else (MINUS if v2 % 4 else PLUS,)
 
 
 @dataclass(frozen=True)
@@ -51,13 +46,12 @@ class FieldSetup:
         if self.eta_pi_f not in self.signs(2):
             raise ValueError("eta(pi_F) must be +1 or -1; unramified setups force -1")
 
-    def eta_shift(self, n: int) -> int:
-        """eta(pi_F)^n."""
-        return self.eta_pi_f if n % 2 else PLUS
-
     def signs(self, v2: int) -> tuple[int, ...]:
-        """The eta values an element of doubled valuation v2 can have."""
-        return (PLUS, MINUS) if self.ramified else _unramified_signs(v2)
+        """The eta values an element of doubled valuation v2 can have: both
+        when ramified; unramified, (-1)^v, and none at a half-integral v."""
+        if self.ramified:
+            return PLUS, MINUS
+        return () if v2 % 2 else (MINUS if v2 % 4 else PLUS,)
 
     @property
     def classes(self) -> tuple[int, ...]:
@@ -90,11 +84,6 @@ class ValClass:
         return self.eta_sign in setup.signs(self.half_val)
 
 
-def unramified_class(v: int) -> ValClass:
-    """The class of a valuation-v element in an unramified setup."""
-    return ValClass(2 * v, *_unramified_signs(2 * v))
-
-
 def eta_s(x: ValClass, setup: FieldSetup) -> LaurentPoly:
     """eta(x) * T^v(x), the twisted character value as a monomial in T = q^(-s)."""
     if not x.consistent_with(setup):
@@ -102,23 +91,21 @@ def eta_s(x: ValClass, setup: FieldSetup) -> LaurentPoly:
     return LaurentPoly.monomial(x.half_val, x.eta_sign)
 
 
-def norm_valclass(x: ValClass) -> ValClass:
-    """Invariant-level norm to the base field: v doubles, the sign becomes +1."""
-    return ValClass(2 * x.half_val, PLUS)
+def unit_integral(setup: FieldSetup, v2: int, sign_constraint: int | None) -> Fraction:
+    """eta-weighted measure of the elements of doubled valuation v2 whose eta
+    is sign_constraint (None = all), as a fraction of the whole shell.
 
-
-def unit_integral(setup: FieldSetup, sign_constraint: int | None) -> Fraction:
-    """eta-weighted measure of the units with eta equal to sign_constraint
-    (None = all), under Vol(O_F^x) = 1.
-
-    Unramified: eta is trivial on units, so the -1 coset is empty.  Ramified:
-    eta cuts the units into two cosets of measure 1/2 and weight +-1; the full
-    eta-weighted integral vanishes.
+    The signs the valuation admits cut the shell into cosets of equal
+    measure, each weighted by its sign; so the measure is the sum of the
+    admitted signs the constraint keeps over their number, and 0 where the
+    valuation admits no sign.  An unramified shell is one coset of weight
+    (-1)^v; a ramified shell is two cosets of weight +-1 and measure 1/2, so
+    its unconstrained measure vanishes.  Vol(O_F^x) = 1 makes
+    unit_integral(setup, 0, pin) the measure on the units.
     """
     if sign_constraint not in (None, PLUS, MINUS):
         raise ValueError("sign constraint must be None, +1 or -1")
-    if not setup.ramified:
-        return Fraction(0) if sign_constraint == MINUS else Fraction(1)
-    if sign_constraint is None:
+    signs = setup.signs(v2)
+    if not signs:
         return Fraction(0)
-    return Fraction(sign_constraint, 2)
+    return Fraction(sum(s for s in signs if sign_constraint in (None, s)), len(signs))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .field import PLUS, FieldSetup
+from .field import PLUS, FieldSetup, unit_integral
 from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitData,
                       clear_diagonal, level_cells)
 from .symbolic import LaurentPoly, Rational, as_fraction
@@ -211,19 +211,6 @@ def validity_threshold(f: InvariantFunction) -> int:
     return max([1] + [_box_threshold(box) for _, box in _near_diagonal_terms(f)])
 
 
-def _shell_factor(setup: FieldSetup, sgn_req: Optional[int], w2: int) -> Fraction:
-    """Invariant weight of the valuation shell w2 in a germ integral.
-
-    The signs the shell admits split it into cosets of equal measure; the
-    eta-weighted measure is the sum of the admitted signs the requirement
-    keeps, over their number.  Unramified shells carry their one sign (-1)^w;
-    ramified shells cancel unless sign pinned, each pin keeping a half."""
-    signs = setup.signs(w2)
-    if not signs:
-        return Fraction(0)
-    return Fraction(sum(s for s in signs if sgn_req in (None, s)), len(signs))
-
-
 def _shell_interval(box: Box, side: int) -> Interval:
     return box.i_c if side else box.i_b
 
@@ -277,7 +264,7 @@ def _collect_side(setup: FieldSetup, boxes: Sequence[tuple[Fraction, Box]],
                     weight = Fraction(0)
                     for coeff, iv, pin in in_cell:
                         if iv.contains(w2):
-                            weight += coeff * _shell_factor(setup, pin, w2)
+                            weight += coeff * unit_integral(setup, w2, pin)
                     if weight:
                         terms.append((SIDE_SIGN[side] * w2, weight))
                 if terms:
@@ -315,25 +302,23 @@ def function_from_germ(germ: GermExpansion) -> InvariantFunction:
     every orbit with defect valuation past the (recomputed) threshold.
 
     Each germ monomial c*T^(k) becomes a single valuation shell: on the b-side
-    the shell at v = -k with a sign pin (ramified) or the shell sign
-    absorbed into the coefficient (unramified), and dually on the c-side.
-    The monomial grading must agree with the valuation class."""
+    the shell at v = -k, and dually on the c-side, with coefficient c over
+    the shell's measure unit_integral.  A ramified shell is pinned to eta =
+    +1, since unpinned it integrates to 0.  The monomial grading must agree
+    with the valuation class, which the setup must admit."""
     setup = germ.setup
+    pin = PLUS if setup.ramified else None
     terms: list[tuple[Fraction, Box]] = []
     for side, pieces in enumerate(germ.sides):
         for piece in pieces:
             for e2, c in piece.poly.terms():
                 w2 = SIDE_SIGN[side] * e2
-                if w2 % 2 != piece.vclass:
+                if w2 % 2 != piece.vclass or not setup.signs(w2):
                     raise GermGradingError(
                         f"{'bc'[side]}-side monomial T^{e2}/2 cannot be realized "
                         f"on class {piece.vclass}")
-                if setup.ramified:
-                    coeff, pin = 2 * c, PLUS
-                else:
-                    coeff, pin = c * _shell_factor(setup, None, w2), None
-                terms.append((coeff, shell_box(side, w2, pin,
-                                               lvl_a=piece.lvl_a, lvl_d=piece.lvl_d)))
+                terms.append((c / unit_integral(setup, w2, pin),
+                              shell_box(side, w2, pin, lvl_a=piece.lvl_a, lvl_d=piece.lvl_d)))
     return InvariantFunction(terms)
 
 

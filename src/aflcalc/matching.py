@@ -134,15 +134,14 @@ def intersection_length(heights: EntryHeights, ctx: MatchContext) -> int:
     return min(bounds)
 
 
-def context_orbit(ctx: MatchContext, t: int, v_b2: int = 0, b_sign: int = PLUS,
+def context_orbit(ctx: MatchContext, t: int, v_b2: int = 0,
                   lvl_a: Optional[int] = None, lvl_d: Optional[int] = None) -> OrbitData:
-    """An orbit with defect valuation t inside the context's matching locus;
-    b_sign is ignored where the setup forces eta(b) from v(b)."""
+    """An orbit with defect valuation t inside the context's matching locus,
+    with the first eta(b) the setup admits at v(b): +1 where both occur."""
     b_signs = ctx.setup.signs(v_b2)
     if not b_signs or ctx.defect_sign not in ctx.setup.signs(2 * t):
         raise MatchingError(f"no orbit with t = {t}, v_b2 = {v_b2} is in this context")
-    return OrbitData(setup=ctx.setup, t=t, v_b2=v_b2,
-                     b_sign=b_sign if len(b_signs) > 1 else b_signs[0],
+    return OrbitData(setup=ctx.setup, t=t, v_b2=v_b2, b_sign=b_signs[0],
                      defect_sign=ctx.defect_sign, lvl_a=lvl_a, lvl_d=lvl_d)
 
 

@@ -11,7 +11,7 @@ Test functions are finite rational combinations of boxes: valuation intervals
 on the four entries plus optional sign, conductor-level, defect-valuation and
 matching-side constraints.  The weighted orbit integral of a box collapses to
 a finite sum of monomials T^n, one per conjugator valuation shell, each shell
-contributing a sign-resolved unit measure.
+weighted by its eta-weighted measure under the box's sign pins.
 """
 
 from __future__ import annotations
@@ -364,32 +364,19 @@ def _shift_range(gamma: OrbitData, box: Box) -> Optional[tuple[int, int]]:
     return n_lo, n_hi
 
 
-def _shell_measure(gamma: OrbitData, box: Box, n: int) -> Fraction:
-    """eta-weighted measure of the unit shell at conjugator valuation n."""
-    eps_n = gamma.setup.eta_shift(n)
-    pin: Optional[int] = None
-    for req, sign in ((box.sgn_b_req, gamma.b_sign), (box.sgn_c_req, gamma.c_sign)):
-        if req is None:
-            continue
-        p = req * sign * eps_n
-        if pin is None:
-            pin = p
-        elif pin != p:
-            return Fraction(0)
-    return unit_integral(gamma.setup, pin)
-
-
 def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
     """The orbital integral as an exact polynomial in T = q^(-s).
 
-    Sums over conjugator valuation shells; the shell at valuation n carries
-    weight eta(pi_F)^n T^n times the sign-resolved unit measure.  Both
-    factors depend on n only through its parity: eta_shift(n) is
-    eta(pi_F)^(n mod 2), and _shell_measure reads n only through
-    eta_shift(n).  So each box's shells form two runs of constant weight.
-    The two weights are computed once per box, each shell costs one dict
-    entry and each contributing box one polynomial addition, which makes
-    the cost linear in the number of output monomials.
+    Sums over conjugator valuation shells: the shell at valuation n carries
+    T^n times the eta-weighted measure of its conjugators h whose eta moves
+    each pinned entry onto its pin, eta(h) = req * eta(entry).  That eta is
+    found once per box (a box whose pins disagree meets no conjugator), and
+    the measure unit_integral(setup, 2n, eta) depends on n only through
+    setup.signs(2n), that is through the parity of n.  So each box's shells
+    form two runs of constant weight.  The two weights are computed once per
+    box, each shell costs one dict entry and each contributing box one
+    polynomial addition, which makes the cost linear in the number of output
+    monomials.
     """
     total = LaurentPoly.zero()
     for coeff, box in f.terms:
@@ -398,10 +385,16 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
         rng = _shift_range(gamma, box)
         if rng is None:
             continue
+        pins = {req * sign for req, sign in ((box.sgn_b_req, gamma.b_sign),
+                                             (box.sgn_c_req, gamma.c_sign))
+                if req is not None}
+        if len(pins) > 1:
+            continue
+        eta_h = pins.pop() if pins else None
         n_lo, n_hi = rng
         terms: dict[int, Fraction] = {}
         for parity in (0, 1):
-            w = coeff * _shell_measure(gamma, box, parity) * gamma.setup.eta_shift(parity)
+            w = coeff * unit_integral(gamma.setup, 2 * parity, eta_h)
             if w:
                 first = n_lo + (parity - n_lo) % 2
                 terms.update(dict.fromkeys(range(2 * first, 2 * n_hi + 1, 4), w))

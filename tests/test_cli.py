@@ -4,7 +4,9 @@ import json
 import os
 import pathlib
 import re
+import runpy
 import shlex
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import given, strategies as st
 from aflcalc import cli
 from aflcalc.cli import COMMANDS, ConfigError, main, parse_ram, parse_range, render_report
 
-README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 class TestRangeParsing:
@@ -322,6 +325,20 @@ class TestReadme:
         assert sorted(argv[0] for argv in examples) == sorted(COMMANDS)
         for argv in examples:
             assert _parsed_args(argv) == _parsed_args(argv[:1]), argv
+
+    def test_install_free_example_runs_from_the_checkout(self, monkeypatch, capsys):
+        (line,) = [line for line in README.splitlines()
+                   if line.startswith("PYTHONPATH=src python -m aflcalc")]
+        env, _, flag, module, *argv = shlex.split(line)
+        assert (env, flag) == ("PYTHONPATH=src", "-m")
+        assert (ROOT / "src").joinpath(*module.split(".")).with_suffix(".py").is_file()
+        # run the module as python -m does: a fresh copy under __main__
+        monkeypatch.delitem(sys.modules, module)
+        monkeypatch.setattr(sys, "argv", [module, *argv])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module(module, run_name="__main__")
+        assert exited.value.code == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 3
 
     def test_quoted_digests_are_the_default_reports(self):
         quoted = re.findall(r"\b(afl|deform|orb|germ|ati)\s+`([0-9a-f]{8,64})`", README)

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from aflcalc.field import (MINUS, PLUS, FieldSetup, ValClass, eta_s, norm_valclass,
-                           unit_integral, unramified_class)
+from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, eta_s, unit_integral
 from aflcalc.symbolic import LaurentPoly
 
 UNRAM = FieldSetup(3, ramified=False)
 RAM = FieldSetup(3, ramified=True)
+
+
+def unram_class(v):
+    """The class of a valuation-v element in the unramified setup."""
+    return ValClass(2 * v, *UNRAM.signs(2 * v))
 
 
 class TestFieldSetup:
@@ -52,7 +56,7 @@ class TestSigns:
                 for sign in (PLUS, MINUS):
                     assert ValClass(v2, sign).consistent_with(setup) == (sign in setup.signs(v2))
         for v in range(-5, 6):
-            assert unramified_class(v) == ValClass(2 * v, (-1) ** v)
+            assert unram_class(v) == ValClass(2 * v, (-1) ** v)
 
 
 class TestValClassMonoid:
@@ -76,10 +80,10 @@ class TestValClassMonoid:
 
 class TestEtaS:
     def test_unramified_uniformizer(self):
-        assert eta_s(unramified_class(1), UNRAM) == LaurentPoly.monomial(2, -1)
+        assert eta_s(unram_class(1), UNRAM) == LaurentPoly.monomial(2, -1)
 
     def test_unramified_unit(self):
-        assert eta_s(unramified_class(0), UNRAM) == LaurentPoly.monomial(0)
+        assert eta_s(unram_class(0), UNRAM) == LaurentPoly.monomial(0)
 
     def test_ramified_half_valuation(self):
         assert eta_s(ValClass(1, PLUS), RAM) == LaurentPoly.monomial(1, 1)
@@ -90,7 +94,7 @@ class TestEtaS:
 
     def test_value_at_zero_is_sign_of_valuation(self):
         for v in range(-20, 21):
-            value = eta_s(unramified_class(v), UNRAM).eval_at_s0()
+            value = eta_s(unram_class(v), UNRAM).eval_at_s0()
             assert value == (-1) ** v
 
     def test_inverse_flips_exponent(self):
@@ -98,27 +102,14 @@ class TestEtaS:
         assert eta_s(x, RAM) * eta_s(x.inverse(), RAM) == LaurentPoly.monomial(0)
 
 
-class TestNorm:
-    def test_ramified_prime(self):
-        assert norm_valclass(ValClass(1, PLUS)) == ValClass(2, PLUS)
-
-    def test_unit(self):
-        assert norm_valclass(ValClass(0, MINUS)) == ValClass(0, PLUS)
-
-    def test_always_in_kernel_with_even_valuation(self):
-        for h in range(-8, 9):
-            for s in (PLUS, MINUS):
-                out = norm_valclass(ValClass(h, s))
-                assert out.eta_sign == PLUS and out.half_val % 2 == 0
-
-
 def unit_measure(setup, constraint, weighted):
-    """unit_integral, or for weighted=False the plain measure it implies: each
-    sign coset carries weight eta = s, so s * unit_integral(s) is its measure."""
+    """unit_integral on the units, or for weighted=False the plain measure it
+    implies: each sign coset carries weight eta = s, so s * unit_integral(s)
+    is its measure."""
     if weighted:
-        return unit_integral(setup, constraint)
+        return unit_integral(setup, 0, constraint)
     signs = (PLUS, MINUS) if constraint is None else (constraint,)
-    return sum(s * unit_integral(setup, s) for s in signs)
+    return sum(s * unit_integral(setup, 0, s) for s in signs)
 
 
 class TestUnitIntegral:
@@ -137,3 +128,32 @@ class TestUnitIntegral:
     ])
     def test_ramified_table(self, constraint, weighted, expected):
         assert unit_measure(RAM, constraint, weighted) == expected
+
+
+# unit_integral(setup, v2, pin) for pin = None, +1, -1, from the convention
+# stated directly: unramified, one coset of weight (-1)^v and nothing at a
+# half-integral v; ramified, cosets of weight +1 and -1 with measure 1/2 each
+UNRAM_SHELLS = {-3: (0, 0, 0), -2: (-1, 0, -1), -1: (0, 0, 0), 0: (1, 1, 0),
+                1: (0, 0, 0), 2: (-1, 0, -1), 3: (0, 0, 0), 4: (1, 1, 0)}
+RAM_SHELL = (0, Fraction(1, 2), Fraction(-1, 2))
+
+
+class TestShellMeasure:
+    @pytest.mark.parametrize("v2", sorted(UNRAM_SHELLS))
+    @pytest.mark.parametrize("setup", [UNRAM, RAM, FieldSetup(5, ramified=True, eta_pi_f=MINUS)],
+                             ids=["unram", "ram", "ram-neg"])
+    def test_table(self, setup, v2):
+        expected = RAM_SHELL if setup.ramified else UNRAM_SHELLS[v2]
+        got = tuple(unit_integral(setup, v2, pin) for pin in (None, PLUS, MINUS))
+        assert got == expected
+
+    @pytest.mark.parametrize("setup", [UNRAM, RAM], ids=["unram", "ram"])
+    def test_signed_pins_sum_to_the_plain_shell_measure(self, setup):
+        # the whole shell has measure 1 where the valuation occurs at all
+        for v2 in range(-9, 10):
+            plain = sum(s * unit_integral(setup, v2, s) for s in (PLUS, MINUS))
+            assert plain == (1 if setup.ramified or v2 % 2 == 0 else 0)
+
+    def test_rejects_other_constraints(self):
+        with pytest.raises(ValueError):
+            unit_integral(RAM, 0, 2)

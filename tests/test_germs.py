@@ -112,6 +112,9 @@ class TestRoundTrip:
         bad_unram = GermExpansion(UNRAM, (GermPiece(None, None, 0, LaurentPoly.monomial(1)),), (), 1)
         with pytest.raises(GermGradingError):
             function_from_germ(bad_unram)
+        no_class = GermExpansion(UNRAM, (GermPiece(None, None, 1, LaurentPoly.monomial(1)),), (), 1)
+        with pytest.raises(GermGradingError):
+            function_from_germ(no_class)  # no unramified element has v(b) in 1/2 + Z
 
 
 class TestExpansionValidity:

@@ -56,13 +56,11 @@ class TestContextLocus:
         for t in range(0, 6):
             for v_b2 in range(-3, 4):
                 members = [g for g in orbits_at(setup, t, v_b2) if in_context_locus(g, ctx)]
-                for b_sign in (PLUS, MINUS):
-                    if not members:
-                        with pytest.raises(MatchingError):
-                            context_orbit(ctx, t, v_b2=v_b2, b_sign=b_sign)
-                        continue
-                    wanted = [g for g in members if g.b_sign == b_sign] or members
-                    assert context_orbit(ctx, t, v_b2=v_b2, b_sign=b_sign) == wanted[0]
+                if not members:
+                    with pytest.raises(MatchingError):
+                        context_orbit(ctx, t, v_b2=v_b2)
+                    continue
+                assert context_orbit(ctx, t, v_b2=v_b2) == members[0]
 
     def test_ramified_always_u1(self):
         ctx = MatchContext(RAM3, 0, 1, e_f=ramification_index(RAM3, 1))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, eta_s
 from aflcalc.matching import afl_verify
 from aflcalc.orbital import (Box, DivergenceError, Interval, InvariantFunction,
                              OrbitData, Side, clear_diagonal, d_orb, diagonal_killer,
-                             _fixed_tests, _shell_measure, _shift_range,
+                             _fixed_tests, _shift_range,
                              eta_twist_difference, integral_indicator,
                              orb, orb_s, orbits_at, transfer_factor,
                              unit_diag_indicator, unramified_orbit)
@@ -408,9 +409,9 @@ class TestOrbitsAt:
 
 
 @st.composite
-def orbits(draw):
+def orbits(draw, ramified=st.booleans()):
     """An orbit with unit diagonal entries over a random setup."""
-    ramified = draw(st.booleans())
+    ramified = draw(ramified)
     eta_pi_f = draw(st.sampled_from((PLUS, MINUS))) if ramified else None
     setup = FieldSetup(draw(st.integers(2, 7)), ramified, eta_pi_f)
     v_b2 = draw(st.integers(-10, 10))
@@ -478,7 +479,9 @@ class TestRandomBoxLaws:
 
 def _orb_s_by_shells(gamma, f):
     """Reference oracle for orb_s: one monomial per conjugator valuation
-    shell, each with its own shell measure and eta(pi_F)^n."""
+    shell n.  The shell splits into one coset of equal measure for each eta
+    the setup admits at valuation n; a coset of eta = s counts, with weight
+    s, when conjugating by it moves every pinned entry's eta onto its pin."""
     total = LaurentPoly.zero()
     for coeff, box in f.terms:
         if not coeff or not _fixed_tests(gamma, box):
@@ -488,9 +491,13 @@ def _orb_s_by_shells(gamma, f):
             continue
         n_lo, n_hi = rng
         for n in range(n_lo, n_hi + 1):
-            w = _shell_measure(gamma, box, n)
+            signs = gamma.setup.signs(2 * n)
+            kept = [s for s in signs
+                    if box.sgn_b_req in (None, gamma.b_sign * s)
+                    and box.sgn_c_req in (None, gamma.c_sign * s)]
+            w = Fraction(sum(kept), len(signs))
             if w:
-                total += LaurentPoly.monomial(2 * n, coeff * w * gamma.setup.eta_shift(n))
+                total += LaurentPoly.monomial(2 * n, coeff * w)
     return total
 
 
@@ -519,8 +526,9 @@ class TestParityRuns:
     @pytest.mark.parametrize("pin", (PLUS, MINUS))
     @pytest.mark.parametrize("c_window", ((0, 0), (0, 2), (0, 6), (-4, 9)))
     def test_one_parity_weight_zero(self, pin, c_window):
-        # unramified: eta(pi_F) = -1 flips the pinned c-sign every shell and
-        # the eta = -1 unit coset is empty, so one parity run drops out
+        # unramified: a conjugator of valuation n has eta = (-1)^n, so the
+        # c-pin holds on the shells of one parity only and the other run
+        # drops out
         box = Box(i_a=Interval(0, 0), i_b=Interval(-20, 20), i_c=Interval(*c_window),
                   i_d=Interval(0, 0), sgn_c_req=pin)
         f = InvariantFunction.from_box(box, Fraction(5, 3))
@@ -539,6 +547,18 @@ class TestParityRuns:
             got = orb_s(gamma, f)
             assert got == _orb_s_by_shells(gamma, f)
             assert got.monomial_count() == 1
+
+
+class TestEtaPiFInvariance:
+    """Ramified, eta(pi_F) only says which uniformizer class has eta = +1:
+    every conjugator shell still splits into halves of eta = +1 and -1, so
+    no orbital integral depends on it."""
+
+    @given(gamma=orbits(ramified=st.just(True)), f=functions)
+    def test_ramified_orb_s_ignores_eta_pi_f(self, gamma, f):
+        setup = gamma.setup
+        flipped = replace(gamma, setup=FieldSetup(setup.q, True, -setup.eta_pi_f))
+        assert outcome(orb_s, gamma, f) == outcome(orb_s, flipped, f)
 
 
 class TestOrbSCost:
