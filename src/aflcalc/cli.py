@@ -327,11 +327,16 @@ def _fuse_values(argv: Sequence[str]) -> list[str]:
 
 
 def _check_writable(path: str) -> None:
-    """Reject a report path that cannot be written, before the sweep runs."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Reject a report path that cannot be written, before the sweep runs.
+
+    The checks apply to the file a symlink resolves to, so a dangling link
+    into a missing directory is refused; an existing file must be writable."""
+    real = os.path.realpath(path)
+    directory = os.path.dirname(real)
     # an empty path, or one ending in a separator, names no file
-    if (not os.path.basename(path) or os.path.isdir(path) or not os.path.isdir(directory)
-            or not os.access(directory, os.W_OK)):
+    if (not os.path.basename(path) or os.path.isdir(real) or not os.path.isdir(directory)
+            or not os.access(directory, os.W_OK)
+            or (os.path.lexists(real) and not os.access(real, os.W_OK))):
         raise ConfigError(f"cannot write the report to {path!r}")
 
 

@@ -22,7 +22,7 @@ the doubled valuation of b (0 integral, 1 half-integral), of which only class
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -88,6 +88,9 @@ class GermExpansion:
     a0: tuple[GermPiece, ...]
     a1: tuple[GermPiece, ...]
     threshold: int
+    # eval_side's sums by (side, lvl_a, lvl_d, vclass); the pieces never
+    # change, so the memo is exact and takes no part in ==, hash or repr
+    _cells: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def sides(self) -> tuple[tuple[GermPiece, ...], tuple[GermPiece, ...]]:
@@ -95,11 +98,16 @@ class GermExpansion:
 
     def eval_side(self, side: int, lvl_a: Optional[int], lvl_d: Optional[int],
                   vclass: int) -> LaurentPoly:
-        """Sum of the side's pieces matching the cell (A0 for side 0, A1 for 1)."""
-        out = LaurentPoly.zero()
-        for piece in self.sides[side]:
-            if piece.matches(lvl_a, lvl_d, vclass):
-                out += piece.poly
+        """Sum of the side's pieces matching the cell (A0 for side 0, A1 for 1),
+        summed on the cell's first lookup."""
+        key = (side, lvl_a, lvl_d, vclass)
+        out = self._cells.get(key)
+        if out is None:
+            out = LaurentPoly.zero()
+            for piece in self.sides[side]:
+                if piece.matches(lvl_a, lvl_d, vclass):
+                    out += piece.poly
+            self._cells[key] = out
         return out
 
     def _probe_cells(self, other: Optional["GermExpansion"] = None

@@ -245,14 +245,30 @@ class InvariantFunction:
     """Finite rational combination of boxes, modeling a locally constant
     compactly supported test function of the orbit invariants."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_weights")
 
     def __init__(self, terms: Iterable[tuple[Rational, Box]] = ()):
         self._terms = tuple((as_fraction(c), box) for c, box in terms)
+        self._weights: dict[tuple[FieldSetup, Optional[int]],
+                            tuple[tuple[Fraction, Fraction], ...]] = {}
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Box], ...]:
         return self._terms
+
+    def _run_weights(self, setup: FieldSetup, eta: Optional[int]
+                     ) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Per term, (coeff * unit_integral(setup, 0, eta),
+        coeff * unit_integral(setup, 2, eta)): the weights of its even and odd
+        conjugator shells when eta is asked of the conjugator.  Built on first
+        use for each (setup, eta); the terms never change, so the table is
+        exact."""
+        key = (setup, eta)
+        weights = self._weights.get(key)
+        if weights is None:
+            even, odd = unit_integral(setup, 0, eta), unit_integral(setup, 2, eta)
+            weights = self._weights[key] = tuple((c * even, c * odd) for c, _ in self._terms)
+        return weights
 
     @classmethod
     def from_box(cls, box: Box, coeff: Rational = 1) -> "InvariantFunction":
@@ -373,13 +389,14 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
     found once per box (a box whose pins disagree meets no conjugator), and
     the measure unit_integral(setup, 2n, eta) depends on n only through
     setup.signs(2n), that is through the parity of n.  So each box's shells
-    form two runs of constant weight.  The two weights are computed once per
-    box, each shell costs one dict entry and each contributing box one
+    form two runs of constant weight.  The weights are built once per
+    function, setup and eta (InvariantFunction._run_weights) and only read
+    here; each shell costs one dict entry and each contributing box one
     polynomial addition, which makes the cost linear in the number of output
     monomials.
     """
     total = LaurentPoly.zero()
-    for coeff, box in f.terms:
+    for k, (coeff, box) in enumerate(f.terms):
         if not coeff or not _fixed_tests(gamma, box):
             continue
         rng = _shift_range(gamma, box)
@@ -393,8 +410,7 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
         eta_h = pins.pop() if pins else None
         n_lo, n_hi = rng
         terms: dict[int, Fraction] = {}
-        for parity in (0, 1):
-            w = coeff * unit_integral(gamma.setup, 2 * parity, eta_h)
+        for parity, w in enumerate(f._run_weights(gamma.setup, eta_h)[k]):
             if w:
                 first = n_lo + (parity - n_lo) % 2
                 terms.update(dict.fromkeys(range(2 * first, 2 * n_hi + 1, 4), w))

@@ -11,6 +11,7 @@ log(q), and log_text renders it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -110,13 +111,33 @@ class LaurentPoly:
             return LaurentPoly.zero()
         return LaurentPoly._of({e2: c * v for e2, v in self._terms.items()})
 
+    def _s0_sum(self, by_exponent: bool) -> tuple[int, int]:
+        """(num, den) with num/den the sum of the coefficients, each times its
+        doubled exponent when by_exponent.  Integer numerators are summed over
+        a running common denominator, grown by lcm only when a coefficient's
+        denominator does not divide it; den may share a factor with num."""
+        num, den = 0, 1
+        for e2, c in self._terms.items():
+            d = c.denominator
+            if den % d:
+                scale = d // gcd(den, d)
+                num *= scale
+                den *= scale
+            n = c.numerator * (den // d)
+            num += e2 * n if by_exponent else n
+        return num, den
+
     def eval_at_s0(self) -> Fraction:
-        """Value at s = 0, i.e. the coefficient sum."""
-        return sum(self._terms.values(), Fraction(0))
+        """Value at s = 0, i.e. the coefficient sum, built as one Fraction
+        from an exact integer sum."""
+        num, den = self._s0_sum(False)
+        return Fraction(num, den)
 
     def d_ds_at_s0(self) -> Fraction:
-        """s-derivative at s = 0 in log(q) units: -(sum of m*c_m)."""
-        return -sum((Fraction(e2, 2) * c for e2, c in self._terms.items()), Fraction(0))
+        """s-derivative at s = 0 in log(q) units: -(sum of m*c_m) with m = e2/2,
+        built as one Fraction from an exact integer sum."""
+        num, den = self._s0_sum(True)
+        return Fraction(-num, 2 * den)
 
     def text(self) -> str:
         """Canonical rendering, exponents ascending; bit-exact across runs."""

@@ -177,6 +177,38 @@ class TestConfigContract:
         assert "cannot write" in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_through_a_dangling_symlink_exits_two_before_the_sweep(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        def refuse(**params):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_orb", refuse)
+        link = tmp_path / "d.json"
+        link.symlink_to(tmp_path / "missing" / "x.json")
+        assert main(["orb", "--t", "0..2", "--vb", "0", "--out", str(link)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err and captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path):
+        link, target = tmp_path / "d.json", tmp_path / "report.json"
+        link.symlink_to(target)
+        assert main(["orb", "--t", "0..2", "--vb", "0", "--out", str(link)]) == 0
+        assert json.loads(target.read_text())["total"] == 3
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_out_exits_two_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def refuse(**params):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_orb", refuse)
+        out = tmp_path / "r.json"
+        out.write_text("kept")
+        out.chmod(0o444)
+        assert main(["orb", "--t", "0..2", "--vb", "0", "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert out.read_text() == "kept"
+
 
 class TestRamFlags:
     @pytest.mark.parametrize("command, extra", [

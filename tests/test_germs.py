@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aflcalc.battery import germ_battery, zero_orbit_battery
+from aflcalc.cli import _germ_row
 from aflcalc.field import MINUS, PLUS, FieldSetup
 from aflcalc.germs import (GermExpansion, GermGradingError, GermPiece,
                            GermPreconditionError, constant_germ, extract_germ,
@@ -352,3 +353,52 @@ class TestFoldedDerivativeForm:
         for gamma in near_diagonal_orbits(germ.setup, germ.threshold, t_span=2,
                                           vb2_range=range(-3, 4), lvl_a=lvl_a, lvl_d=lvl_d):
             assert germ.predicted_d_orb(gamma) == germ.predicted_orb_s(gamma).d_ds_at_s0()
+
+
+class TestCellMemo:
+    """eval_side memoizes each cell's sum; the memo is invisible to ==, hash,
+    repr and to_json, and each cell's pieces are summed once."""
+
+    @staticmethod
+    def hash_or_error(germ):
+        # a germ with pieces holds LaurentPolys, which are unhashable
+        try:
+            return hash(germ)
+        except TypeError as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("setup", SETUPS, ids=["unram", "ram", "ram-neg"])
+    def test_filled_memo_is_invisible(self, setup):
+        functions = germ_battery(setup) + [("zero", InvariantFunction())]
+        for name, f in functions:
+            filled, fresh = extract_germ(setup, f), extract_germ(setup, f)
+            for gamma in near_diagonal_orbits(setup, filled.threshold, t_span=2):
+                filled.predicted_orb_s(gamma)
+            assert filled._cells and not fresh._cells, name
+            assert filled == fresh and filled.equivalent(fresh), name
+            assert self.hash_or_error(filled) == self.hash_or_error(fresh), name
+            assert repr(filled) == repr(fresh), name
+            assert filled.to_json() == fresh.to_json(), name
+        empty = extract_germ(setup, InvariantFunction())
+        empty.eval_side(0, None, None, 0)
+        assert hash(empty) == hash(GermExpansion(setup, (), (), 1))
+
+    @pytest.mark.parametrize("setup", SETUPS, ids=["unram", "ram", "ram-neg"])
+    def test_germ_row_sums_each_cell_once(self, setup, monkeypatch):
+        matched = []
+        plain = GermPiece.matches
+
+        def recording(piece, lvl_a, lvl_d, vclass):
+            matched.append((piece, (lvl_a, lvl_d, vclass)))
+            return plain(piece, lvl_a, lvl_d, vclass)
+
+        monkeypatch.setattr(GermPiece, "matches", recording)
+        total = 0
+        for name, f in germ_battery(setup):
+            matched.clear()
+            assert _germ_row((setup, name, f))["passed"], name
+            # the list keeps every piece alive, so no id is reused
+            seen = [(id(piece), cell) for piece, cell in matched]
+            assert len(seen) == len(set(seen)), name
+            total += len(seen)
+        assert total

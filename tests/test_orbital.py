@@ -1,9 +1,11 @@
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from aflcalc import orbital
 from aflcalc.battery import germ_battery
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, eta_s
 from aflcalc.matching import afl_verify
@@ -559,6 +561,52 @@ class TestEtaPiFInvariance:
         setup = gamma.setup
         flipped = replace(gamma, setup=FieldSetup(setup.q, True, -setup.eta_pi_f))
         assert outcome(orb_s, gamma, f) == outcome(orb_s, flipped, f)
+
+
+def pinned_mix():
+    """Terms asking each eta of the conjugator: an unpinned box, a b-pin and a
+    c-pin, with unrelated coefficients."""
+    return (integral_indicator().scale(Fraction(5, 3))
+            + InvariantFunction.from_box(Box(
+                i_a=Interval(0, 0), i_b=Interval(0, 0), i_c=Interval(0, None),
+                i_d=Interval(0, 0), sgn_b_req=PLUS))
+            + InvariantFunction.from_box(Box(
+                i_a=Interval(0, 0), i_b=Interval(-4, 4), i_c=Interval(-2, 6),
+                i_d=Interval(0, 0), sgn_c_req=MINUS), Fraction(-2, 7)))
+
+
+class TestRunWeightTable:
+    """orb_s reads each term's two run weights from a table the function
+    fills once per (setup, eta)."""
+
+    def test_setups_in_turn_match_the_shell_oracle(self):
+        f = pinned_mix()
+        for setup in (UNRAM, RAM, RAM_NEG, UNRAM):
+            for gamma in grid(setup):
+                assert orb_s(gamma, f) == _orb_s_by_shells(gamma, f)
+
+    def test_at_most_two_measures_per_eta(self, monkeypatch):
+        calls = []
+        plain = orbital.unit_integral
+
+        def counting(*args):
+            calls.append(args)
+            return plain(*args)
+
+        monkeypatch.setattr(orbital, "unit_integral", counting)
+        f = pinned_mix()
+        orbits = ram_grid(RAM)[:100]
+        for gamma in orbits:
+            orb_s(gamma, f)
+        assert 0 < len(calls) <= 6
+
+    def test_filled_table_survives_pickling(self):
+        f = pinned_mix()
+        orbits = ram_grid(RAM)[::5] + unram_grid()[::3]
+        want = [orb_s(gamma, f) for gamma in orbits]
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy.terms == f.terms
+        assert [orb_s(gamma, copy) for gamma in orbits] == want
 
 
 class TestOrbSCost:

@@ -70,6 +70,53 @@ class TestFormalDerivative:
         assert LaurentPoly.monomial(1).d_ds_at_s0() == Fraction(-1, 2)
 
 
+# denominators sharing little or no factor, large primes among them
+unrelated_denominators = st.sampled_from(
+    [1, 2, 3, 4, 9, 10, 12, 49, 97, 1024, 2**31 - 1, 10**9 + 7, 2**61 - 1])
+wide_fractions = st.builds(Fraction, st.integers(-10**12, 10**12), unrelated_denominators)
+CLOSING_E2 = 41  # outside the drawn exponents -20..20
+
+
+@st.composite
+def cancelling_polys(draw):
+    """Polynomials with unrelated coefficient denominators, some closed by one
+    more term so that the value or the slope sums to 0."""
+    terms = draw(st.dictionaries(st.integers(-20, 20), wide_fractions, max_size=8))
+    close = draw(st.sampled_from([None, "value", "slope"]))
+    if close == "value":
+        terms[CLOSING_E2] = -sum(terms.values(), Fraction(0))
+    elif close == "slope":
+        terms[CLOSING_E2] = -sum((e2 * c for e2, c in terms.items()), Fraction(0)) / CLOSING_E2
+    return LaurentPoly(terms)
+
+
+def normalized(x):
+    assert type(x) is Fraction
+    return x.numerator, x.denominator
+
+
+class TestExactSums:
+    """eval_at_s0 and d_ds_at_s0 sum integer numerators over one running
+    common denominator; both must give the plain Fraction sums, in lowest
+    terms."""
+
+    @given(cancelling_polys())
+    def test_value_is_the_coefficient_sum(self, p):
+        want = sum((c for _, c in p.terms()), Fraction(0))
+        assert normalized(p.eval_at_s0()) == normalized(want)
+
+    @given(cancelling_polys())
+    def test_slope_is_the_weighted_coefficient_sum(self, p):
+        want = -sum((Fraction(e2, 2) * c for e2, c in p.terms()), Fraction(0))
+        assert normalized(p.d_ds_at_s0()) == normalized(want)
+
+    def test_cancelling_sums_are_zero_over_one(self):
+        p = poly((0, Fraction(1, 2**61 - 1)), (2, Fraction(-1, 2**61 - 1)), (4, Fraction(1, 6)),
+                 (6, Fraction(-1, 6)))
+        assert normalized(p.eval_at_s0()) == (0, 1)
+        assert normalized(poly((2, Fraction(1, 3)), (-4, Fraction(1, 6))).d_ds_at_s0()) == (0, 1)
+
+
 small_polys = st.dictionaries(
     st.integers(min_value=-20, max_value=20),
     st.fractions(min_value=-10, max_value=10, max_denominator=12),
