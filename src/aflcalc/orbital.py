@@ -17,6 +17,7 @@ weighted by its eta-weighted measure under the box's sign pins.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -419,13 +420,25 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
     return total
 
 
+@functools.lru_cache(maxsize=1)
+def _series(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
+    """orb_s(gamma, f), kept for the last (gamma, f) asked, so that orb and
+    d_orb at one orbit build one series.  Exact: OrbitData is frozen and
+    hashed by value, an InvariantFunction is hashed by identity and the cache
+    holds it (so its id is not reused), and an orb_s that raises is not
+    cached."""
+    return orb_s(gamma, f)
+
+
 def orb(gamma: OrbitData, f: InvariantFunction) -> Fraction:
-    return orb_s(gamma, f).eval_at_s0()
+    """orb_s at s = 0; reads the same series as d_orb at the same orbit."""
+    return _series(gamma, f).eval_at_s0()
 
 
 def d_orb(gamma: OrbitData, f: InvariantFunction) -> Fraction:
-    """The s-derivative of orb_s at s = 0, in log(q) units."""
-    return orb_s(gamma, f).d_ds_at_s0()
+    """The s-derivative of orb_s at s = 0, in log(q) units; reads the same
+    series as orb at the same orbit."""
+    return _series(gamma, f).d_ds_at_s0()
 
 
 def transfer_factor(gamma: OrbitData) -> int:
@@ -442,8 +455,13 @@ def eta_twist_difference(f: InvariantFunction, lam: ValClass) -> InvariantFuncti
     return f.scale(lam.eta_sign) - f.pulled_back(lam)
 
 
+@functools.cache
 def integral_indicator() -> InvariantFunction:
-    """Characteristic function of the elements with all four entries integral."""
+    """Characteristic function of the elements with all four entries integral.
+
+    One shared instance per process: its terms never change and its run-weight
+    table is keyed by (setup, eta), so every caller can read the same table,
+    which then fills once per setup."""
     return InvariantFunction.from_box(Box(i_a=INTEGRAL, i_b=INTEGRAL, i_c=INTEGRAL, i_d=INTEGRAL))
 
 

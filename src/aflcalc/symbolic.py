@@ -115,15 +115,17 @@ class LaurentPoly:
         """(num, den) with num/den the sum of the coefficients, each times its
         doubled exponent when by_exponent.  Integer numerators are summed over
         a running common denominator, grown by lcm only when a coefficient's
-        denominator does not divide it; den may share a factor with num."""
+        denominator does not divide it; den may share a factor with num.  Each
+        coefficient is read by one as_integer_ratio call, which costs less
+        than its numerator and denominator properties."""
         num, den = 0, 1
         for e2, c in self._terms.items():
-            d = c.denominator
+            n, d = c.as_integer_ratio()
             if den % d:
                 scale = d // gcd(den, d)
                 num *= scale
                 den *= scale
-            n = c.numerator * (den // d)
+            n *= den // d
             num += e2 * n if by_exponent else n
         return num, den
 

@@ -634,3 +634,80 @@ class TestOrbSCost:
         gamma = unramified_orbit(setup, 1281, 0)
         assert orb_s(gamma, integral_indicator()).monomial_count() == 1282
         assert afl_verify(setup, 1281, 0).passed
+
+
+@st.composite
+def orbit_pools(draw):
+    """Orbits that a cache keyed wrongly would confuse: a random orbit, an
+    equal but distinct copy of it, the same (t, v_b2) and signs in the other
+    ramification when that setup admits them, and a second random orbit."""
+    gamma = draw(orbits())
+    setup = gamma.setup
+    other = FieldSetup(setup.q, not setup.ramified, None if setup.ramified else PLUS)
+    pool = [gamma, replace(gamma), draw(orbits())]
+    try:
+        pool.append(replace(gamma, setup=other))
+    except ValueError:
+        pass
+    return pool
+
+
+FUNCTIONALS = {"orb": (orb, LaurentPoly.eval_at_s0), "d_orb": (d_orb, LaurentPoly.d_ds_at_s0)}
+
+
+class TestSharedSeries:
+    """orb and d_orb read one cached series per (gamma, f); in any order of
+    calls each must agree with its functional of the shell oracle."""
+
+    @given(gammas=orbit_pools(), f=functions, g=functions, data=st.data())
+    def test_interleaved_calls_match_shell_oracle(self, gammas, f, g, data):
+        fs = [f, InvariantFunction(f.terms), g, integral_indicator()]
+        calls = data.draw(st.lists(st.tuples(st.sampled_from(sorted(FUNCTIONALS)),
+                                             st.sampled_from(gammas), st.sampled_from(fs)),
+                                   min_size=1, max_size=12))
+        for name, gamma, h in calls:
+            functional, of_series = FUNCTIONALS[name]
+            want = outcome(_orb_s_by_shells, gamma, h)
+            got = outcome(functional, gamma, h)
+            assert got == (want if want is DivergenceError else of_series(want))
+
+    def test_divergence_is_raised_again(self):
+        gamma = unramified_orbit(UNRAM, 2, 0)
+        f = InvariantFunction.from_box(Box(i_a=Interval(0, 0), i_b=Interval(0, None),
+                                           i_c=Interval(), i_d=Interval(0, 0)))
+        orb(gamma, integral_indicator())  # a series is cached before the failing call
+        for functional in (orb, d_orb, orb, d_orb):
+            with pytest.raises(DivergenceError):
+                functional(gamma, f)
+
+
+class TestAflRowCost:
+    """Each afl row builds one series, and the shared integral indicator
+    fills its run-weight table once per setup."""
+
+    SWEEP = [(FieldSetup(q, ramified=False), t, v_b)
+             for q in (3, 5, 7) for t in range(1, 10) for v_b in range(-2, 3)]
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        plain = getattr(orbital, name)
+
+        def counting(*args):
+            calls.append(args)
+            return plain(*args)
+
+        monkeypatch.setattr(orbital, name, counting)
+        for row in self.SWEEP:
+            assert afl_verify(*row).passed
+        return len(calls)
+
+    def test_one_shared_indicator(self):
+        assert integral_indicator() is integral_indicator()
+
+    def test_one_series_per_row(self, monkeypatch):
+        orbital._series.cache_clear()
+        assert self._count(monkeypatch, "orb_s") == len(self.SWEEP)
+
+    def test_weight_table_fills_once_per_setup(self, monkeypatch):
+        integral_indicator.cache_clear()
+        assert 0 < self._count(monkeypatch, "unit_integral") <= 2 * 3
