@@ -12,7 +12,7 @@ from .germs import (GermExpansion, GermGradingError, GermPiece,
 from .matching import (AflRow, EndToEndReport, EntryHeights, GrowthReport,
                        MatchContext, MatchingError, afl_verify, ati_end_to_end,
                        ati_growth_check, context_orbit, derived_diag_height,
-                       entry_heights, in_context_locus, intersection_length,
+                       entry_heights, intersection_length,
                        prescribed_transfer_germ)
 from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitData,
                       Side, clear_diagonal, d_orb, diagonal_killer,

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import MINUS, PLUS, FieldSetup, ValClass
+from .field import MINUS, PLUS, FieldSetup
 from .germs import constant_germ, function_from_germ, shell_box
-from .orbital import (Box, Interval, InvariantFunction, clear_diagonal,
+from .orbital import (TWIST, Box, Interval, InvariantFunction, clear_diagonal,
                       diagonal_killer, integral_indicator, unit_diag_indicator)
 
 
@@ -35,7 +35,7 @@ def germ_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
             i_d=Interval(0, 0), sgn_b_req=pin))),
         ("cleared_units", clear_diagonal(unit_diag_indicator())),
         ("cleared_integral", clear_diagonal(integral_indicator())),
-        ("pulled_shell", InvariantFunction.from_box(shell_box(0, 0, pin)).pulled_back(ValClass(2, MINUS))),
+        ("pulled_shell", InvariantFunction.from_box(shell_box(0, 0, pin)).pulled_back(TWIST)),
         ("deep_c_floor", InvariantFunction.from_box(shell_box(0, 0, pin, floor2=4))),
     ]
     if ram:
@@ -49,7 +49,7 @@ def germ_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
     else:
         entries.extend([
             ("transfer_00", function_from_germ(constant_germ(
-                setup, [(None, None, Fraction(1, 2), Fraction(1, 2))]))),
+                setup, [(Interval(), Interval(), Fraction(1, 2), Fraction(1, 2))]))),
             ("transfer_01", function_from_germ(constant_germ(
                 setup, [(Interval(0, None), Interval(1, None), Fraction(-1, 2), Fraction(1, 2))]))),
             ("unram_mixed_sign_shell", InvariantFunction.from_box(shell_box(0, -2, neg))),
@@ -59,13 +59,12 @@ def germ_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
 
 def zero_orbit_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
     """Functions whose plain orbital integrals vanish on every orbit."""
-    lam = ValClass(2, MINUS)
     base = unit_diag_indicator()
     entries = [
-        ("diag_killer_all", diagonal_killer(None, None)),
+        ("diag_killer_all", diagonal_killer()),
         ("diag_killer_cell", diagonal_killer(Interval(0, 1), Interval(2, None))),
-        ("eta_pair_units", base + base.pulled_back(lam)),
-        ("eta_pair_integral", integral_indicator() + integral_indicator().pulled_back(lam)),
+        ("eta_pair_units", base + base.pulled_back(TWIST)),
+        ("eta_pair_integral", integral_indicator() + integral_indicator().pulled_back(TWIST)),
     ]
     if setup.ramified:
         # every sign-free function integrates to zero against the character

@@ -45,24 +45,19 @@ class GermGradingError(ValueError):
 class GermPiece:
     """One additive piece: constant on a level cell and one valuation class."""
 
-    lvl_a: Optional[Interval]
-    lvl_d: Optional[Interval]
+    lvl_a: Interval
+    lvl_d: Interval
     vclass: int  # 0 = integral b/c valuation, 1 = half-integral (ramified)
     poly: LaurentPoly
 
     def matches(self, lvl_a: Optional[int], lvl_d: Optional[int], vclass: int) -> bool:
-        if self.vclass != vclass:
-            return False
-        if self.lvl_a is not None and not self.lvl_a.contains(lvl_a):
-            return False
-        if self.lvl_d is not None and not self.lvl_d.contains(lvl_d):
-            return False
-        return True
+        return (self.vclass == vclass and self.lvl_a.contains(lvl_a)
+                and self.lvl_d.contains(lvl_d))
 
     def to_json(self) -> dict:
         return {
-            "lvl_a": None if self.lvl_a is None else self.lvl_a.to_json(),
-            "lvl_d": None if self.lvl_d is None else self.lvl_d.to_json(),
+            "lvl_a": self.lvl_a.to_json(),
+            "lvl_d": self.lvl_d.to_json(),
             "vclass": self.vclass,
             "poly": self.poly.text(),
         }
@@ -200,11 +195,10 @@ def _box_threshold(box: Box) -> int:
         bound = _ceil_half(reach)
     else:
         bound = reach // 2 + 1
-    if box.t_req is not None:
-        if box.t_req.lo is not None:
-            bound = max(bound, box.t_req.lo)
-        if box.t_req.hi is not None:
-            bound = max(bound, box.t_req.hi + 1)
+    if box.t_req.lo is not None:
+        bound = max(bound, box.t_req.lo)
+    if box.t_req.hi is not None:
+        bound = max(bound, box.t_req.hi + 1)
     return bound
 
 
@@ -228,7 +222,7 @@ def _sign_pin(box: Box, side: int) -> Optional[int]:
 
 
 def shell_box(side: int, w2: int, pin: Optional[int], floor2: int = 0,
-              lvl_a: Optional[Interval] = None, lvl_d: Optional[Interval] = None) -> Box:
+              lvl_a: Interval = Interval(), lvl_d: Interval = Interval()) -> Box:
     """One valuation shell with unit diagonal entries: the side's entry
     (0 = b, 1 = c) at doubled valuation w2 with an optional sign pin, the
     other off-diagonal entry at doubled valuation floor2 or more."""
@@ -252,12 +246,9 @@ def _collect_side(setup: FieldSetup, boxes: Sequence[tuple[Fraction, Box]],
     pieces: list[GermPiece] = []
     for ca in cells_a:
         for cd in cells_d:
-            in_cell = []
-            for coeff, box in boxes:
-                lvl_a_ok = box.lvl_a_req is None or box.lvl_a_req.contains(ca.lo)
-                lvl_d_ok = box.lvl_d_req is None or box.lvl_d_req.contains(cd.lo)
-                if lvl_a_ok and lvl_d_ok:
-                    in_cell.append((coeff, _shell_interval(box, side), _sign_pin(box, side)))
+            in_cell = [(coeff, _shell_interval(box, side), _sign_pin(box, side))
+                       for coeff, box in boxes
+                       if box.lvl_a_req.contains(ca.lo) and box.lvl_d_req.contains(cd.lo)]
             if not in_cell:
                 continue
             if any(iv.lo is None for _, iv, _ in in_cell):
@@ -292,7 +283,7 @@ def extract_germ(setup: FieldSetup, f: InvariantFunction) -> GermExpansion:
             "integrals acquire unboundedly many monomials near it")
     side_boxes: tuple[list, list] = ([], [])
     for coeff, box in _near_diagonal_terms(f):
-        if box.t_req is not None and box.t_req.bounded_above:
+        if box.t_req.bounded_above:
             continue  # dies before the near-diagonal regime
         for side in SIDES:
             if not _shell_interval(box, 1 - side).bounded_above:
@@ -331,7 +322,7 @@ def function_from_germ(germ: GermExpansion) -> InvariantFunction:
 
 
 def constant_germ(setup: FieldSetup,
-                  cells: Sequence[tuple[Optional[Interval], Optional[Interval], Rational, Rational]]
+                  cells: Sequence[tuple[Interval, Interval, Rational, Rational]]
                   ) -> GermExpansion:
     """Germ with prescribed s0-constant values (a0, a1) on each level cell.
 

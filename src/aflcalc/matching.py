@@ -83,10 +83,6 @@ class EntryHeights:
     diag_4: Optional[int]
 
 
-def in_context_locus(gamma: OrbitData, ctx: MatchContext) -> bool:
-    return gamma.side == ctx.side
-
-
 def derived_diag_height(setup: FieldSetup, lvl: int) -> int:
     """Canonical class height of a unit diagonal entry of conductor level lvl
     below the lift level: the base-field part absorbs, the rest survives at
@@ -102,7 +98,7 @@ def entry_heights(gamma: OrbitData, ctx: MatchContext) -> EntryHeights:
     Diagonal entries deform arbitrarily far exactly when their conductor level
     reaches the lift level; otherwise their height is the derived class
     height of their level."""
-    if not in_context_locus(gamma, ctx):
+    if gamma.side != ctx.side:
         raise MatchingError("orbit does not match into the context's unitary group")
     return EntryHeights(gamma.t, *(
         None if lvl is None or lvl >= level else derived_diag_height(ctx.setup, lvl)

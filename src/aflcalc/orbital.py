@@ -8,8 +8,9 @@ element of valuation n moves (v(b), v(c)) to (v(b) - n, v(c) + n) and twists
 both signs, which is all the integrals can see.
 
 Test functions are finite rational combinations of boxes: valuation intervals
-on the four entries plus optional sign, conductor-level, defect-valuation and
-matching-side constraints.  The weighted orbit integral of a box collapses to
+on the four entries, conductor-level and defect-valuation intervals
+(Interval() when unconstrained) and optional sign and matching-side
+constraints.  The weighted orbit integral of a box collapses to
 a finite sum of monomials T^n, one per conjugator valuation shell, each shell
 weighted by its eta-weighted measure under the box's sign pins.
 """
@@ -42,7 +43,8 @@ class Interval:
     """Integer interval with None endpoints meaning -oo / +oo.
 
     Used both for doubled valuations and for plain integer data (levels, t);
-    contains(None) asks about the point +oo.
+    contains(None) asks about the point +oo.  Interval() admits everything:
+    it is an unconstrained level or defect requirement.
     """
 
     lo: Optional[int] = None
@@ -82,15 +84,17 @@ class Box:
     i_d: Interval
     sgn_b_req: Optional[int] = None
     sgn_c_req: Optional[int] = None
-    lvl_a_req: Optional[Interval] = None
-    lvl_d_req: Optional[Interval] = None
-    t_req: Optional[Interval] = None
+    lvl_a_req: Interval = Interval()
+    lvl_d_req: Interval = Interval()
+    t_req: Interval = Interval()
     side_req: Optional[Side] = None
 
     def __post_init__(self) -> None:
         for req in (self.sgn_b_req, self.sgn_c_req):
             if req not in (None, PLUS, MINUS):
                 raise ValueError("sign requirement must be None, +1 or -1")
+        if not all(isinstance(req, Interval) for req in (self.lvl_a_req, self.lvl_d_req, self.t_req)):
+            raise ValueError("level and defect requirements are Intervals; Interval() admits all")
         # closure rules keeping every box an open compact condition:
         # a sign-pinned entry cannot reach 0, and a side constraint cannot
         # reach the degenerate locus at all.
@@ -120,7 +124,7 @@ class Box:
                 and not self.i_c.bounded_above
                 and self.i_a.contains(0)
                 and self.i_d.contains(0)
-                and (self.t_req is None or not self.t_req.bounded_above)
+                and not self.t_req.bounded_above
                 and self.side_req is None)
 
     def to_json(self) -> dict:
@@ -134,12 +138,10 @@ class Box:
             out["sgn_b"] = self.sgn_b_req
         if self.sgn_c_req is not None:
             out["sgn_c"] = self.sgn_c_req
-        if self.lvl_a_req is not None:
-            out["lvl_a"] = self.lvl_a_req.to_json()
-        if self.lvl_d_req is not None:
-            out["lvl_d"] = self.lvl_d_req.to_json()
-        if self.t_req is not None:
-            out["t"] = self.t_req.to_json()
+        for key, req in (("lvl_a", self.lvl_a_req), ("lvl_d", self.lvl_d_req),
+                         ("t", self.t_req)):
+            if req != Interval():
+                out[key] = req.to_json()
         if self.side_req is not None:
             out["side"] = self.side_req.value
         return out
@@ -295,11 +297,8 @@ class InvariantFunction:
         for coeff, box in self._terms:
             if not box.touches_diagonal():
                 continue
-            if box.lvl_a_req is not None and not box.lvl_a_req.contains(lvl_a):
-                continue
-            if box.lvl_d_req is not None and not box.lvl_d_req.contains(lvl_d):
-                continue
-            total += coeff
+            if box.lvl_a_req.contains(lvl_a) and box.lvl_d_req.contains(lvl_d):
+                total += coeff
         return total
 
     def diagonal_cells(self) -> list[tuple[Interval, Interval, Fraction]]:
@@ -321,13 +320,11 @@ class InvariantFunction:
         return {"terms": [{"coeff": str(c), "box": box.to_json()} for c, box in self._terms]}
 
 
-def level_cells(reqs: Iterable[Optional[Interval]]) -> list[Interval]:
+def level_cells(reqs: Iterable[Interval]) -> list[Interval]:
     """Partition the level range (0, 1, ..., oo) into cells on which every
     given requirement interval is constant."""
     bounds = {0}
     for req in reqs:
-        if req is None:
-            continue
         if req.lo is not None:
             bounds.add(max(req.lo, 0))
         if req.hi is not None:
@@ -342,19 +339,12 @@ def level_cells(reqs: Iterable[Optional[Interval]]) -> list[Interval]:
 
 def _fixed_tests(gamma: OrbitData, box: Box) -> bool:
     """The box constraints that do not move along the orbit."""
-    if not box.i_a.contains(gamma.v_a2):
-        return False
-    if not box.i_d.contains(gamma.v_d2):
-        return False
-    if box.lvl_a_req is not None and not box.lvl_a_req.contains(gamma.lvl_a):
-        return False
-    if box.lvl_d_req is not None and not box.lvl_d_req.contains(gamma.lvl_d):
-        return False
-    if box.t_req is not None and not box.t_req.contains(gamma.t):
-        return False
-    if box.side_req is not None and box.side_req != gamma.side:
-        return False
-    return True
+    return (box.i_a.contains(gamma.v_a2)
+            and box.i_d.contains(gamma.v_d2)
+            and box.lvl_a_req.contains(gamma.lvl_a)
+            and box.lvl_d_req.contains(gamma.lvl_d)
+            and box.t_req.contains(gamma.t)
+            and (box.side_req is None or box.side_req == gamma.side))
 
 
 def _shift_range(gamma: OrbitData, box: Box) -> Optional[tuple[int, int]]:
@@ -465,8 +455,8 @@ def integral_indicator() -> InvariantFunction:
     return InvariantFunction.from_box(Box(i_a=INTEGRAL, i_b=INTEGRAL, i_c=INTEGRAL, i_d=INTEGRAL))
 
 
-def unit_diag_indicator(lvl_a_req: Optional[Interval] = None,
-                        lvl_d_req: Optional[Interval] = None) -> InvariantFunction:
+def unit_diag_indicator(lvl_a_req: Interval = Interval(),
+                        lvl_d_req: Interval = Interval()) -> InvariantFunction:
     """Characteristic function of unit diagonal entries in the given level
     windows with integral off-diagonal entries."""
     return InvariantFunction.from_box(Box(
@@ -477,7 +467,8 @@ def unit_diag_indicator(lvl_a_req: Optional[Interval] = None,
 TWIST = ValClass(2, MINUS)  # valuation one, eta = -1; exists in every setup
 
 
-def diagonal_killer(lvl_a_req: Optional[Interval], lvl_d_req: Optional[Interval]) -> InvariantFunction:
+def diagonal_killer(lvl_a_req: Interval = Interval(),
+                    lvl_d_req: Interval = Interval()) -> InvariantFunction:
     """A combination with value 1 on the chosen diagonal cell whose plain and
     derivative orbital integrals both vanish identically.
 

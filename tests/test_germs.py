@@ -20,6 +20,7 @@ RAM = FieldSetup(3, ramified=True)
 RAM_NEG = FieldSetup(3, ramified=True, eta_pi_f=MINUS)
 SETUPS = (UNRAM, RAM, RAM_NEG)
 ONE = LaurentPoly.monomial(0)
+ALL = Interval()  # no level requirement
 
 
 def near_diagonal_orbits(setup, threshold, t_span=6, vb2_range=range(-6, 7),
@@ -54,14 +55,14 @@ class TestExtraction:
         with pytest.raises(GermPreconditionError):
             extract_germ(UNRAM, integral_indicator())
         with pytest.raises(GermPreconditionError):
-            extract_germ(UNRAM, diagonal_killer(None, None))
+            extract_germ(UNRAM, diagonal_killer())
 
     def test_killer_has_doubly_vanishing_germ(self):
         # the diagonal killer has zero integral and zero derivative integral;
         # after regularization its germ vanishes at s = 0 together with the
         # derivative-form coefficients
         for setup in SETUPS:
-            alpha = diagonal_killer(Interval(0, 1), None)
+            alpha = diagonal_killer(Interval(0, 1))
             germ = extract_germ(setup, clear_diagonal(alpha))
             assert germ.value_at_s0_is_zero()
             assert germ.derivative_is_zero()
@@ -78,8 +79,8 @@ class TestRoundTrip:
 
     def test_constant_germ_battery(self):
         cells = [
-            (None, None),
-            (Interval(0, 0), None),
+            (ALL, ALL),
+            (Interval(0, 0), ALL),
             (Interval(1, None), Interval(0, 2)),
         ]
         values = [(1, 0), (0, 1), (Fraction(1, 2), Fraction(-3, 2)), (2, 2)]
@@ -96,24 +97,24 @@ class TestRoundTrip:
     def test_monomial_germ_round_trip(self):
         for setup in (UNRAM, RAM):
             for e2 in (-4, -2, 0, 2):
-                piece = GermPiece(None, None, 0, LaurentPoly.monomial(e2, Fraction(5, 3)))
+                piece = GermPiece(ALL, ALL, 0, LaurentPoly.monomial(e2, Fraction(5, 3)))
                 germ = GermExpansion(setup, (piece,), (), threshold=1)
                 again = extract_germ(setup, function_from_germ(germ))
                 assert germ.equivalent(again)
         for e2 in (-3, -1, 1, 3):
-            piece = GermPiece(None, None, 1, LaurentPoly.monomial(e2, 2))
+            piece = GermPiece(ALL, ALL, 1, LaurentPoly.monomial(e2, 2))
             germ = GermExpansion(RAM, (), (piece,), threshold=1)
             again = extract_germ(RAM, function_from_germ(germ))
             assert germ.equivalent(again)
 
     def test_grading_mismatch_rejected(self):
-        bad = GermExpansion(RAM, (GermPiece(None, None, 1, ONE),), (), 1)
+        bad = GermExpansion(RAM, (GermPiece(ALL, ALL, 1, ONE),), (), 1)
         with pytest.raises(GermGradingError):
             function_from_germ(bad)
-        bad_unram = GermExpansion(UNRAM, (GermPiece(None, None, 0, LaurentPoly.monomial(1)),), (), 1)
+        bad_unram = GermExpansion(UNRAM, (GermPiece(ALL, ALL, 0, LaurentPoly.monomial(1)),), (), 1)
         with pytest.raises(GermGradingError):
             function_from_germ(bad_unram)
-        no_class = GermExpansion(UNRAM, (GermPiece(None, None, 1, LaurentPoly.monomial(1)),), (), 1)
+        no_class = GermExpansion(UNRAM, (GermPiece(ALL, ALL, 1, LaurentPoly.monomial(1)),), (), 1)
         with pytest.raises(GermGradingError):
             function_from_germ(no_class)  # no unramified element has v(b) in 1/2 + Z
 
@@ -130,14 +131,14 @@ class TestExpansionValidity:
                     assert orb_s(gamma, f) == want, name
 
     def test_reconstruction_realizes_prescription(self):
-        germ = constant_germ(UNRAM, [(None, None, 1, 0)])
+        germ = constant_germ(UNRAM, [(ALL, ALL, 1, 0)])
         f = function_from_germ(germ)
         for gamma in near_diagonal_orbits(UNRAM, 2):
             # orbital series equals eta_s(b) exactly
             assert orb_s(gamma, f) == LaurentPoly.monomial(gamma.v_b2, gamma.b_sign)
 
     def test_reconstruction_c_side(self):
-        germ = constant_germ(UNRAM, [(None, None, 0, Fraction(7, 2))])
+        germ = constant_germ(UNRAM, [(ALL, ALL, 0, Fraction(7, 2))])
         f = function_from_germ(germ)
         for gamma in near_diagonal_orbits(UNRAM, 2):
             want = LaurentPoly.monomial(-gamma.v_c2, gamma.c_sign).scale(Fraction(7, 2))
@@ -150,12 +151,12 @@ class TestExpansionValidity:
 
 class TestDerivativeForm:
     def test_constant_b_side(self):
-        germ = GermExpansion(UNRAM, (GermPiece(None, None, 0, ONE),), (), 1)
+        germ = GermExpansion(UNRAM, (GermPiece(ALL, ALL, 0, ONE),), (), 1)
         slope, const = germ.derivative_side(0, None, None, 0)
         assert slope == -1 and const == 0
 
     def test_constant_c_side(self):
-        germ = GermExpansion(UNRAM, (), (GermPiece(None, None, 0, ONE),), 1)
+        germ = GermExpansion(UNRAM, (), (GermPiece(ALL, ALL, 0, ONE),), 1)
         slope, const = germ.derivative_side(1, None, None, 0)
         assert slope == 1 and const == 0
 
@@ -164,7 +165,7 @@ class TestDerivativeForm:
 
     def test_cancelling_pieces_are_zero(self):
         T = LaurentPoly.monomial(2)
-        germ = GermExpansion(UNRAM, (GermPiece(None, None, 0, T), GermPiece(None, None, 0, -T)),
+        germ = GermExpansion(UNRAM, (GermPiece(ALL, ALL, 0, T), GermPiece(ALL, ALL, 0, -T)),
                              (), 1)
         assert germ.value_at_s0_is_zero()
         assert not any(germ.eval_side(side, None, None, 0) for side in (0, 1))
@@ -267,8 +268,7 @@ def grid_equivalent(g, h):
     for germ in (g, h):
         for piece in germ.a0 + germ.a1:
             for iv in (piece.lvl_a, piece.lvl_d):
-                if iv is not None:
-                    tops.extend(x for x in (iv.lo, iv.hi) if x is not None)
+                tops.extend(x for x in (iv.lo, iv.hi) if x is not None)
     probes = list(range(0, max(tops) + 2)) + [None]
     classes = (0, 1) if g.setup.ramified else (0,)
     return all(g.eval_side(side, la, ld, cls) == h.eval_side(side, la, ld, cls)
@@ -278,7 +278,7 @@ def grid_equivalent(g, h):
 @st.composite
 def level_intervals(draw):
     if draw(st.booleans()):
-        return None
+        return ALL
     lo = draw(st.none() | st.integers(0, 4))
     # an interval ending below level 0 matches no level at all
     hi = draw(st.none() | st.integers(-3 if lo is None else lo, 5))
@@ -307,7 +307,7 @@ def germ_pairs(draw):
         if out and draw(st.booleans()):
             first = out.pop(0)
             iv = first.lvl_a
-            if iv is not None and iv.lo is not None and iv.hi != iv.lo:
+            if iv.lo is not None and iv.hi != iv.lo:
                 cut = iv.lo if iv.hi is None else (iv.lo + iv.hi) // 2
                 out += [GermPiece(Interval(iv.lo, cut), first.lvl_d, first.vclass, first.poly),
                         GermPiece(Interval(cut + 1, iv.hi), first.lvl_d, first.vclass, first.poly)]
@@ -330,7 +330,7 @@ class TestProbeCells:
         assert g.equivalent(g)
 
     def test_intervals_below_level_zero_match_nothing(self):
-        pieces = tuple(GermPiece(Interval(None, hi), None, 0, ONE) for hi in (-1, -3))
+        pieces = tuple(GermPiece(Interval(None, hi), ALL, 0, ONE) for hi in (-1, -3))
         below = GermExpansion(UNRAM, pieces, (), 1)
         assert below.equivalent(GermExpansion(UNRAM, (), (), 1))
         assert below.value_at_s0_is_zero()

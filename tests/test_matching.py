@@ -10,7 +10,7 @@ from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
 from aflcalc.germs import extract_germ, function_from_germ, validity_threshold
 from aflcalc.matching import (EntryHeights, MatchContext, MatchingError, afl_verify,
                               ati_end_to_end, ati_growth_check, context_orbit,
-                              derived_diag_height, entry_heights, in_context_locus,
+                              derived_diag_height, entry_heights,
                               intersection_length, prescribed_transfer_germ)
 from aflcalc.orbital import OrbitData, Side, orbits_at, transfer_factor, unramified_orbit
 
@@ -33,13 +33,13 @@ class TestMatchSide:
 class TestContextLocus:
     def test_level_zero_unramified(self):
         ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
-        assert in_context_locus(unramified_orbit(UNRAM3, 1, 0), ctx)
-        assert not in_context_locus(unramified_orbit(UNRAM3, 2, 0), ctx)
+        assert unramified_orbit(UNRAM3, 1, 0).side == ctx.side
+        assert unramified_orbit(UNRAM3, 2, 0).side != ctx.side
 
     def test_odd_level_sum_swaps_side(self):
         ctx = MatchContext(UNRAM3, 0, 1, e_f=ramification_index(UNRAM3, 1))
         assert ctx.side == Side.U0
-        assert in_context_locus(unramified_orbit(UNRAM3, 2, 0), ctx)
+        assert unramified_orbit(UNRAM3, 2, 0).side == ctx.side
 
     def test_unramified_context_orbit_rejects_what_no_orbit_has(self):
         ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
@@ -55,7 +55,7 @@ class TestContextLocus:
         ctx = MatchContext(setup, i, j, e_f=ramification_index(setup, max(i, j)))
         for t in range(0, 6):
             for v_b2 in range(-3, 4):
-                members = [g for g in orbits_at(setup, t, v_b2) if in_context_locus(g, ctx)]
+                members = [g for g in orbits_at(setup, t, v_b2) if g.side == ctx.side]
                 if not members:
                     with pytest.raises(MatchingError):
                         context_orbit(ctx, t, v_b2=v_b2)

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from aflcalc import orbital
 from aflcalc.battery import germ_battery
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, eta_s
+from aflcalc.germs import GermExpansion, GermPiece, function_from_germ, shell_box
 from aflcalc.matching import afl_verify
-from aflcalc.orbital import (Box, DivergenceError, Interval, InvariantFunction,
+from aflcalc.orbital import (INTEGRAL, Box, DivergenceError, Interval, InvariantFunction,
                              OrbitData, Side, clear_diagonal, d_orb, diagonal_killer,
                              _fixed_tests, _shift_range,
                              eta_twist_difference, integral_indicator,
@@ -229,14 +230,14 @@ class TestDiagonal:
         assert not integral_indicator().vanishes_on_diagonal()
 
     def test_killer_annihilates_integrals(self):
-        alpha = diagonal_killer(None, None)
+        alpha = diagonal_killer()
         for setup in SETUPS:
             for g in grid(setup):
                 assert orb(g, alpha) == 0
                 assert d_orb(g, alpha) == 0
 
     def test_killer_value_on_diagonal(self):
-        alpha = diagonal_killer(Interval(1, 2), None)
+        alpha = diagonal_killer(Interval(1, 2))
         assert alpha.diagonal_value(1, 0) == 1
         assert alpha.diagonal_value(0, 0) == 0
         assert alpha.diagonal_value(None, None) == 0
@@ -260,7 +261,7 @@ class TestDiagonal:
 
     def test_clear_diagonal_with_level_cells(self):
         f = unit_diag_indicator(Interval(2, None), Interval(0, 1)).scale(Fraction(3, 2)) \
-            + unit_diag_indicator(None, None)
+            + unit_diag_indicator()
         cleared = clear_diagonal(f)
         assert cleared.vanishes_on_diagonal()
         for g in unram_grid(ts=range(0, 6), vbs=range(-3, 4), lvl_a=2, lvl_d=1):
@@ -334,6 +335,13 @@ class TestJsonCodecs:
         assert box.to_json() == {"i_a": [0, 0], "i_b": [0, 2], "i_c": [-1, 3], "i_d": [0, 0],
                                  "sgn_b": -1, "sgn_c": 1, "lvl_a": [1, None],
                                  "lvl_d": [None, 2], "t": [2, None], "side": "U1"}
+
+    def test_unconstrained_requirements_are_omitted(self):
+        box = Box(i_a=Interval(0, 0), i_b=Interval(0, 2), i_c=Interval(-1, 3),
+                  i_d=Interval(0, 0), lvl_a_req=Interval(), lvl_d_req=Interval(None, 2),
+                  t_req=Interval())
+        assert box.to_json() == {"i_a": [0, 0], "i_b": [0, 2], "i_c": [-1, 3], "i_d": [0, 0],
+                                 "lvl_d": [None, 2]}
 
 
 class TestDerivativeEquivariance:
@@ -425,9 +433,9 @@ def orbits(draw, ramified=st.booleans()):
 
 
 def rarely(strategy):
-    """None three times in four, else a draw of strategy."""
+    """Interval() (no requirement) three times in four, else a draw of strategy."""
     return st.sampled_from((False, False, False, True)).flatmap(
-        lambda on: strategy if on else st.none())
+        lambda on: strategy if on else st.just(Interval()))
 
 
 @st.composite
@@ -549,6 +557,46 @@ class TestParityRuns:
             got = orb_s(gamma, f)
             assert got == _orb_s_by_shells(gamma, f)
             assert got.monomial_count() == 1
+
+
+REQUIREMENTS = ("lvl_a_req", "lvl_d_req", "t_req")
+
+
+class TestUnconstrainedRequirement:
+    """Interval() is the one spelling of "no level or defect requirement": a
+    box or germ piece that omits a requirement is the one that passes
+    Interval(), and integrates like it."""
+
+    def test_omitted_requirement_is_interval(self):
+        bare = Box(i_a=INTEGRAL, i_b=INTEGRAL, i_c=INTEGRAL, i_d=INTEGRAL)
+        for name in REQUIREMENTS:
+            explicit = Box(i_a=INTEGRAL, i_b=INTEGRAL, i_c=INTEGRAL, i_d=INTEGRAL,
+                           **{name: Interval()})
+            assert explicit == bare and hash(explicit) == hash(bare), name
+            with pytest.raises(ValueError):
+                Box(i_a=INTEGRAL, i_b=INTEGRAL, i_c=INTEGRAL, i_d=INTEGRAL, **{name: None})
+        assert integral_indicator().terms == ((1, bare),)
+
+    @given(gamma=orbits(), box=boxes(), coeff=coefficients)
+    def test_omitted_requirements_integrate_like_interval(self, gamma, box, coeff):
+        constrained = {name: getattr(box, name) for name in REQUIREMENTS
+                       if getattr(box, name) != Interval()}
+        bare = Box(i_a=box.i_a, i_b=box.i_b, i_c=box.i_c, i_d=box.i_d,
+                   sgn_b_req=box.sgn_b_req, sgn_c_req=box.sgn_c_req,
+                   side_req=box.side_req, **constrained)
+        assert bare == box
+        assert outcome(orb_s, gamma, InvariantFunction.from_box(bare, coeff)) \
+            == outcome(_orb_s_by_shells, gamma, InvariantFunction.from_box(box, coeff))
+
+    @pytest.mark.parametrize("setup", SETUPS, ids=["unram", "ram", "ram-neg"])
+    def test_unconstrained_germ_piece_rebuilds_bare_shells(self, setup):
+        pin = PLUS if setup.ramified else None
+        piece = GermPiece(Interval(), Interval(), 0, LaurentPoly.monomial(0, 3))
+        f = function_from_germ(GermExpansion(setup, (piece,), (), 1))
+        assert [box for _, box in f.terms] == [shell_box(0, 0, pin)]
+        assert piece.to_json()["lvl_a"] == [None, None]
+        for gamma in grid(setup):
+            assert orb_s(gamma, f) == _orb_s_by_shells(gamma, f)
 
 
 class TestEtaPiFInvariance:
