@@ -14,10 +14,12 @@ document, so identical configs yield identical bytes.  Exit code 0 means
 every row passed, 1 means some verification failed, 2 means the
 configuration was rejected: unparsable ranges, an invalid residue size, a
 value below its lower bound, an ``--out`` path that cannot be written, or
-ranges that select no rows.
+ranges that select no rows; exit 2 also ends a run whose report write fails
+(a full disk, a closed pipe), with one line on stderr.
 
 AFL_CALC_THREADS caps row-level parallelism (default 1, serial), and the
-process pool never exceeds the CPU count.
+process pool never exceeds the CPU count.  The pool's modules are imported
+only when a pool starts, so a serial run never loads them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, Sequence
@@ -131,6 +133,9 @@ def _map(fn: Callable, items: Sequence) -> list:
     n = min(_workers(), os.cpu_count() or 1)
     if n == 1 or len(items) < 4:
         return [fn(item) for item in items]
+    # imported here: its modules (multiprocessing, pickle, socket, logging)
+    # cost a serial run's import time and never serve it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n) as pool:
         # about four chunks per worker: rows are too small to ship one by one
         return list(pool.map(fn, items, chunksize=-(-len(items) // (4 * n))))
@@ -148,24 +153,18 @@ def run_afl(q: list[int], t: list[int], vb: list[int]) -> dict:
 
 def _deform_row(params: tuple[FieldSetup, int, int, int, int]) -> dict:
     setup, i, j, e_rel, l = params
-    row = {"ramified": setup.ramified, "q": setup.q, "i": i, "j": j, "e_rel": e_rel, "l": l}
     try:
         query = DeformQuery(setup, i, j, e_rel, l)
         mirror = DeformQuery(setup, j, i, e_rel, l)
     except InadmissibleParityError:
-        row.update({"status": "inadmissible-parity", "passed": True})
-        return row
+        return {"ramified": setup.ramified, "q": setup.q, "i": i, "j": j, "e_rel": e_rel, "l": l,
+                "status": "inadmissible-parity", "passed": True}
     closed = lift_bound(query)
     recursive = lift_bound_recursive(query)
     symmetric = lift_bound(mirror)
-    row.update({
-        "status": "ok",
-        "closed": closed,
-        "recursive": recursive,
-        "mirror": symmetric,
-        "passed": closed == recursive == symmetric and closed >= e_rel,
-    })
-    return row
+    return {"ramified": setup.ramified, "q": setup.q, "i": i, "j": j, "e_rel": e_rel, "l": l,
+            "status": "ok", "closed": closed, "recursive": recursive, "mirror": symmetric,
+            "passed": closed == recursive == symmetric and closed >= e_rel}
 
 
 def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
@@ -263,6 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
+@lru_cache(maxsize=256)
+def _sorted_keys(keys: tuple) -> tuple[tuple[str, str], ...]:
+    """keys in sorted order, each with its escaped ``"key": `` prefix.  A
+    report repeats a few key sets over many dicts, so each set is sorted and
+    escaped once; a non-str key raises TypeError, and a raise is never cached."""
+    return tuple((key, _escape(key) + ": ") for key in sorted(keys))
+
+
 def _render(obj, indent: str, tail: str = "") -> str:
     """obj as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, its
     lines after the first indented by indent, followed by tail.  Reports hold
@@ -274,8 +281,8 @@ def _render(obj, indent: str, tail: str = "") -> str:
         if not obj:
             return "{}" + tail
         items = []
-        # _escape raises TypeError on a non-str key
-        for key, value in sorted(obj.items()):
+        for key, prefix in _sorted_keys(tuple(obj)):
+            value = obj[key]
             value_kind = type(value)
             if value_kind is str:
                 text = _escape(value)
@@ -285,7 +292,7 @@ def _render(obj, indent: str, tail: str = "") -> str:
                 text = _LITERALS[value]
             else:
                 text = _render(value, inner)
-            items.append(f"{_escape(key)}: {text}")
+            items.append(prefix + text)
         return "".join(("{\n", inner, (",\n" + inner).join(items), "\n", indent, "}", tail))
     if kind is list or kind is tuple:
         if not obj:
@@ -340,6 +347,23 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"cannot write the report to {path!r}")
 
 
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at os.devnull after a failed report write.
+
+    A failed flush may leave the report's bytes in stdout's buffer, and the
+    interpreter flushes stdout again at exit; on the dead descriptor that
+    flush would fail too, print "Exception ignored" and exit 120.  This is the
+    recipe Python's ``signal`` docs give after a caught BrokenPipeError.  A
+    stdout replaced by an object without a descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
@@ -370,11 +394,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     body.update(command=args.command, params=params, total=len(body["rows"]),
                 failures=failures, passed=failures == 0)
     text = render_report(body)
-    if args.out is not None:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out is not None:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # so a failed write raises here, inside the handler
+    except OSError as exc:
+        target = "stdout" if args.out is None else repr(args.out)
+        print(f"cannot write the report to {target}: {exc.strerror or exc}", file=sys.stderr)
+        if args.out is None:
+            _drop_stdout()
+        return 2
     return 1 if failures else 0
 
 

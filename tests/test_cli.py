@@ -1,4 +1,5 @@
 import enum
+import errno
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import pathlib
 import re
 import runpy
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -57,6 +59,77 @@ class TestExitCodes:
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["afl", "--nope", "3"]) == 2
+
+
+class TestReportWriteFailure:
+    """A report that cannot be written exits 2 with one line on stderr, as an
+    unwritable --out does, never with a traceback."""
+
+    ARGV = ["orb", "--t", "0..1", "--vb", "0"]
+
+    # _check_writable refuses /dev/full up front unless /dev itself is writable
+    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.access("/dev", os.W_OK)),
+                        reason="no /dev/full device, or /dev is not writable")
+    def test_full_device_exits_two(self, capsys):
+        assert main(self.ARGV + ["--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err == "cannot write the report to '/dev/full': No space left on device\n"
+
+    def test_full_disk_exits_two(self, tmp_path, monkeypatch, capsys):
+        class FullFile:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        out = tmp_path / "r.json"
+        monkeypatch.setattr(cli, "open", lambda path, mode: FullFile(), raising=False)
+        assert main(self.ARGV + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot write the report to {str(out)!r}: No space left on device\n"
+
+    def test_failing_stdout_exits_two(self, monkeypatch, capsys):
+        class FailingWriter:
+            def write(self, text):
+                raise OSError("stream closed")
+
+        monkeypatch.setattr(sys, "stdout", FailingWriter())
+        assert main(self.ARGV) == 2
+        assert capsys.readouterr().err == "cannot write the report to stdout: stream closed\n"
+
+    def test_failed_stdout_is_pointed_at_devnull(self, tmp_path, monkeypatch):
+        # so the interpreter's own flush of stdout at exit has nowhere to fail
+        class FailingDescriptor:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def fileno(self):
+                return self.fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", FailingDescriptor(fd))
+            assert main(self.ARGV) == 2
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_stdout_exits_two_in_a_process(self):
+        # the interpreter flushes stdout again at exit; that flush must not fail
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "aflcalc.cli", *self.ARGV],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert done.returncode == 2
+        assert done.stderr == "cannot write the report to stdout: No space left on device\n"
 
 
 class TestDeterminism:
@@ -252,7 +325,8 @@ class TestProcessPool:
                 started.append((self.max_workers, chunksize))
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # _map imports the pool class from concurrent.futures when it starts one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("AFL_CALC_THREADS", "1000000")
         argv, digest = GOLDEN["afl"]  # 15 rows: two per chunk at four chunks per worker
@@ -260,6 +334,17 @@ class TestProcessPool:
         assert main(argv + ["--out", str(out)]) == 0
         assert started == pools
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_serial_run_never_imports_the_pool(self, tmp_path):
+        script = ("import sys, aflcalc.cli\n"
+                  "code = aflcalc.cli.main(['orb', '--t', '0..1', '--vb', '0', '--out', sys.argv[1]])\n"
+                  "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+                  "print(code, [name for name in pool if name in sys.modules])\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("AFL_CALC_THREADS", None)
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "r.json")],
+                              capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "0 []\n"
 
 
 class TestAtiTimes:
@@ -416,6 +501,24 @@ class TestReportWriter:
     def test_rejects_every_other_type(self, body):
         with pytest.raises(TypeError):
             render_report(body)
+
+    @given(st.dictionaries(_TEXT, _TREES, max_size=6))
+    def test_key_insertion_order_does_not_matter(self, forward):
+        backward = dict(reversed(forward.items()))
+        expected = json.dumps(forward, sort_keys=True, indent=2)
+        assert cli._render(forward, "") == cli._render(backward, "") == expected
+
+    @pytest.mark.parametrize("bad", [{1: "a"}, {"1": "a", 2: "b"}, {None: 0}, {True: 0}],
+                             ids=["int", "mixed", "none", "bool"])
+    def test_non_str_key_raises_on_every_call(self, bad):
+        # the same key set as strings fills the cache first
+        cli._render({str(key): value for key, value in bad.items()}, "")
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                cli._render(bad, "")
+
+    def test_key_cache_is_bounded(self):
+        assert cli._sorted_keys.cache_info().maxsize is not None
 
     def test_never_calls_json_dumps(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
