@@ -15,7 +15,7 @@ from .matching import (AflRow, EndToEndReport, EntryHeights, GrowthReport,
                        entry_heights, intersection_length,
                        prescribed_transfer_germ)
 from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitData,
-                      Side, clear_diagonal, d_orb, diagonal_killer,
+                      clear_diagonal, d_orb, diagonal_killer,
                       eta_twist_difference, integral_indicator, orb, orb_s,
                       orbits_at, transfer_factor, unit_diag_indicator,
                       unramified_orbit)

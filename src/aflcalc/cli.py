@@ -35,10 +35,10 @@ from typing import Callable, Sequence
 from .battery import germ_battery
 from .deformation import (DeformQuery, InadmissibleParityError, hom_height_attainable,
                           lift_bound, lift_bound_recursive, ramification_index)
-from .field import FieldSetup
+from .field import MINUS, PLUS, FieldSetup
 from .germs import extract_germ, function_from_germ
 from .matching import (MatchContext, afl_verify, ati_end_to_end, ati_growth_check)
-from .orbital import InvariantFunction, Side, integral_indicator, orb_s, orbits_at
+from .orbital import InvariantFunction, integral_indicator, orb_s, orbits_at
 from .symbolic import log_text
 
 SCHEMA = 1
@@ -178,10 +178,11 @@ def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
 def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
     setup, t, v_b = params
     q, ram = setup.q, setup.ramified
-    # a ramified row shows eta(b) = +1 and the U0 orbit at t = 0, the U1 orbit
-    # beyond; an unramified (t, v_b) has one orbit
+    # a ramified row shows eta(b) = +1 and the orbit of defect sign +1 (U0)
+    # at t = 0, of defect sign -1 (U1) beyond; an unramified (t, v_b) has one
+    # orbit
     gammas = orbits_at(setup, t, 2 * v_b)
-    gamma = next((g for g in gammas if g.side == (Side.U0 if t == 0 else Side.U1)), gammas[0])
+    gamma = next((g for g in gammas if g.defect_sign == (PLUS if t == 0 else MINUS)), gammas[0])
     f = integral_indicator()
     series = orb_s(gamma, f)
     return {
@@ -336,14 +337,19 @@ def _fuse_values(argv: Sequence[str]) -> list[str]:
 def _check_writable(path: str) -> None:
     """Reject a report path that cannot be written, before the sweep runs.
 
-    The checks apply to the file a symlink resolves to, so a dangling link
-    into a missing directory is refused; an existing file must be writable."""
-    real = os.path.realpath(path)
-    directory = os.path.dirname(real)
+    Links are followed.  An existing file needs only its own write
+    permission, as open(path, "w") does; a new one needs an existing,
+    writable directory, so a dangling link into a missing directory is
+    refused."""
     # an empty path, or one ending in a separator, names no file
-    if (not os.path.basename(path) or os.path.isdir(real) or not os.path.isdir(directory)
-            or not os.access(directory, os.W_OK)
-            or (os.path.lexists(real) and not os.access(real, os.W_OK))):
+    if not os.path.basename(path) or os.path.isdir(path):
+        writable = False
+    elif os.path.exists(path):
+        writable = os.access(path, os.W_OK)
+    else:
+        directory = os.path.dirname(os.path.realpath(path))
+        writable = os.path.isdir(directory) and os.access(directory, os.W_OK)
+    if not writable:
         raise ConfigError(f"cannot write the report to {path!r}")
 
 

@@ -63,7 +63,7 @@ class GermPiece:
         }
 
 
-# Side 0 is the b-side (A0), side 1 the c-side (A1).  A0 enters through
+# The b-side (A0) is side 0, the c-side (A1) side 1.  A0 enters through
 # eta_s(b) and A1 through eta_s(c)^(-1), so a shell at doubled valuation w2
 # contributes T^(SIDE_SIGN * w2 / 2) to its side, and the derivative slope in
 # v(b) resp. v(c) is SIDE_SIGN * A(1).
@@ -190,16 +190,10 @@ def _box_threshold(box: Box) -> int:
     reach = sum(iv.lo if iv.hi is None else iv.hi for iv in ivs)
     open_sides = sum(iv.hi is None for iv in ivs)
     if open_sides == 2:
-        bound = _ceil_half(reach - 2)
-    elif open_sides == 1:
-        bound = _ceil_half(reach)
-    else:
-        bound = reach // 2 + 1
-    if box.t_req.lo is not None:
-        bound = max(bound, box.t_req.lo)
-    if box.t_req.hi is not None:
-        bound = max(bound, box.t_req.hi + 1)
-    return bound
+        return _ceil_half(reach - 2)
+    if open_sides == 1:
+        return _ceil_half(reach)
+    return reach // 2 + 1
 
 
 def _near_diagonal_terms(f: InvariantFunction) -> list[tuple[Fraction, Box]]:
@@ -283,8 +277,6 @@ def extract_germ(setup: FieldSetup, f: InvariantFunction) -> GermExpansion:
             "integrals acquire unboundedly many monomials near it")
     side_boxes: tuple[list, list] = ([], [])
     for coeff, box in _near_diagonal_terms(f):
-        if box.t_req.bounded_above:
-            continue  # dies before the near-diagonal regime
         for side in SIDES:
             if not _shell_interval(box, 1 - side).bounded_above:
                 side_boxes[side].append((coeff, box))

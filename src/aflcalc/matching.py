@@ -1,21 +1,23 @@
 """Orbit matching, intersection lengths, and the AFL / ATI verifiers.
 
-An orbit matches into the split unitary group exactly when its norm defect
-1 - N(a) has character sign +1.  A context fixes two lift levels (i, j) and
-the ramification index e_F of the deformation base over the unramified base;
-the relevant side is U1 when the extension is ramified or i + j is even, and
-U0 otherwise.  The matched element has two off-diagonal entries of height
-t = v(1 - N(a)) governed by the (i, j) deformation problem and two diagonal
-entries governed by (i, i) and (j, j); its intersection length Int is the
-minimum of the four lift bounds, the diagonal ones being infinite exactly
-when the diagonal entries sit inside the level orders.
+An orbit matches into the split unitary group U0 exactly when its norm
+defect 1 - N(a) has character sign +1, and into U1 when the sign is -1, so
+OrbitData.defect_sign names the group.  A context fixes two lift levels
+(i, j) and the ramification index e_F of the deformation base over the
+unramified base; its locus is U1 (defect sign -1) when the extension is
+ramified or i + j is even, and U0 (defect sign +1) otherwise.  The matched
+element has two off-diagonal entries of height t = v(1 - N(a)) governed by
+the (i, j) deformation problem and two diagonal entries governed by (i, i)
+and (j, j); its intersection length Int is the minimum of the four lift
+bounds, the diagonal ones being infinite exactly when the diagonal entries
+sit inside the level orders.
 
 AFL here means the unramified level-(0,0) identity
     omega(gamma) * dOrb(1_K) = Int * log q = (1 + t)/2 * log q,
 checked against the orbit engine with no shared code path.  The ATI checks
 are the computable skeleton of the general identity: the linear growth of
-Int in t, and the constancy of the difference between the analytic side and
-Int * log q for a test function realizing the prescribed transfer germ.
+Int in t, and the constancy of the difference between omega * dOrb(f) and
+Int * log q for a test function f realizing the prescribed transfer germ.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .deformation import DeformQuery, lift_bound, ramification_index, reduction_
 from .field import MINUS, PLUS, FieldSetup
 from .germs import (GermExpansion, constant_germ, function_from_germ, solve_transfer_germ,
                     validity_threshold)
-from .orbital import (Interval, OrbitData, Side, d_orb, integral_indicator,
-                      orb, transfer_factor, unramified_orbit)
+from .orbital import (Interval, OrbitData, d_orb, integral_indicator, orb,
+                      transfer_factor, unramified_orbit)
 from .symbolic import log_text
 
 
@@ -62,12 +64,10 @@ class MatchContext:
         return reduction_commutes(self.setup, self.i, self.j)
 
     @property
-    def side(self) -> Side:
-        return Side.U1 if self.first_case else Side.U0
-
-    @property
-    def defect_sign(self) -> int:  # eta(1 - N(a)) on the context's side
-        return PLUS if self.side == Side.U0 else MINUS
+    def defect_sign(self) -> int:
+        """eta(1 - N(a)) of the orbits in the context's locus: -1 (U1) in
+        the first case, +1 (U0) otherwise."""
+        return MINUS if self.first_case else PLUS
 
     def e_rel(self, level_i: int, level_j: int) -> int:
         return self.e_f // ramification_index(self.setup, max(level_i, level_j))
@@ -98,7 +98,7 @@ def entry_heights(gamma: OrbitData, ctx: MatchContext) -> EntryHeights:
     Diagonal entries deform arbitrarily far exactly when their conductor level
     reaches the lift level; otherwise their height is the derived class
     height of their level."""
-    if gamma.side != ctx.side:
+    if gamma.defect_sign != ctx.defect_sign:
         raise MatchingError("orbit does not match into the context's unitary group")
     return EntryHeights(gamma.t, *(
         None if lvl is None or lvl >= level else derived_diag_height(ctx.setup, lvl)
@@ -189,7 +189,7 @@ def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
     d_value = d_orb(gamma, f)
     lhs = omega * d_value
     orb_value = orb(gamma, f)
-    if gamma.side == Side.U1:  # odd t
+    if gamma.defect_sign == MINUS:  # odd t
         int_value = _int_at(gamma, MatchContext(setup, 0, 0, e_f=1))
         closed = Fraction(1 + t, 2)
         passed = lhs == int_value and int_value == closed and orb_value == 0
@@ -233,7 +233,7 @@ class GrowthReport:
 
 
 def _context_ts(ctx: MatchContext, ts: Sequence[int]) -> list[int]:
-    """The defect valuations t admitting the defect sign of the context's side."""
+    """The defect valuations t admitting the context's defect sign."""
     return [t for t in ts if ctx.defect_sign in ctx.setup.signs(2 * t)]
 
 
@@ -318,7 +318,7 @@ class EndToEndReport:
 
 def prescribed_transfer_germ(ctx: MatchContext) -> GermExpansion:
     """Germ of a test function transferring e_F times the lattice-stabilizer
-    indicator on the context's side: solve the matched system with
+    indicator in the context's unitary group: solve the matched system with
     (C0, C1) = (e_F, 0) in the first case and (0, e_F) otherwise, supported on
     diagonal levels at least (i, j)."""
     c0, c1 = (ctx.e_f, 0) if ctx.first_case else (0, ctx.e_f)

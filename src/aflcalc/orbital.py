@@ -8,16 +8,15 @@ element of valuation n moves (v(b), v(c)) to (v(b) - n, v(c) + n) and twists
 both signs, which is all the integrals can see.
 
 Test functions are finite rational combinations of boxes: valuation intervals
-on the four entries, conductor-level and defect-valuation intervals
-(Interval() when unconstrained) and optional sign and matching-side
-constraints.  The weighted orbit integral of a box collapses to
-a finite sum of monomials T^n, one per conjugator valuation shell, each shell
-weighted by its eta-weighted measure under the box's sign pins.
+on the four entries, conductor-level intervals (Interval() when
+unconstrained) and optional sign pins on the off-diagonal entries.  The
+weighted orbit integral of a box collapses to a finite sum of monomials T^n,
+one per conjugator valuation shell, each shell weighted by its eta-weighted
+measure under the box's sign pins.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -31,20 +30,13 @@ class DivergenceError(ValueError):
     """The orbit meets the support in a set of infinite measure."""
 
 
-class Side(enum.Enum):
-    """Which unitary group the orbit matches into."""
-
-    U0 = "U0"
-    U1 = "U1"
-
-
 @dataclass(frozen=True)
 class Interval:
     """Integer interval with None endpoints meaning -oo / +oo.
 
-    Used both for doubled valuations and for plain integer data (levels, t);
-    contains(None) asks about the point +oo.  Interval() admits everything:
-    it is an unconstrained level or defect requirement.
+    Used both for doubled valuations and for conductor levels; contains(None)
+    asks about the point +oo.  Interval() admits everything: it is an
+    unconstrained level requirement.
     """
 
     lo: Optional[int] = None
@@ -86,24 +78,19 @@ class Box:
     sgn_c_req: Optional[int] = None
     lvl_a_req: Interval = Interval()
     lvl_d_req: Interval = Interval()
-    t_req: Interval = Interval()
-    side_req: Optional[Side] = None
 
     def __post_init__(self) -> None:
         for req in (self.sgn_b_req, self.sgn_c_req):
             if req not in (None, PLUS, MINUS):
                 raise ValueError("sign requirement must be None, +1 or -1")
-        if not all(isinstance(req, Interval) for req in (self.lvl_a_req, self.lvl_d_req, self.t_req)):
-            raise ValueError("level and defect requirements are Intervals; Interval() admits all")
-        # closure rules keeping every box an open compact condition:
-        # a sign-pinned entry cannot reach 0, and a side constraint cannot
-        # reach the degenerate locus at all.
+        if not all(isinstance(req, Interval) for req in (self.lvl_a_req, self.lvl_d_req)):
+            raise ValueError("level requirements are Intervals; Interval() admits all")
+        # closure rule keeping every box an open compact condition: a
+        # sign-pinned entry cannot reach 0.
         if self.sgn_b_req is not None and not self.i_b.bounded_above:
             raise ValueError("sign-constrained b-interval must be bounded above")
         if self.sgn_c_req is not None and not self.i_c.bounded_above:
             raise ValueError("sign-constrained c-interval must be bounded above")
-        if self.side_req is not None and not (self.i_b.bounded_above and self.i_c.bounded_above):
-            raise ValueError("side-constrained boxes must bound both off-diagonal intervals")
 
     def pulled_back(self, lam: ValClass) -> "Box":
         """The box of gamma -> f(lam^-1 gamma lam): shift b up, c down, twist signs."""
@@ -123,9 +110,7 @@ class Box:
         return (not self.i_b.bounded_above
                 and not self.i_c.bounded_above
                 and self.i_a.contains(0)
-                and self.i_d.contains(0)
-                and not self.t_req.bounded_above
-                and self.side_req is None)
+                and self.i_d.contains(0))
 
     def to_json(self) -> dict:
         out = {
@@ -138,12 +123,9 @@ class Box:
             out["sgn_b"] = self.sgn_b_req
         if self.sgn_c_req is not None:
             out["sgn_c"] = self.sgn_c_req
-        for key, req in (("lvl_a", self.lvl_a_req), ("lvl_d", self.lvl_d_req),
-                         ("t", self.t_req)):
+        for key, req in (("lvl_a", self.lvl_a_req), ("lvl_d", self.lvl_d_req)):
             if req != Interval():
                 out[key] = req.to_json()
-        if self.side_req is not None:
-            out["side"] = self.side_req.value
         return out
 
 
@@ -151,9 +133,10 @@ class Box:
 class OrbitData:
     """Invariants of a regular semisimple orbit.
 
-    t = v(1 - N(a)) and defect_sign = eta(1 - N(a)); lvl_a / lvl_d are the
-    conductor levels of the diagonal entries with None meaning the entry lies
-    in the base field; v(b) and eta(b) determine the c-entry data through
+    t = v(1 - N(a)) and defect_sign = eta(1 - N(a)), which is +1 exactly
+    when the orbit matches into U0; lvl_a / lvl_d are the conductor levels of
+    the diagonal entries with None meaning the entry lies in the base field;
+    v(d) = v(a), and v(b) and eta(b) determine the c-entry data through
     v(c) = t - v(b) and eta(c) = defect_sign * eta(b).
     """
 
@@ -191,15 +174,6 @@ class OrbitData:
     @property
     def c_sign(self) -> int:
         return self.defect_sign * self.b_sign
-
-    @property
-    def v_d2(self) -> int:
-        return self.v_a2
-
-    @property
-    def side(self) -> Side:
-        """U0 when the norm defect is a norm (sign +1), U1 otherwise."""
-        return Side.U0 if self.defect_sign == PLUS else Side.U1
 
     def along_orbit(self, lam: ValClass) -> "OrbitData":
         """The conjugated orbit representative: (v(b), eta(b)) twisted by lam."""
@@ -340,11 +314,9 @@ def level_cells(reqs: Iterable[Interval]) -> list[Interval]:
 def _fixed_tests(gamma: OrbitData, box: Box) -> bool:
     """The box constraints that do not move along the orbit."""
     return (box.i_a.contains(gamma.v_a2)
-            and box.i_d.contains(gamma.v_d2)
+            and box.i_d.contains(gamma.v_a2)
             and box.lvl_a_req.contains(gamma.lvl_a)
-            and box.lvl_d_req.contains(gamma.lvl_d)
-            and box.t_req.contains(gamma.t)
-            and (box.side_req is None or box.side_req == gamma.side))
+            and box.lvl_d_req.contains(gamma.lvl_d))
 
 
 def _shift_range(gamma: OrbitData, box: Box) -> Optional[tuple[int, int]]:
@@ -352,7 +324,7 @@ def _shift_range(gamma: OrbitData, box: Box) -> Optional[tuple[int, int]]:
 
     Every n in the returned range puts v(b) - 2n in i_b and v(c) + 2n in
     i_c, so callers need not test the off-diagonal intervals again.
-    Raises DivergenceError when no finite bound exists on either side."""
+    Raises DivergenceError when the range is unbounded at either end."""
     uppers = []
     lowers = []
     if box.i_b.lo is not None:

@@ -67,9 +67,9 @@ class TestReportWriteFailure:
 
     ARGV = ["orb", "--t", "0..1", "--vb", "0"]
 
-    # _check_writable refuses /dev/full up front unless /dev itself is writable
-    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.access("/dev", os.W_OK)),
-                        reason="no /dev/full device, or /dev is not writable")
+    # _check_writable lets an existing device through when it is writable
+    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.access("/dev/full", os.W_OK)),
+                        reason="no writable /dev/full device")
     def test_full_device_exits_two(self, capsys):
         assert main(self.ARGV + ["--out", "/dev/full"]) == 2
         err = capsys.readouterr().err
@@ -268,6 +268,28 @@ class TestConfigContract:
         link.symlink_to(target)
         assert main(["orb", "--t", "0..2", "--vb", "0", "--out", str(link)]) == 0
         assert json.loads(target.read_text())["total"] == 3
+
+    def test_existing_out_needs_only_its_own_permission(self, tmp_path, capsys, monkeypatch):
+        # a writable report in a directory that cannot be written is accepted
+        # and rewritten, and a new file there is refused before the sweep;
+        # denying the directory through os.access makes this hold as root too
+        access = os.access
+        denied = os.path.realpath(tmp_path)
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            os.path.realpath(path) != denied and access(path, mode)))
+        out = tmp_path / "report.json"
+        out.write_text("old")
+        assert main(["orb", "--t", "0..2", "--vb", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["total"] == 3
+
+        def refuse(**params):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_orb", refuse)
+        new = tmp_path / "new.json"
+        assert main(["orb", "--t", "0..2", "--vb", "0", "--out", str(new)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not new.exists()
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
     def test_read_only_out_exits_two_before_the_sweep(self, tmp_path, capsys, monkeypatch):

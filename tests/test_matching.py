@@ -12,7 +12,7 @@ from aflcalc.matching import (EntryHeights, MatchContext, MatchingError, afl_ver
                               ati_end_to_end, ati_growth_check, context_orbit,
                               derived_diag_height, entry_heights,
                               intersection_length, prescribed_transfer_germ)
-from aflcalc.orbital import OrbitData, Side, orbits_at, transfer_factor, unramified_orbit
+from aflcalc.orbital import OrbitData, orbits_at, transfer_factor, unramified_orbit
 
 UNRAM3 = FieldSetup(3, ramified=False)
 RAM3 = FieldSetup(3, ramified=True)
@@ -20,32 +20,32 @@ RAM3 = FieldSetup(3, ramified=True)
 
 class TestMatchSide:
     def test_unramified_odd_defect(self):
-        assert unramified_orbit(UNRAM3, 1, 0).side == Side.U1
+        assert unramified_orbit(UNRAM3, 1, 0).defect_sign == MINUS
 
     def test_unramified_even_defect(self):
-        assert unramified_orbit(UNRAM3, 4, 0).side == Side.U0
+        assert unramified_orbit(UNRAM3, 4, 0).defect_sign == PLUS
 
     def test_ramified_sign_criterion(self):
         g = OrbitData(setup=RAM3, t=0, v_b2=0, b_sign=PLUS, defect_sign=MINUS)
-        assert g.side == Side.U1
+        assert g.defect_sign == MINUS
 
 
 class TestContextLocus:
     def test_level_zero_unramified(self):
         ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
-        assert unramified_orbit(UNRAM3, 1, 0).side == ctx.side
-        assert unramified_orbit(UNRAM3, 2, 0).side != ctx.side
+        assert unramified_orbit(UNRAM3, 1, 0).defect_sign == ctx.defect_sign
+        assert unramified_orbit(UNRAM3, 2, 0).defect_sign != ctx.defect_sign
 
     def test_odd_level_sum_swaps_side(self):
         ctx = MatchContext(UNRAM3, 0, 1, e_f=ramification_index(UNRAM3, 1))
-        assert ctx.side == Side.U0
-        assert unramified_orbit(UNRAM3, 2, 0).side == ctx.side
+        assert ctx.defect_sign == PLUS
+        assert unramified_orbit(UNRAM3, 2, 0).defect_sign == ctx.defect_sign
 
     def test_unramified_context_orbit_rejects_what_no_orbit_has(self):
         ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
         assert context_orbit(ctx, 3, v_b2=2) == unramified_orbit(UNRAM3, 3, 1)
         with pytest.raises(MatchingError):
-            context_orbit(ctx, 2)  # even t is on the other side
+            context_orbit(ctx, 2)  # even t has the other defect sign
         with pytest.raises(MatchingError):
             context_orbit(ctx, 3, v_b2=1)  # no half-integral v(b)
 
@@ -55,7 +55,7 @@ class TestContextLocus:
         ctx = MatchContext(setup, i, j, e_f=ramification_index(setup, max(i, j)))
         for t in range(0, 6):
             for v_b2 in range(-3, 4):
-                members = [g for g in orbits_at(setup, t, v_b2) if g.side == ctx.side]
+                members = [g for g in orbits_at(setup, t, v_b2) if g.defect_sign == ctx.defect_sign]
                 if not members:
                     with pytest.raises(MatchingError):
                         context_orbit(ctx, t, v_b2=v_b2)
@@ -64,7 +64,7 @@ class TestContextLocus:
 
     def test_ramified_always_u1(self):
         ctx = MatchContext(RAM3, 0, 1, e_f=ramification_index(RAM3, 1))
-        assert ctx.side == Side.U1
+        assert ctx.defect_sign == MINUS
 
     def test_ef_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestIntersectionLength:
         g = context_orbit(ctx, t=5)
         lam = ValClass(2, MINUS)
         moved = g.along_orbit(lam)
-        assert moved.side == g.side
+        assert moved.defect_sign == g.defect_sign
         assert intersection_length(entry_heights(moved, ctx), ctx) == \
             intersection_length(entry_heights(g, ctx), ctx)
 

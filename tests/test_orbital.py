@@ -11,7 +11,7 @@ from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, eta_s
 from aflcalc.germs import GermExpansion, GermPiece, function_from_germ, shell_box
 from aflcalc.matching import afl_verify
 from aflcalc.orbital import (INTEGRAL, Box, DivergenceError, Interval, InvariantFunction,
-                             OrbitData, Side, clear_diagonal, d_orb, diagonal_killer,
+                             OrbitData, clear_diagonal, d_orb, diagonal_killer,
                              _fixed_tests, _shift_range,
                              eta_twist_difference, integral_indicator,
                              orb, orb_s, orbits_at, transfer_factor,
@@ -46,7 +46,7 @@ def grid(setup):
 class TestOrbitData:
     def test_derived_entries(self):
         g = unramified_orbit(UNRAM, t=3, v_b=1)
-        assert g.v_c2 == 4 and g.c_sign == PLUS and g.v_d2 == g.v_a2
+        assert g.v_c2 == 4 and g.c_sign == PLUS
 
     def test_unramified_signs_forced(self):
         with pytest.raises(ValueError):
@@ -58,7 +58,7 @@ class TestOrbitData:
         with pytest.raises(ValueError):
             OrbitData(setup=RAM, t=2, v_b2=0, b_sign=PLUS, defect_sign=PLUS, v_a2=1)
         g = OrbitData(setup=RAM, t=0, v_b2=0, b_sign=PLUS, defect_sign=PLUS, v_a2=1)
-        assert g.side == Side.U0
+        assert g.defect_sign == PLUS
 
     def test_sign_identity_along_grid(self):
         # eta(c) * eta(b) always recovers the defect sign
@@ -275,22 +275,6 @@ class TestBoxClosureRules:
             Box(i_a=Interval(0, 0), i_b=Interval(0, None), i_c=Interval(0, None),
                 i_d=Interval(0, 0), sgn_b_req=PLUS)
 
-    def test_side_requirement_needs_bounded_offdiagonals(self):
-        with pytest.raises(ValueError):
-            Box(i_a=Interval(0, 0), i_b=Interval(0, 2), i_c=Interval(0, None),
-                i_d=Interval(0, 0), side_req=Side.U0)
-        box = Box(i_a=Interval(0, 0), i_b=Interval(0, 2), i_c=Interval(0, 2),
-                  i_d=Interval(0, 0), side_req=Side.U0)
-        assert not box.touches_diagonal()
-
-    def test_side_constraint_filters_orbits(self):
-        box = Box(i_a=Interval(0, 0), i_b=Interval(0, 2), i_c=Interval(0, 2),
-                  i_d=Interval(0, 0), side_req=Side.U1)
-        f = InvariantFunction.from_box(box)
-        odd = unramified_orbit(UNRAM, t=1, v_b=0)
-        even = unramified_orbit(UNRAM, t=2, v_b=0)
-        assert orb_s(odd, f)
-        assert not orb_s(even, f)
 
 
 class TestMonomialGrowthNearDiagonal:
@@ -327,19 +311,17 @@ class TestJsonCodecs:
                                     "i_d": [0, None]}},
         ]}
 
-    def test_side_and_t_requirements_survive(self):
+    def test_every_requirement_survives(self):
         box = Box(i_a=Interval(0, 0), i_b=Interval(0, 2), i_c=Interval(-1, 3),
                   i_d=Interval(0, 0), sgn_b_req=MINUS, sgn_c_req=PLUS,
-                  lvl_a_req=Interval(1, None), lvl_d_req=Interval(None, 2),
-                  t_req=Interval(2, None), side_req=Side.U1)
+                  lvl_a_req=Interval(1, None), lvl_d_req=Interval(None, 2))
         assert box.to_json() == {"i_a": [0, 0], "i_b": [0, 2], "i_c": [-1, 3], "i_d": [0, 0],
                                  "sgn_b": -1, "sgn_c": 1, "lvl_a": [1, None],
-                                 "lvl_d": [None, 2], "t": [2, None], "side": "U1"}
+                                 "lvl_d": [None, 2]}
 
     def test_unconstrained_requirements_are_omitted(self):
         box = Box(i_a=Interval(0, 0), i_b=Interval(0, 2), i_c=Interval(-1, 3),
-                  i_d=Interval(0, 0), lvl_a_req=Interval(), lvl_d_req=Interval(None, 2),
-                  t_req=Interval())
+                  i_d=Interval(0, 0), lvl_a_req=Interval(), lvl_d_req=Interval(None, 2))
         assert box.to_json() == {"i_a": [0, 0], "i_b": [0, 2], "i_c": [-1, 3], "i_d": [0, 0],
                                  "lvl_d": [None, 2]}
 
@@ -442,7 +424,7 @@ def rarely(strategy):
 def boxes(draw):
     """Bounded b/c intervals (now and then open at one end, so that some
     draws diverge), each with an optional sign pin where the closure rules
-    allow one, and optional level and t windows."""
+    allow one, and optional level windows."""
     def off_diagonal():
         lo = draw(st.integers(-4, 8))
         hi = lo + draw(st.integers(0, 8))
@@ -454,7 +436,7 @@ def boxes(draw):
     (i_b, sgn_b), (i_c, sgn_c) = off_diagonal(), off_diagonal()
     return Box(i_a=Interval(0, 0), i_b=i_b, i_c=i_c, i_d=Interval(0, 0),
                sgn_b_req=sgn_b, sgn_c_req=sgn_c, lvl_a_req=draw(windows),
-               lvl_d_req=draw(windows), t_req=draw(windows))
+               lvl_d_req=draw(windows))
 
 
 coefficients = st.fractions(-4, 4, max_denominator=4)
@@ -559,13 +541,13 @@ class TestParityRuns:
             assert got.monomial_count() == 1
 
 
-REQUIREMENTS = ("lvl_a_req", "lvl_d_req", "t_req")
+REQUIREMENTS = ("lvl_a_req", "lvl_d_req")
 
 
 class TestUnconstrainedRequirement:
-    """Interval() is the one spelling of "no level or defect requirement": a
-    box or germ piece that omits a requirement is the one that passes
-    Interval(), and integrates like it."""
+    """Interval() is the one spelling of "no level requirement": a box or germ
+    piece that omits a requirement is the one that passes Interval(), and
+    integrates like it."""
 
     def test_omitted_requirement_is_interval(self):
         bare = Box(i_a=INTEGRAL, i_b=INTEGRAL, i_c=INTEGRAL, i_d=INTEGRAL)
@@ -582,8 +564,7 @@ class TestUnconstrainedRequirement:
         constrained = {name: getattr(box, name) for name in REQUIREMENTS
                        if getattr(box, name) != Interval()}
         bare = Box(i_a=box.i_a, i_b=box.i_b, i_c=box.i_c, i_d=box.i_d,
-                   sgn_b_req=box.sgn_b_req, sgn_c_req=box.sgn_c_req,
-                   side_req=box.side_req, **constrained)
+                   sgn_b_req=box.sgn_b_req, sgn_c_req=box.sgn_c_req, **constrained)
         assert bare == box
         assert outcome(orb_s, gamma, InvariantFunction.from_box(bare, coeff)) \
             == outcome(_orb_s_by_shells, gamma, InvariantFunction.from_box(box, coeff))
