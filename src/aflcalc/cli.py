@@ -7,8 +7,13 @@ ati (growth plus end-to-end residual checks).  COMMANDS is the flag table:
 each command's help text and the defaults of its range flags.  ``main`` is
 the one sweep driver: it parses every range once, checks LOWER_BOUNDS, hands
 the command's ``run_*`` the sorted, de-duplicated values, counts the failed
-rows and writes the report.  A ``run_*`` only builds its grid and evaluates
-its rows.  Reports are deterministic: rows are sorted by their parameter
+rows and writes the report.  A ``run_*`` only builds its grid and hands each
+row function to ``_map``, which renders every row to its report text as soon
+as the row is built (in the worker, when a pool runs) and keeps only that
+text and the row's pass flag, never the row itself.  ``render_report``
+splices those texts into the document, which is joined once, and ``main``
+writes it out in 1 MiB slices, so no encoded copy of the whole report is
+made.  Reports are deterministic: rows are sorted by their parameter
 tuple, numbers render canonically, and a fixed schema number leads the
 document, so identical configs yield identical bytes.  Exit code 0 means
 every row passed, 1 means some verification failed, 2 means the
@@ -27,7 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, Sequence
@@ -127,18 +132,31 @@ def _workers() -> int:
     return max(1, n)
 
 
-def _map(fn: Callable, items: Sequence) -> list:
+# Rows are the items of the report's top-level "rows" list, two levels deep.
+_ROW_INDENT = "    "
+
+
+def _rendered_row(fn: Callable[..., dict], item) -> tuple[bool, str]:
+    """fn's row for item, as its pass flag and its text at its report depth."""
+    row = fn(item)
+    return bool(row.get("passed", False)), _render(row, _ROW_INDENT)
+
+
+def _map(fn: Callable[..., dict], items: Sequence) -> list[tuple[bool, str]]:
+    """_rendered_row of fn over items, in order."""
+    # a partial, not a closure, so the pool can ship it to its workers
+    row = partial(_rendered_row, fn)
     # the executor starts every worker up front, so more than one per CPU
     # only costs processes
     n = min(_workers(), os.cpu_count() or 1)
     if n == 1 or len(items) < 4:
-        return [fn(item) for item in items]
+        return [row(item) for item in items]
     # imported here: its modules (multiprocessing, pickle, socket, logging)
     # cost a serial run's import time and never serve it
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n) as pool:
         # about four chunks per worker: rows are too small to ship one by one
-        return list(pool.map(fn, items, chunksize=-(-len(items) // (4 * n))))
+        return list(pool.map(row, items, chunksize=-(-len(items) // (4 * n))))
 
 
 def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
@@ -263,6 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
+class _RenderedItems(list):
+    """A list whose items are text already rendered at their place in the
+    report; the writer copies them as they are."""
+
+    __slots__ = ()
+
+
 @lru_cache(maxsize=256)
 def _sorted_keys(keys: tuple) -> tuple[tuple[str, str], ...]:
     """keys in sorted order, each with its escaped ``"key": `` prefix.  A
@@ -271,48 +296,79 @@ def _sorted_keys(keys: tuple) -> tuple[tuple[str, str], ...]:
     return tuple((key, _escape(key) + ": ") for key in sorted(keys))
 
 
-def _render(obj, indent: str, tail: str = "") -> str:
-    """obj as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, its
-    lines after the first indented by indent, followed by tail.  Reports hold
-    only dicts with str keys, lists, tuples, str, int, bool and None; any other
-    type (a float, a Fraction, an int subclass) raises TypeError."""
+def _render_into(obj, indent: str, parts: list[str]) -> None:
+    """Append to parts the text of obj as ``json.dumps(obj, sort_keys=True,
+    indent=2)`` writes it, its lines after the first indented by indent.
+    Reports hold only dicts with str keys, lists, tuples, str, int, bool,
+    None, and _RenderedItems; any other type (a float, a Fraction, an int
+    subclass) raises TypeError."""
     kind = type(obj)
-    inner = indent + "  "
     if kind is dict:
         if not obj:
-            return "{}" + tail
-        items = []
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
         for key, prefix in _sorted_keys(tuple(obj)):
             value = obj[key]
             value_kind = type(value)
             if value_kind is str:
-                text = _escape(value)
+                parts.append(separator + prefix + _escape(value))
             elif value_kind is int:
-                text = int.__repr__(value)
+                parts.append(separator + prefix + int.__repr__(value))
             elif value_kind is bool or value is None:
-                text = _LITERALS[value]
+                parts.append(separator + prefix + _LITERALS[value])
             else:
-                text = _render(value, inner)
-            items.append(prefix + text)
-        return "".join(("{\n", inner, (",\n" + inner).join(items), "\n", indent, "}", tail))
-    if kind is list or kind is tuple:
+                parts.append(separator + prefix)
+                _render_into(value, inner, parts)
+            separator = ",\n" + inner
+        parts.append("\n" + indent + "}")
+    elif kind is list or kind is tuple or kind is _RenderedItems:
         if not obj:
-            return "[]" + tail
-        items = [_render(value, inner) for value in obj]
-        return "".join(("[\n", inner, (",\n" + inner).join(items), "\n", indent, "]", tail))
-    if kind is str:
-        return _escape(obj) + tail
-    if kind is int:
-        return int.__repr__(obj) + tail
-    if kind is bool or obj is None:
-        return _LITERALS[obj] + tail
-    raise TypeError(f"a report cannot hold a {kind.__name__}")
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for value in obj:
+            parts.append(separator)
+            if kind is _RenderedItems:
+                parts.append(value)
+            else:
+                _render_into(value, inner, parts)
+            separator = ",\n" + inner
+        parts.append("\n" + indent + "]")
+    elif kind is str:
+        parts.append(_escape(obj))
+    elif kind is int:
+        parts.append(int.__repr__(obj))
+    elif kind is bool or obj is None:
+        parts.append(_LITERALS[obj])
+    else:
+        raise TypeError(f"a report cannot hold a {kind.__name__}")
+
+
+def _render(obj, indent: str, tail: str = "") -> str:
+    """The text _render_into gives obj, followed by tail, joined once."""
+    parts: list[str] = []
+    _render_into(obj, indent, parts)
+    parts.append(tail)
+    return "".join(parts)
 
 
 def render_report(body: dict) -> str:
     report = {"schema": SCHEMA}
     report.update(body)
     return _render(report, "", "\n")
+
+
+# Reports are written in slices of this many characters (bytes: a report is
+# ASCII), so the stream never encodes the whole report at once.
+_SLICE = 1 << 20
+
+
+def _write_report(stream, text: str) -> None:
+    for start in range(0, len(text), _SLICE):
+        stream.write(text[start:start + _SLICE])
 
 
 _VALUE_FLAGS = {"--out"} | {f"--{flag}" for _, defaults in COMMANDS.values() for flag in defaults}
@@ -396,16 +452,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     if args.command == "deform":
         params["oracle_cross_check"] = args.oracle_cross_check
-    failures = sum(1 for row in body["rows"] if not row.get("passed", False))
+    failures = sum(1 for passed, _ in body["rows"] if not passed)
+    body["rows"] = _RenderedItems(text for _, text in body["rows"])
     body.update(command=args.command, params=params, total=len(body["rows"]),
                 failures=failures, passed=failures == 0)
     text = render_report(body)
     try:
         if args.out is not None:
             with open(args.out, "w") as handle:
-                handle.write(text)
+                _write_report(handle, text)
         else:
-            sys.stdout.write(text)
+            _write_report(sys.stdout, text)
             sys.stdout.flush()  # so a failed write raises here, inside the handler
     except OSError as exc:
         target = "stdout" if args.out is None else repr(args.out)
