@@ -18,7 +18,7 @@ test suite insists they agree everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import FieldSetup
 
@@ -54,29 +54,33 @@ def geometric_sum(n: int, q: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
-@dataclass(frozen=True)
-class DeformQuery:
-    """Levels (i, j), base ramification e_rel over the larger class field, and
-    class height l; rejects parities no genuine class attains."""
-
+class _DeformQuery(NamedTuple):
     setup: FieldSetup
     i: int
     j: int
     e_rel: int
     l: int
 
-    def __post_init__(self) -> None:
-        if self.i < 0 or self.j < 0:
+
+class DeformQuery(_DeformQuery):
+    """Levels (i, j), base ramification e_rel over the larger class field, and
+    class height l; rejects parities no genuine class attains."""
+
+    __slots__ = ()
+
+    def __new__(cls, setup: FieldSetup, i: int, j: int, e_rel: int, l: int) -> "DeformQuery":
+        if i < 0 or j < 0:
             raise ValueError("levels are >= 0")
-        if self.e_rel < 1:
+        if e_rel < 1:
             raise ValueError("ramification index e_rel is >= 1")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("class height is >= 0")
-        if self.l >= self.i + self.j:
-            prod = (self.l - (self.i + self.j - 1)) * ramification_index(self.setup, max(self.i, self.j))
+        if l >= i + j:
+            prod = (l - (i + j - 1)) * ramification_index(setup, max(i, j))
             if prod % 2:
                 raise InadmissibleParityError(
-                    f"height {self.l} at levels ({self.i}, {self.j}) has no attainable parity")
+                    f"height {l} at levels ({i}, {j}) has no attainable parity")
+        return tuple.__new__(cls, (setup, i, j, e_rel, l))
 
 
 def lift_bound(query: DeformQuery) -> int:

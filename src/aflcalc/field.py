@@ -21,8 +21,8 @@ germ integral is built from) are derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .symbolic import LaurentPoly
 
@@ -30,21 +30,26 @@ PLUS = 1
 MINUS = -1
 
 
-@dataclass(frozen=True)
-class FieldSetup:
-    """Residue size q, ramification flag, and the sign eta(pi_F)."""
-
+class _FieldSetup(NamedTuple):
     q: int
     ramified: bool
-    eta_pi_f: int | None = None
+    eta_pi_f: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or self.q < 2:
+
+class FieldSetup(_FieldSetup):
+    """Residue size q, ramification flag, and the sign eta(pi_F)."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, ramified: bool, eta_pi_f: int | None = None) -> "FieldSetup":
+        if not isinstance(q, int) or q < 2:
             raise ValueError("residue size q must be an integer >= 2")
-        if self.eta_pi_f is None:
-            object.__setattr__(self, "eta_pi_f", PLUS if self.ramified else MINUS)
-        if self.eta_pi_f not in self.signs(2):
+        if eta_pi_f is None:
+            eta_pi_f = PLUS if ramified else MINUS
+        self = tuple.__new__(cls, (q, ramified, eta_pi_f))
+        if eta_pi_f not in self.signs(2):
             raise ValueError("eta(pi_F) must be +1 or -1; unramified setups force -1")
+        return self
 
     def signs(self, v2: int) -> tuple[int, ...]:
         """The eta values an element of doubled valuation v2 can have: both
@@ -59,18 +64,22 @@ class FieldSetup:
         return tuple(cls for cls in (0, 1) if self.signs(cls))
 
 
-@dataclass(frozen=True)
-class ValClass:
-    """A nonzero element of the top field seen as (2*v(x), eta(x))."""
-
+class _ValClass(NamedTuple):
     half_val: int  # stores 2*v(x)
     eta_sign: int
 
-    def __post_init__(self) -> None:
-        if self.eta_sign not in (PLUS, MINUS):
+
+class ValClass(_ValClass):
+    """A nonzero element of the top field seen as (2*v(x), eta(x))."""
+
+    __slots__ = ()
+
+    def __new__(cls, half_val: int, eta_sign: int) -> "ValClass":
+        if eta_sign not in (PLUS, MINUS):
             raise ValueError("eta sign must be +1 or -1")
-        if not isinstance(self.half_val, int):
+        if not isinstance(half_val, int):
             raise TypeError("half_val stores 2*v(x) and must be int")
+        return tuple.__new__(cls, (half_val, eta_sign))
 
     def __mul__(self, other: "ValClass") -> "ValClass":
         if not isinstance(other, ValClass):

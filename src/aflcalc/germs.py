@@ -22,9 +22,8 @@ the doubled valuation of b (0 integral, 1 half-integral), of which only class
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .field import PLUS, FieldSetup, unit_integral
 from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitData,
@@ -41,8 +40,7 @@ class GermGradingError(ValueError):
     """A germ monomial grading incompatible with its valuation class."""
 
 
-@dataclass(frozen=True)
-class GermPiece:
+class GermPiece(NamedTuple):
     """One additive piece: constant on a level cell and one valuation class."""
 
     lvl_a: Interval
@@ -77,15 +75,23 @@ def _off_diagonal(gamma: OrbitData) -> tuple[tuple[int, int], tuple[int, int]]:
     return (gamma.v_b2, gamma.b_sign), (gamma.v_c2, gamma.c_sign)
 
 
-@dataclass(frozen=True)
-class GermExpansion:
+class _GermExpansion(NamedTuple):
     setup: FieldSetup
     a0: tuple[GermPiece, ...]
     a1: tuple[GermPiece, ...]
     threshold: int
-    # eval_side's sums by (side, lvl_a, lvl_d, vclass); the pieces never
-    # change, so the memo is exact and takes no part in ==, hash or repr
-    _cells: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+
+class GermExpansion(_GermExpansion):
+    # No __slots__: _cells, eval_side's sums by (side, lvl_a, lvl_d, vclass),
+    # lives in the instance dict, outside the fields, so it takes no part in
+    # ==, hash or repr.  The pieces never change, so the memo is exact.
+
+    def __new__(cls, setup: FieldSetup, a0: tuple[GermPiece, ...], a1: tuple[GermPiece, ...],
+                threshold: int) -> "GermExpansion":
+        self = tuple.__new__(cls, (setup, a0, a1, threshold))
+        self._cells = {}
+        return self
 
     @property
     def sides(self) -> tuple[tuple[GermPiece, ...], tuple[GermPiece, ...]]:

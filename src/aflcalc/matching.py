@@ -22,9 +22,8 @@ Int * log q for a test function f realizing the prescribed transfer germ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .deformation import DeformQuery, lift_bound, ramification_index, reduction_commutes
 from .field import MINUS, PLUS, FieldSetup
@@ -39,23 +38,27 @@ class MatchingError(ValueError):
     """Orbit outside the matching locus of the context."""
 
 
-@dataclass(frozen=True)
-class MatchContext:
-    """Lift levels and the ramification index e_F of the deformation base
-    over the completed unramified base field."""
-
+class _MatchContext(NamedTuple):
     setup: FieldSetup
     i: int
     j: int
     e_f: int
 
-    def __post_init__(self) -> None:
-        if self.i < 0 or self.j < 0:
+
+class MatchContext(_MatchContext):
+    """Lift levels and the ramification index e_F of the deformation base
+    over the completed unramified base field."""
+
+    __slots__ = ()
+
+    def __new__(cls, setup: FieldSetup, i: int, j: int, e_f: int) -> "MatchContext":
+        if i < 0 or j < 0:
             raise ValueError("levels are >= 0")
-        if self.e_f < 1:
+        if e_f < 1:
             raise ValueError("e_F is >= 1")
-        if self.e_f % ramification_index(self.setup, max(self.i, self.j)):
+        if e_f % ramification_index(setup, max(i, j)):
             raise ValueError("e_F must be divisible by the larger class-field ramification")
+        return tuple.__new__(cls, (setup, i, j, e_f))
 
     @property
     def first_case(self) -> bool:
@@ -73,8 +76,7 @@ class MatchContext:
         return self.e_f // ramification_index(self.setup, max(level_i, level_j))
 
 
-@dataclass(frozen=True)
-class EntryHeights:
+class EntryHeights(NamedTuple):
     """Heights of the four entries of the matched element; None means the
     entry deforms arbitrarily far."""
 
@@ -149,8 +151,7 @@ def _int_at(gamma: OrbitData, ctx: MatchContext) -> int:
 # ---------------------------------------------------------------------------
 # AFL verification (unramified, levels (0, 0), e_F = 1)
 
-@dataclass(frozen=True)
-class AflRow:
+class AflRow(NamedTuple):
     q: int
     t: int
     v_b: int
@@ -204,8 +205,7 @@ def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
 # ---------------------------------------------------------------------------
 # ATI skeleton: growth of Int and the end-to-end residual constancy
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     t: int
     int_value: int
     residual: Fraction  # Int - e_F * t / 2 in the open regime, Int itself when saturated
@@ -214,8 +214,7 @@ class GrowthRow:
         return {"t": self.t, "int": self.int_value, "residual": str(self.residual)}
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     open_rows: dict[int, tuple[GrowthRow, ...]]  # parity -> rows, diagonals unbounded
     open_constants: dict[int, Fraction]
     saturated_rows: tuple[GrowthRow, ...]
@@ -279,8 +278,7 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
                         tuple(saturated_rows), saturation_value, passed)
 
 
-@dataclass(frozen=True)
-class EndToEndRow:
+class EndToEndRow(NamedTuple):
     t: int
     v_b2: int
     analytic: Fraction       # omega * dOrb(f) in log(q) units
@@ -296,8 +294,7 @@ class EndToEndRow:
                 "correction": str(self.correction)}
 
 
-@dataclass(frozen=True)
-class EndToEndReport:
+class EndToEndReport(NamedTuple):
     rows: dict[int, tuple[EndToEndRow, ...]]  # valuation class -> rows
     witnesses: dict[int, Fraction]            # constant correction per class
     outside_rows: tuple[EndToEndRow, ...]

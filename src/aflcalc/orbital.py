@@ -18,9 +18,8 @@ measure under the box's sign pins.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .field import MINUS, PLUS, FieldSetup, ValClass, unit_integral
 from .symbolic import LaurentPoly, Rational, as_fraction
@@ -30,8 +29,7 @@ class DivergenceError(ValueError):
     """The orbit meets the support in a set of infinite measure."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Integer interval with None endpoints meaning -oo / +oo.
 
     Used both for doubled valuations and for conductor levels; contains(None)
@@ -66,44 +64,52 @@ class Interval:
 INTEGRAL = Interval(0, None)  # v >= 0
 
 
-@dataclass(frozen=True)
-class Box:
-    """One constraint box; the four intervals are in doubled-valuation units."""
-
+class _Box(NamedTuple):
     i_a: Interval
     i_b: Interval
     i_c: Interval
     i_d: Interval
-    sgn_b_req: Optional[int] = None
-    sgn_c_req: Optional[int] = None
-    lvl_a_req: Interval = Interval()
-    lvl_d_req: Interval = Interval()
+    sgn_b_req: Optional[int]
+    sgn_c_req: Optional[int]
+    lvl_a_req: Interval
+    lvl_d_req: Interval
 
-    def __post_init__(self) -> None:
-        for req in (self.sgn_b_req, self.sgn_c_req):
+
+class Box(_Box):
+    """One constraint box; the four intervals are in doubled-valuation units."""
+
+    __slots__ = ()
+
+    def __new__(cls, i_a: Interval, i_b: Interval, i_c: Interval, i_d: Interval,
+                sgn_b_req: Optional[int] = None, sgn_c_req: Optional[int] = None,
+                lvl_a_req: Interval = Interval(), lvl_d_req: Interval = Interval()) -> "Box":
+        for req in (sgn_b_req, sgn_c_req):
             if req not in (None, PLUS, MINUS):
                 raise ValueError("sign requirement must be None, +1 or -1")
-        if not all(isinstance(req, Interval) for req in (self.lvl_a_req, self.lvl_d_req)):
-            raise ValueError("level requirements are Intervals; Interval() admits all")
+        # a plain tuple compares equal to the Interval of its values, so the
+        # type check is what rejects one
+        intervals = (i_a, i_b, i_c, i_d, lvl_a_req, lvl_d_req)
+        if not all(isinstance(interval, Interval) for interval in intervals):
+            raise ValueError("valuation intervals and level requirements are Intervals; "
+                             "Interval() admits all")
         # closure rule keeping every box an open compact condition: a
         # sign-pinned entry cannot reach 0.
-        if self.sgn_b_req is not None and not self.i_b.bounded_above:
+        if sgn_b_req is not None and not i_b.bounded_above:
             raise ValueError("sign-constrained b-interval must be bounded above")
-        if self.sgn_c_req is not None and not self.i_c.bounded_above:
+        if sgn_c_req is not None and not i_c.bounded_above:
             raise ValueError("sign-constrained c-interval must be bounded above")
+        return tuple.__new__(cls, (i_a, i_b, i_c, i_d, sgn_b_req, sgn_c_req,
+                                   lvl_a_req, lvl_d_req))
 
     def pulled_back(self, lam: ValClass) -> "Box":
         """The box of gamma -> f(lam^-1 gamma lam): shift b up, c down, twist signs."""
         _require_base(lam)
         h = lam.half_val
         s = lam.eta_sign
-        return replace(
-            self,
-            i_b=self.i_b.shift(h),
-            i_c=self.i_c.shift(-h),
-            sgn_b_req=None if self.sgn_b_req is None else self.sgn_b_req * s,
-            sgn_c_req=None if self.sgn_c_req is None else self.sgn_c_req * s,
-        )
+        return Box(self.i_a, self.i_b.shift(h), self.i_c.shift(-h), self.i_d,
+                   None if self.sgn_b_req is None else self.sgn_b_req * s,
+                   None if self.sgn_c_req is None else self.sgn_c_req * s,
+                   self.lvl_a_req, self.lvl_d_req)
 
     def touches_diagonal(self) -> bool:
         """Whether the box contains degenerate diagonal points (b = c = 0)."""
@@ -129,8 +135,18 @@ class Box:
         return out
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class _OrbitData(NamedTuple):
+    setup: FieldSetup
+    t: int
+    v_b2: int
+    b_sign: int
+    defect_sign: int
+    v_a2: int
+    lvl_a: Optional[int]
+    lvl_d: Optional[int]
+
+
+class OrbitData(_OrbitData):
     """Invariants of a regular semisimple orbit.
 
     t = v(1 - N(a)) and defect_sign = eta(1 - N(a)), which is +1 exactly
@@ -140,32 +156,28 @@ class OrbitData:
     v(c) = t - v(b) and eta(c) = defect_sign * eta(b).
     """
 
-    setup: FieldSetup
-    t: int
-    v_b2: int
-    b_sign: int
-    defect_sign: int
-    v_a2: int = 0
-    lvl_a: Optional[int] = None
-    lvl_d: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.t < 0:
+    def __new__(cls, setup: FieldSetup, t: int, v_b2: int, b_sign: int, defect_sign: int,
+                v_a2: int = 0, lvl_a: Optional[int] = None,
+                lvl_d: Optional[int] = None) -> "OrbitData":
+        if t < 0:
             raise ValueError("the defect valuation t must be >= 0")
-        if self.v_a2 < 0:
+        if v_a2 < 0:
             raise ValueError("the a-entry must be integral")
-        for lvl in (self.lvl_a, self.lvl_d):
+        for lvl in (lvl_a, lvl_d):
             if lvl is not None and lvl < 0:
                 raise ValueError("conductor levels are >= 0")
-        if self.v_a2 > 0 and (self.t != 0 or self.defect_sign != PLUS):
+        if v_a2 > 0 and (t != 0 or defect_sign != PLUS):
             raise ValueError("a non-unit a-entry forces t = 0 with sign +1")
-        signs = self.setup.signs
-        if not signs(self.v_a2):
+        signs = setup.signs
+        if not signs(v_a2):
             raise ValueError("no element of the setup has valuation v(a)")
-        if self.b_sign not in signs(self.v_b2):
+        if b_sign not in signs(v_b2):
             raise ValueError("eta(b) is not a sign valuation v(b) admits")
-        if self.defect_sign not in signs(2 * self.t):
+        if defect_sign not in signs(2 * t):
             raise ValueError("eta(1 - N(a)) is not a sign valuation t admits")
+        return tuple.__new__(cls, (setup, t, v_b2, b_sign, defect_sign, v_a2, lvl_a, lvl_d))
 
     @property
     def v_c2(self) -> int:
@@ -178,7 +190,9 @@ class OrbitData:
     def along_orbit(self, lam: ValClass) -> "OrbitData":
         """The conjugated orbit representative: (v(b), eta(b)) twisted by lam."""
         _require_base(lam)
-        return replace(self, v_b2=self.v_b2 - lam.half_val, b_sign=self.b_sign * lam.eta_sign)
+        return OrbitData(self.setup, self.t, self.v_b2 - lam.half_val,
+                         self.b_sign * lam.eta_sign, self.defect_sign, self.v_a2,
+                         self.lvl_a, self.lvl_d)
 
     def to_json(self) -> dict:
         return {
@@ -385,10 +399,10 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
 @functools.lru_cache(maxsize=1)
 def _series(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
     """orb_s(gamma, f), kept for the last (gamma, f) asked, so that orb and
-    d_orb at one orbit build one series.  Exact: OrbitData is frozen and
-    hashed by value, an InvariantFunction is hashed by identity and the cache
-    holds it (so its id is not reused), and an orb_s that raises is not
-    cached."""
+    d_orb at one orbit build one series.  Exact: OrbitData is an immutable
+    named tuple hashed by value, an InvariantFunction is hashed by identity
+    and the cache holds it (so its id is not reused), and an orb_s that
+    raises is not cached."""
     return orb_s(gamma, f)
 
 

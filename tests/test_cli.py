@@ -376,6 +376,17 @@ class TestProcessPool:
                               capture_output=True, text=True, env=env, check=True)
         assert done.stdout == "0 []\n"
 
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # the value types are named tuples: dataclasses would pull in inspect
+        # (and with it ast, dis and tokenize), a fixed import cost every sweep
+        # would pay
+        script = ("import sys, aflcalc.cli\n"
+                  "print([name for name in ('dataclasses', 'inspect') if name in sys.modules])\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "[]\n"
+
 
 class TestAtiTimes:
     def test_t_order_and_repeats_do_not_change_rows(self, tmp_path):

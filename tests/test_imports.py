@@ -1,6 +1,8 @@
 """Every imported name is used in the module that imports it, every
 definition in the package is read somewhere in the package or its tests, and
-the definitions only tests read are exactly the declared ones.
+the definitions only tests read are exactly the declared ones.  No module of
+the package builds a value type through _replace or _make, which skip its
+checks.
 
 A name that only appears in a docstring or a comment is not a use."""
 
@@ -83,6 +85,16 @@ def unread(defining: str, readers: list[str]) -> list[str]:
     return [name for name in definitions(defining) if name.split(".")[-1] not in read]
 
 
+# named-tuple builders that bypass a value type's __new__, and so its checks
+UNCHECKED_BUILDERS = {"_replace", "_make"}
+
+
+def unchecked_builds(source: str) -> list[int]:
+    """The lines on which a module reads _replace or _make."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in UNCHECKED_BUILDERS)
+
+
 def test_a_docstring_mention_is_not_a_use():
     source = '"""Run under pytest -s."""\nimport os.path\nimport pytest\nos.path.join("a")\n'
     assert unused_imports(source) == ["pytest"]
@@ -94,6 +106,12 @@ def test_a_definition_mentioned_only_in_text_is_unread():
                 '        return 0\n')
     assert unread(defining, [defining]) == ["TWO", "Box", "Box.area"]
     assert unread(defining, [defining, "Box().area()\nTWO\n"]) == []
+
+
+def test_every_unchecked_build_is_found():
+    source = ('"""Not gamma._replace(t=1)."""\nbox = Box._make(items)\n'
+              'copy = gamma._replace\nother = gamma.replace(t=1)  # _replace\n')
+    assert unchecked_builds(source) == [2, 3]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -111,3 +129,8 @@ def test_only_the_declared_definitions_go_unread_by_the_package():
     readers = [p.read_text() for p in SOURCES] + [DISPATCHED]
     unread_in_package = {name for path in SOURCES for name in unread(path.read_text(), readers)}
     assert unread_in_package == set(READ_OUTSIDE_THE_PACKAGE)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_values_are_built_through_their_class(path):
+    assert unchecked_builds(path.read_text()) == []

@@ -1,5 +1,4 @@
 import pickle
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -275,6 +274,14 @@ class TestBoxClosureRules:
             Box(i_a=Interval(0, 0), i_b=Interval(0, None), i_c=Interval(0, None),
                 i_d=Interval(0, 0), sgn_b_req=PLUS)
 
+    @pytest.mark.parametrize("value", [None, (0, None)], ids=["none", "plain-tuple"])
+    @pytest.mark.parametrize("name", ["i_a", "i_b", "i_c", "i_d", "lvl_a_req", "lvl_d_req"])
+    def test_every_interval_field_takes_only_an_interval(self, name, value):
+        # a plain tuple equals the Interval of its values, so only the type
+        # check stops it before orb_s fails on it
+        intervals = {"i_a": INTEGRAL, "i_b": INTEGRAL, "i_c": INTEGRAL, "i_d": INTEGRAL}
+        with pytest.raises(ValueError, match="Intervals"):
+            Box(**{**intervals, name: value})
 
 
 class TestMonomialGrowthNearDiagonal:
@@ -588,7 +595,7 @@ class TestEtaPiFInvariance:
     @given(gamma=orbits(ramified=st.just(True)), f=functions)
     def test_ramified_orb_s_ignores_eta_pi_f(self, gamma, f):
         setup = gamma.setup
-        flipped = replace(gamma, setup=FieldSetup(setup.q, True, -setup.eta_pi_f))
+        flipped = gamma._replace(setup=FieldSetup(setup.q, True, -setup.eta_pi_f))
         assert outcome(orb_s, gamma, f) == outcome(orb_s, flipped, f)
 
 
@@ -673,9 +680,9 @@ def orbit_pools(draw):
     gamma = draw(orbits())
     setup = gamma.setup
     other = FieldSetup(setup.q, not setup.ramified, None if setup.ramified else PLUS)
-    pool = [gamma, replace(gamma), draw(orbits())]
+    pool = [gamma, gamma._replace(), draw(orbits())]
     try:
-        pool.append(replace(gamma, setup=other))
+        pool.append(OrbitData(*gamma._replace(setup=other)))
     except ValueError:
         pass
     return pool
