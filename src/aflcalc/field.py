@@ -77,7 +77,7 @@ class ValClass(_ValClass):
     def __new__(cls, half_val: int, eta_sign: int) -> "ValClass":
         if eta_sign not in (PLUS, MINUS):
             raise ValueError("eta sign must be +1 or -1")
-        if not isinstance(half_val, int):
+        if type(half_val) is not int:  # exactly int: T^True is no monomial
             raise TypeError("half_val stores 2*v(x) and must be int")
         return tuple.__new__(cls, (half_val, eta_sign))
 

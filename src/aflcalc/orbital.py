@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .field import MINUS, PLUS, FieldSetup, ValClass, unit_integral
@@ -241,24 +242,27 @@ class InvariantFunction:
     def __init__(self, terms: Iterable[tuple[Rational, Box]] = ()):
         self._terms = tuple((as_fraction(c), box) for c, box in terms)
         self._weights: dict[tuple[FieldSetup, Optional[int]],
-                            tuple[tuple[Fraction, Fraction], ...]] = {}
+                            tuple[int, tuple[tuple[int, int], ...]]] = {}
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Box], ...]:
         return self._terms
 
     def _run_weights(self, setup: FieldSetup, eta: Optional[int]
-                     ) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Per term, (coeff * unit_integral(setup, 0, eta),
-        coeff * unit_integral(setup, 2, eta)): the weights of its even and odd
-        conjugator shells when eta is asked of the conjugator.  Built on first
-        use for each (setup, eta); the terms never change, so the table is
-        exact."""
+                     ) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(den, per term (even, odd)): integer numerators over den of
+        coeff * unit_integral(setup, 0, eta) and coeff * unit_integral(setup,
+        2, eta), the weights of the term's even and odd conjugator shells when
+        eta is asked of the conjugator.  Built on first use for each (setup,
+        eta); the terms never change, so the table is exact."""
         key = (setup, eta)
         weights = self._weights.get(key)
         if weights is None:
             even, odd = unit_integral(setup, 0, eta), unit_integral(setup, 2, eta)
-            weights = self._weights[key] = tuple((c * even, c * odd) for c, _ in self._terms)
+            pairs = [(c * even, c * odd) for c, _ in self._terms]
+            den = lcm(*(w.denominator for pair in pairs for w in pair))
+            weights = self._weights[key] = (den, tuple(
+                tuple(w.numerator * (den // w.denominator) for w in pair) for pair in pairs))
         return weights
 
     @classmethod
@@ -325,38 +329,6 @@ def level_cells(reqs: Iterable[Interval]) -> list[Interval]:
     return cells
 
 
-def _fixed_tests(gamma: OrbitData, box: Box) -> bool:
-    """The box constraints that do not move along the orbit."""
-    return (box.i_a.contains(gamma.v_a2)
-            and box.i_d.contains(gamma.v_a2)
-            and box.lvl_a_req.contains(gamma.lvl_a)
-            and box.lvl_d_req.contains(gamma.lvl_d))
-
-
-def _shift_range(gamma: OrbitData, box: Box) -> Optional[tuple[int, int]]:
-    """Conjugator valuations n for which the box can hold the shifted orbit.
-
-    Every n in the returned range puts v(b) - 2n in i_b and v(c) + 2n in
-    i_c, so callers need not test the off-diagonal intervals again.
-    Raises DivergenceError when the range is unbounded at either end."""
-    uppers = []
-    lowers = []
-    if box.i_b.lo is not None:
-        uppers.append((gamma.v_b2 - box.i_b.lo) // 2)
-    if box.i_c.hi is not None:
-        uppers.append((box.i_c.hi - gamma.v_c2) // 2)
-    if box.i_b.hi is not None:
-        lowers.append(-((box.i_b.hi - gamma.v_b2) // 2))
-    if box.i_c.lo is not None:
-        lowers.append(-((gamma.v_c2 - box.i_c.lo) // 2))
-    if not uppers or not lowers:
-        raise DivergenceError("the orbit meets the box in an unbounded set")
-    n_lo, n_hi = max(lowers), min(uppers)
-    if n_lo > n_hi:
-        return None
-    return n_lo, n_hi
-
-
 def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
     """The orbital integral as an exact polynomial in T = q^(-s).
 
@@ -364,35 +336,50 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
     T^n times the eta-weighted measure of its conjugators h whose eta moves
     each pinned entry onto its pin, eta(h) = req * eta(entry).  That eta is
     found once per box (a box whose pins disagree meets no conjugator), and
-    the measure unit_integral(setup, 2n, eta) depends on n only through
-    setup.signs(2n), that is through the parity of n.  So each box's shells
-    form two runs of constant weight.  The weights are built once per
-    function, setup and eta (InvariantFunction._run_weights) and only read
-    here; each shell costs one dict entry and each contributing box one
-    polynomial addition, which makes the cost linear in the number of output
-    monomials.
+    the measure unit_integral(setup, 2n, eta) depends on n only through the
+    parity of n.  So each box's shells form two runs of constant weight, read
+    as integer numerators from InvariantFunction._run_weights.  Each box is
+    tested inline, each shell costs one dict entry and each contributing box
+    one polynomial addition: the cost is linear in the output monomials.
     """
+    setup, t, v_b2, b_sign, defect_sign, v_a2, lvl_a, lvl_d = gamma
+    v_c2 = 2 * t - v_b2
+    c_sign = defect_sign * b_sign
     total = LaurentPoly.zero()
     for k, (coeff, box) in enumerate(f.terms):
-        if not coeff or not _fixed_tests(gamma, box):
+        ((a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi), sgn_b, sgn_c,
+         (la_lo, la_hi), (ld_lo, ld_hi)) = box
+        # the constraints that do not move along the orbit; a level of None
+        # is the point +oo, which only an interval open above admits
+        if (not coeff or (a_lo is not None and v_a2 < a_lo) or (a_hi is not None and v_a2 > a_hi)
+                or (d_lo is not None and v_a2 < d_lo) or (d_hi is not None and v_a2 > d_hi)
+                or (la_hi is not None if lvl_a is None else
+                    (la_lo is not None and lvl_a < la_lo) or (la_hi is not None and lvl_a > la_hi))
+                or (ld_hi is not None if lvl_d is None else
+                    (ld_lo is not None and lvl_d < ld_lo) or (ld_hi is not None and lvl_d > ld_hi))):
             continue
-        rng = _shift_range(gamma, box)
-        if rng is None:
+        # the conjugator valuations n that put v(b) - 2n in i_b and v(c) + 2n
+        # in i_c; where one interval leaves a side open the other bounds it
+        if (b_lo is None and c_hi is None) or (b_hi is None and c_lo is None):
+            raise DivergenceError("the orbit meets the box in an unbounded set")
+        n_hi = min((c_hi - v_c2) // 2 if b_lo is None else (v_b2 - b_lo) // 2,
+                   (v_b2 - b_lo) // 2 if c_hi is None else (c_hi - v_c2) // 2)
+        n_lo = max(-((v_c2 - c_lo) // 2) if b_hi is None else -((b_hi - v_b2) // 2),
+                   -((b_hi - v_b2) // 2) if c_lo is None else -((v_c2 - c_lo) // 2))
+        if n_lo > n_hi:
             continue
-        pins = {req * sign for req, sign in ((box.sgn_b_req, gamma.b_sign),
-                                             (box.sgn_c_req, gamma.c_sign))
-                if req is not None}
-        if len(pins) > 1:
+        eta_b = None if sgn_b is None else sgn_b * b_sign
+        eta_h = eta_b if sgn_c is None else sgn_c * c_sign
+        if eta_b is not None and eta_h != eta_b:
             continue
-        eta_h = pins.pop() if pins else None
-        n_lo, n_hi = rng
-        terms: dict[int, Fraction] = {}
-        for parity, w in enumerate(f._run_weights(gamma.setup, eta_h)[k]):
+        den, weights = f._run_weights(setup, eta_h)
+        run: dict[int, int] = {}
+        for parity, w in enumerate(weights[k]):
             if w:
                 first = n_lo + (parity - n_lo) % 2
-                terms.update(dict.fromkeys(range(2 * first, 2 * n_hi + 1, 4), w))
-        if terms:
-            total = total + LaurentPoly._of(terms)
+                run.update(dict.fromkeys(range(2 * first, 2 * n_hi + 1, 4), w))
+        if run:
+            total = total + LaurentPoly._of(run, den)
     return total
 
 

@@ -77,6 +77,12 @@ class TestValClassMonoid:
         y = ValClass(-1, MINUS)
         assert x * y == ValClass(2, PLUS)
 
+    @pytest.mark.parametrize("half_val", [True, Fraction(2), 2.0])
+    def test_half_val_is_exactly_int(self, half_val):
+        # ValClass(True, 1) used to build, and eta_s rendered it as T^True/2
+        with pytest.raises(TypeError):
+            ValClass(half_val, PLUS)
+
 
 class TestEtaS:
     def test_unramified_uniformizer(self):

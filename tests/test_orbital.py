@@ -11,7 +11,6 @@ from aflcalc.germs import GermExpansion, GermPiece, function_from_germ, shell_bo
 from aflcalc.matching import afl_verify
 from aflcalc.orbital import (INTEGRAL, Box, DivergenceError, Interval, InvariantFunction,
                              OrbitData, clear_diagonal, d_orb, diagonal_killer,
-                             _fixed_tests, _shift_range,
                              eta_twist_difference, integral_indicator,
                              orb, orb_s, orbits_at, transfer_factor,
                              unit_diag_indicator, unramified_orbit)
@@ -358,6 +357,38 @@ def intervals(draw):
     return Interval(lo, hi)
 
 
+def _fixed_tests(gamma, box):
+    """The box constraints that do not move along the orbit."""
+    return (box.i_a.contains(gamma.v_a2)
+            and box.i_d.contains(gamma.v_a2)
+            and box.lvl_a_req.contains(gamma.lvl_a)
+            and box.lvl_d_req.contains(gamma.lvl_d))
+
+
+def _shift_range(gamma, box):
+    """Conjugator valuations n for which the box can hold the shifted orbit,
+    as (n_lo, n_hi), or None when there are none.
+
+    Every n in the returned range puts v(b) - 2n in i_b and v(c) + 2n in
+    i_c.  Raises DivergenceError when the range is unbounded at either end."""
+    uppers = []
+    lowers = []
+    if box.i_b.lo is not None:
+        uppers.append((gamma.v_b2 - box.i_b.lo) // 2)
+    if box.i_c.hi is not None:
+        uppers.append((box.i_c.hi - gamma.v_c2) // 2)
+    if box.i_b.hi is not None:
+        lowers.append(-((box.i_b.hi - gamma.v_b2) // 2))
+    if box.i_c.lo is not None:
+        lowers.append(-((gamma.v_c2 - box.i_c.lo) // 2))
+    if not uppers or not lowers:
+        raise DivergenceError("the orbit meets the box in an unbounded set")
+    n_lo, n_hi = max(lowers), min(uppers)
+    if n_lo > n_hi:
+        return None
+    return n_lo, n_hi
+
+
 class TestShiftRange:
     @given(setup=st.sampled_from((RAM, RAM_NEG)), t=st.integers(0, 12),
            v_b2=st.integers(-12, 12), b_sign=st.sampled_from((PLUS, MINUS)),
@@ -517,6 +548,23 @@ class TestParityRuns:
     def test_random_boxes_match_shell_oracle(self, gamma, f):
         assert outcome(orb_s, gamma, f) == outcome(_orb_s_by_shells, gamma, f)
 
+    @given(gamma=orbits(), v_a2=st.integers(0, 4), f=functions, data=st.data())
+    def test_diagonal_windows_match_shell_oracle(self, gamma, v_a2, f, data):
+        # orb_s tests the a- and d-windows inline, the oracle through
+        # Interval.contains; a non-unit diagonal entry forces t = 0, sign +1
+        if not gamma.setup.ramified:
+            v_a2 -= v_a2 % 2
+        if v_a2:
+            gamma = OrbitData(gamma.setup, 0, gamma.v_b2, gamma.b_sign, PLUS, v_a2,
+                              gamma.lvl_a, gamma.lvl_d)
+        ends = st.none() | st.integers(v_a2 - 1, v_a2 + 1)
+        windows = st.builds(Interval, ends, ends)
+        f = InvariantFunction([(c, Box(data.draw(windows), box.i_b, box.i_c, data.draw(windows),
+                                       box.sgn_b_req, box.sgn_c_req, box.lvl_a_req,
+                                       box.lvl_d_req))
+                               for c, box in f.terms])
+        assert outcome(orb_s, gamma, f) == outcome(_orb_s_by_shells, gamma, f)
+
     @given(gamma=orbits())
     def test_battery_matches_shell_oracle(self, gamma):
         for _, f in germ_battery(gamma.setup):
@@ -662,6 +710,19 @@ class TestOrbSCost:
                     added.clear()
                     if outcome(orb_s, gamma, f) is not DivergenceError:
                         assert len(added) <= len(f.terms)
+
+    def test_no_fraction_once_the_weights_are_filled(self, fraction_builds):
+        # integer run weights and integer polynomial sums: once the weight
+        # tables are filled, no step of orb_s builds a Fraction, also where
+        # the runs of several boxes with unrelated coefficients overlap
+        mix = pinned_mix()
+        cases = [(unramified_orbit(UNRAM, 41, 0), integral_indicator())]
+        cases += [(gamma, mix) for gamma in ram_grid(RAM)[::9] + unram_grid()[::5]]
+        want = [orb_s(gamma, f) for gamma, f in cases]
+        fraction_builds.clear()
+        assert [orb_s(gamma, f) for gamma, f in cases] == want
+        assert fraction_builds == []
+        assert want[0].monomial_count() == 42
 
     def test_deep_identity_row(self):
         # 1282 shells; one orb/d_orb pair took seconds when each shell re-added

@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,14 @@ class TestBasics:
     def test_doubled_exponent_type_checked(self):
         with pytest.raises(TypeError):
             LaurentPoly([(Fraction(1, 2), Fraction(1))])
+
+    @pytest.mark.parametrize("e2", [Fraction(1, 2), Fraction(2), True, 2.0])
+    def test_exponent_is_exactly_int_on_every_path(self, e2):
+        # monomial used to take T^(1/2)/2, and a bool rendered as T^True/2
+        with pytest.raises(TypeError):
+            LaurentPoly([(e2, Fraction(1))])
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(e2)
 
     def test_arithmetic(self):
         p = poly((0, 1), (-2, -1))  # 1 - T^-1
@@ -96,9 +106,9 @@ def normalized(x):
 
 
 class TestExactSums:
-    """eval_at_s0 and d_ds_at_s0 sum integer numerators over one running
-    common denominator; both must give the plain Fraction sums, in lowest
-    terms."""
+    """eval_at_s0 and d_ds_at_s0 sum the integer numerators over the
+    polynomial's one denominator; both must give the plain Fraction sums, in
+    lowest terms."""
 
     @given(cancelling_polys())
     def test_value_is_the_coefficient_sum(self, p):
@@ -173,15 +183,62 @@ class TestAddition:
 
     @given(polys, polys, rationals)
     def test_operands_unchanged(self, p, q, c):
-        before = (dict(p._terms), dict(q._terms))
+        before = (dict(p._nums), p._den, dict(q._nums), q._den)
         _ = (p + q, q + p, p - q, -p, p.scale(c), p * q)
-        assert (p._terms, q._terms) == before
+        assert (p._nums, p._den, q._nums, q._den) == before
 
     @given(polys, rationals)
     def test_scale_and_negation_match_public_constructor(self, p, c):
         assert p.scale(c) == LaurentPoly([(e2, c * v) for e2, v in p.terms()])
         assert -p == LaurentPoly([(e2, -v) for e2, v in p.terms()])
         assert not p.scale(0)
+
+
+# the trusted constructor's inputs: nonzero int numerators over a positive
+# denominator, not necessarily reduced
+trusted_polys = st.builds(
+    LaurentPoly._of,
+    st.dictionaries(st.integers(-20, 20), st.integers(-10**6, 10**6).filter(bool), max_size=6),
+    st.integers(1, 10**6))
+scalars = rationals | st.integers(-5, 5)
+expressions = st.recursive(
+    polys | trusted_polys | st.builds(LaurentPoly.monomial, st.integers(-20, 20), scalars),
+    lambda kids: st.builds(operator.add, kids, kids) | st.builds(operator.sub, kids, kids)
+    | st.builds(operator.mul, kids, kids) | st.builds(operator.neg, kids)
+    | st.builds(LaurentPoly.scale, kids, scalars),
+    max_leaves=6)
+
+
+class TestCanonicalForm:
+    """Every constructor and operation leaves integer numerators over one
+    positive denominator in lowest terms, so that equal polynomials have
+    equal fields and equal hashes."""
+
+    @given(expressions)
+    def test_every_path_builds_the_canonical_form(self, p):
+        nums, den = p._nums, p._den
+        assert all(type(e2) is int and type(n) is int and n for e2, n in nums.items())
+        assert type(den) is int and den > 0
+        assert gcd(den, *nums.values()) == 1  # and so den == 1 for the zero polynomial
+        rebuilt = LaurentPoly(p.terms())
+        assert (rebuilt._nums, rebuilt._den) == (nums, den)
+        assert hash(rebuilt) == hash(p)
+
+    @given(expressions, expressions)
+    def test_equality_is_equality_of_terms(self, p, q):
+        # the halved copy has p's numerators over twice its denominator
+        for a, b in ((p, q), (p, p.scale(Fraction(1, 2))), (p, LaurentPoly(p.terms()))):
+            assert (a == b) == (a.terms() == b.terms())
+
+    def test_arithmetic_builds_no_fraction(self, fraction_builds):
+        p = poly((-1, Fraction(1, 3)), (0, 2), (2, Fraction(-5, 6)))
+        q = poly((0, Fraction(-2)), (2, Fraction(7, 10)), (4, Fraction(1, 4)))
+        twin, c = LaurentPoly(p.terms()), Fraction(-3, 4)
+        fraction_builds.clear()
+        results = (p + q, q + p, p - q, -p, p * q, q * p, p.scale(c), p.scale(6), p.scale(0),
+                   p == q, p == twin)
+        assert fraction_builds == []
+        assert results[-2:] == (False, True)
 
 
 class TestProduct:

@@ -53,6 +53,20 @@ def test_every_value_type_survives_pickling():
         assert type(copy) is type(value) and copy == value, type(value).__name__
 
 
+# the reports hold dicts of rows, so they are equal by value but not hashable
+UNHASHABLE = {GrowthReport, EndToEndReport}
+
+
+def test_equal_values_hash_equal():
+    for value, twin in zip(values(), values()):
+        assert value == twin, type(value).__name__
+        if type(value) in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(twin), type(value).__name__
+
+
 # _replace skips the checks; each builds a value its class would refuse
 INVALID = [
     (FieldSetup(3, False), {"eta_pi_f": PLUS}),
