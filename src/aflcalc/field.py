@@ -75,6 +75,8 @@ class ValClass(_ValClass):
     __slots__ = ()
 
     def __new__(cls, half_val: int, eta_sign: int) -> "ValClass":
+        if type(eta_sign) is bool:  # True == 1, but a bool is no sign
+            raise TypeError("eta sign must be an int, not a bool")
         if eta_sign not in (PLUS, MINUS):
             raise ValueError("eta sign must be +1 or -1")
         if type(half_val) is not int:  # exactly int: T^True is no monomial

@@ -238,8 +238,11 @@ def _context_ts(ctx: MatchContext, ts: Sequence[int]) -> list[int]:
 
 def _constant(values: Iterable[Fraction]) -> Optional[Fraction]:
     """The one value all values share, or None when they differ or are none."""
-    distinct = set(values)
-    return distinct.pop() if len(distinct) == 1 else None
+    values = iter(values)
+    first = next(values, None)
+    if first is None or any(value != first for value in values):
+        return None
+    return first
 
 
 def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
@@ -339,9 +342,16 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
     threshold = max(validity_threshold(f), ctx.i + ctx.j)
     ts = _context_ts(ctx, range(threshold, threshold + 2 * T_COUNT))[:T_COUNT]
 
+    # Int sees an orbit of the context only through its heights, so it is
+    # computed once per (t, lvl_a, lvl_d) and not once per v(b)
+    ints: dict[tuple[int, Optional[int], Optional[int]], int] = {}
+
     def row(gamma: OrbitData, offset: Fraction) -> EndToEndRow:
         analytic = transfer_factor(gamma) * d_orb(gamma, f)
-        int_value = _int_at(gamma, ctx)
+        key = (gamma.t, gamma.lvl_a, gamma.lvl_d)
+        int_value = ints.get(key)
+        if int_value is None:
+            int_value = ints[key] = _int_at(gamma, ctx)
         return EndToEndRow(gamma.t, gamma.v_b2, analytic, int_value,
                            analytic - offset, int_value - offset, analytic - int_value)
 

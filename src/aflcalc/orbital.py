@@ -30,7 +30,12 @@ class DivergenceError(ValueError):
     """The orbit meets the support in a set of infinite measure."""
 
 
-class Interval(NamedTuple):
+class _Interval(NamedTuple):
+    lo: Optional[int]
+    hi: Optional[int]
+
+
+class Interval(_Interval):
     """Integer interval with None endpoints meaning -oo / +oo.
 
     Used both for doubled valuations and for conductor levels; contains(None)
@@ -38,8 +43,12 @@ class Interval(NamedTuple):
     unconstrained level requirement.
     """
 
-    lo: Optional[int] = None
-    hi: Optional[int] = None
+    __slots__ = ()
+
+    def __new__(cls, lo: Optional[int] = None, hi: Optional[int] = None) -> "Interval":
+        if type(lo) is bool or type(hi) is bool:  # True == 1, but [false, true] is no interval
+            raise TypeError("interval ends are ints or None, not bools")
+        return tuple.__new__(cls, (lo, hi))
 
     def contains(self, x: Optional[int]) -> bool:
         if x is None:
@@ -84,6 +93,8 @@ class Box(_Box):
     def __new__(cls, i_a: Interval, i_b: Interval, i_c: Interval, i_d: Interval,
                 sgn_b_req: Optional[int] = None, sgn_c_req: Optional[int] = None,
                 lvl_a_req: Interval = Interval(), lvl_d_req: Interval = Interval()) -> "Box":
+        if type(sgn_b_req) is bool or type(sgn_c_req) is bool:
+            raise TypeError("sign requirements are ints or None, not bools")
         for req in (sgn_b_req, sgn_c_req):
             if req not in (None, PLUS, MINUS):
                 raise ValueError("sign requirement must be None, +1 or -1")
@@ -162,6 +173,11 @@ class OrbitData(_OrbitData):
     def __new__(cls, setup: FieldSetup, t: int, v_b2: int, b_sign: int, defect_sign: int,
                 v_a2: int = 0, lvl_a: Optional[int] = None,
                 lvl_d: Optional[int] = None) -> "OrbitData":
+        # True == 1 passes every check below, but "t": true is no valuation
+        if (type(t) is bool or type(v_b2) is bool or type(b_sign) is bool
+                or type(defect_sign) is bool or type(v_a2) is bool
+                or type(lvl_a) is bool or type(lvl_d) is bool):
+            raise TypeError("orbit invariants are ints, not bools")
         if t < 0:
             raise ValueError("the defect valuation t must be >= 0")
         if v_a2 < 0:

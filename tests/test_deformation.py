@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aflcalc.deformation import (DeformQuery, InadmissibleParityError, geometric_sum,
                                  hom_height_attainable, lift_bound,
@@ -39,6 +40,12 @@ class TestIndices:
         assert ramification_index(RAM3, 0) == 2
         assert ramification_index(UNRAM3, 0) == 1
         assert ramification_index(RAM3, 3) == unit_index(RAM3, 3)
+
+    @pytest.mark.parametrize("setup", [RAM3, UNRAM3])
+    def test_negative_level_rejected(self, setup):
+        for index in (unit_index, ramification_index):
+            with pytest.raises(ValueError):
+                index(setup, -1)
 
     def test_geometric_sum(self):
         assert geometric_sum(2, 3) == 13
@@ -140,6 +147,40 @@ class TestEquivalenceSweep:
                             except InadmissibleParityError:
                                 continue
                             assert lift_bound(hi) - lift_bound(lo) == e_rel * step
+
+
+@st.composite
+def random_queries(draw):
+    """An admissible query with q in 2..13, levels up to 12, e_rel up to 4 and
+    height up to 80: well past the sweep grids above."""
+    setup = FieldSetup(draw(st.integers(2, 13)), draw(st.booleans()))
+    i, j = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    e_rel, l = draw(st.integers(1, 4)), draw(st.integers(0, 80))
+    assume(hom_height_attainable(setup, i, j, l))
+    try:
+        return DeformQuery(setup, i, j, e_rel, l)
+    except InadmissibleParityError:
+        assume(False)
+
+
+class TestRandomQueries:
+    @settings(max_examples=400)
+    @given(random_queries())
+    def test_closed_recursive_and_mirror_agree(self, query):
+        setup, i, j, e_rel, l = query
+        mirror = DeformQuery(setup, j, i, e_rel, l)
+        assert lift_bound(query) == lift_bound_recursive(query) == lift_bound(mirror)
+
+
+class TestKernelContract:
+    @pytest.mark.parametrize("bound", [lift_bound, lift_bound_recursive])
+    def test_plain_tuple_refused(self, bound):
+        # (0, 0) at even height is parity-inadmissible unramified; a plain
+        # tuple must not get past DeformQuery's check by being unpacked
+        with pytest.raises(TypeError):
+            bound((UNRAM3, 0, 0, 1, 2))
+        with pytest.raises(TypeError):
+            bound((UNRAM3, 0, 0, 1, 3))  # admissible, still no DeformQuery
 
 
 class TestParityAdmissibility:

@@ -34,6 +34,7 @@ READ_OUTSIDE_THE_PACKAGE = {
     "GermExpansion.predicted_d_orb": "the derivative germ",
     "GermExpansion.derivative_is_zero": "the derivative germ",
     "LaurentPoly.monomial_count": "the perfbench tracer counts monomials with it",
+    "unit_index": "states the unit-group index; the package reads the equal ramification index",
 }
 
 

@@ -238,6 +238,32 @@ class TestEndToEnd:
         assert a0_odd == -Fraction(odd_ctx.e_f, 2)
 
 
+class TestEndToEndCost:
+    def test_int_once_per_height(self, monkeypatch):
+        # Int depends on an orbit of the context only through its heights, so
+        # the three v(b) per t and both valuation classes share one value
+        ctx = MatchContext(RAM3, 1, 1, e_f=6)
+        calls = []
+        real = matching.intersection_length
+
+        def counting(heights, ctx):
+            calls.append(heights)
+            return real(heights, ctx)
+        monkeypatch.setattr(matching, "intersection_length", counting)
+        report = ati_end_to_end(ctx)
+        assert report.passed and report.outside_rows
+        assert set(report.rows) == {0, 1}
+        assert len(calls) <= 2 * matching.T_COUNT
+
+    def test_constant(self):
+        assert matching._constant([]) is None
+        assert matching._constant(iter(())) is None
+        assert matching._constant([3, Fraction(3)]) == 3
+        assert matching._constant([Fraction(1, 2)] * 3) == Fraction(1, 2)
+        assert matching._constant([Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)]) is None
+        assert matching._constant([Fraction(-1), 1]) is None
+
+
 def _perturb_int(monkeypatch, delta, at):
     """Shift Int by delta wherever at(heights) holds."""
     real = matching.intersection_length

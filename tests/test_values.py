@@ -83,3 +83,26 @@ INVALID = [
 def test_unpickling_runs_the_checks(value, change):
     with pytest.raises(ValueError):
         pickle.loads(pickle.dumps(value._replace(**change)))
+
+
+# a bool is an int, so True == 1 used to pass every check and reach report
+# JSON: OrbitData(FieldSetup(3, True), True, 0, 1, 1).to_json() wrote "t": true.
+# Each case builds with every field 0 or 1, and must refuse that field as a bool.
+ORBIT = dict(t=1, v_b2=0, b_sign=PLUS, defect_sign=PLUS, v_a2=0, lvl_a=1, lvl_d=0)
+BOX = dict(i_a=Interval(0, 0), i_b=Interval(0, 2), i_c=Interval(0, 1), i_d=Interval(0, 0),
+           sgn_b_req=PLUS, sgn_c_req=PLUS)
+BOOL_CASES = (
+    [("OrbitData", lambda **kw: OrbitData(RAM, **{**ORBIT, **kw}), f) for f in ORBIT]
+    + [("Interval", lambda **kw: Interval(**{"lo": 0, "hi": 1, **kw}), f) for f in ("lo", "hi")]
+    + [("Box", lambda **kw: Box(**{**BOX, **kw}), f) for f in ("sgn_b_req", "sgn_c_req")]
+    + [("ValClass", lambda **kw: ValClass(**{"half_val": 2, "eta_sign": PLUS, **kw}),
+        "eta_sign")])
+
+
+@pytest.mark.parametrize("build, field", [(build, field) for _, build, field in BOOL_CASES],
+                         ids=[f"{name}.{field}" for name, _, field in BOOL_CASES])
+def test_bool_is_no_int(build, field):
+    value = getattr(build(), field)
+    assert type(value) is int and value in (0, 1)
+    with pytest.raises(TypeError):
+        build(**{field: bool(value)})
