@@ -138,12 +138,17 @@ class GermExpansion(_GermExpansion):
         return not any(self.eval_side(*cell).eval_at_s0() for cell in self._probe_cells())
 
     def predicted_orb_s(self, gamma: OrbitData) -> LaurentPoly:
-        """eta_s(b) A0 + eta_s(c)^(-1) A1 evaluated at the orbit's invariants."""
-        cls = gamma.v_b2 % 2
-        b_part, c_part = (
-            LaurentPoly.monomial(-SIDE_SIGN[side] * v2, sign)
-            * self.eval_side(side, gamma.lvl_a, gamma.lvl_d, cls)
-            for side, (v2, sign) in enumerate(_off_diagonal(gamma)))
+        """eta_s(b) A0 + eta_s(c)^(-1) A1 evaluated at the orbit's invariants.
+
+        A side whose germ is zero on the orbit's cell is already its own
+        product with the monomial, so it builds neither."""
+        _, t, v_b2, b_sign, defect_sign, _, lvl_a, lvl_d = gamma
+        cls = v_b2 % 2
+        parts = []
+        for side, v2, sign in ((0, v_b2, b_sign), (1, 2 * t - v_b2, defect_sign * b_sign)):
+            poly = self.eval_side(side, lvl_a, lvl_d, cls)
+            parts.append(LaurentPoly.monomial(-SIDE_SIGN[side] * v2, sign) * poly if poly else poly)
+        b_part, c_part = parts
         return b_part + c_part
 
     def derivative_side(self, side: int, lvl_a: Optional[int], lvl_d: Optional[int],

@@ -135,12 +135,16 @@ def intersection_length(heights: EntryHeights, ctx: MatchContext) -> int:
 def context_orbit(ctx: MatchContext, t: int, v_b2: int = 0,
                   lvl_a: Optional[int] = None, lvl_d: Optional[int] = None) -> OrbitData:
     """An orbit with defect valuation t inside the context's matching locus,
-    with the first eta(b) the setup admits at v(b): +1 where both occur."""
-    b_signs = ctx.setup.signs(v_b2)
-    if not b_signs or ctx.defect_sign not in ctx.setup.signs(2 * t):
+    with the first eta(b) the setup admits at v(b): +1 where both occur.
+
+    The defect sign is read once: each read of ctx.defect_sign asks
+    reduction_commutes again."""
+    setup, defect_sign = ctx.setup, ctx.defect_sign
+    b_signs = setup.signs(v_b2)
+    if not b_signs or defect_sign not in setup.signs(2 * t):
         raise MatchingError(f"no orbit with t = {t}, v_b2 = {v_b2} is in this context")
-    return OrbitData(setup=ctx.setup, t=t, v_b2=v_b2, b_sign=b_signs[0],
-                     defect_sign=ctx.defect_sign, lvl_a=lvl_a, lvl_d=lvl_d)
+    return OrbitData(setup=setup, t=t, v_b2=v_b2, b_sign=b_signs[0],
+                     defect_sign=defect_sign, lvl_a=lvl_a, lvl_d=lvl_d)
 
 
 def _int_at(gamma: OrbitData, ctx: MatchContext) -> int:
@@ -233,7 +237,8 @@ class GrowthReport(NamedTuple):
 
 def _context_ts(ctx: MatchContext, ts: Sequence[int]) -> list[int]:
     """The defect valuations t admitting the context's defect sign."""
-    return [t for t in ts if ctx.defect_sign in ctx.setup.signs(2 * t)]
+    defect_sign, signs = ctx.defect_sign, ctx.setup.signs
+    return [t for t in ts if defect_sign in signs(2 * t)]
 
 
 def _constant(values: Iterable[Fraction]) -> Optional[Fraction]:
@@ -250,14 +255,25 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
     """Growth of Int(t): with unbounded diagonals, 2*Int - e_F*t is constant
     per defect parity from t = i + j on; with a finite diagonal bound, Int
     saturates to that bound.  No t at or above i + j in the context's parity
-    leaves nothing to check, which is reported as a failure."""
+    leaves nothing to check, which is reported as a failure.
+
+    Int reads an orbit of the context only through its entry heights, so
+    each row reads Int from heights and builds no orbit: off-diagonal
+    height t, and diagonals unbounded (open regime) or at the derived
+    height of finite_lvl_a (finite regime).  The orbit those heights stand
+    for exists at every t kept: v(b) = 0 admits eta(b) = +1 in every setup,
+    and _context_ts keeps only the t whose defect sign the context admits."""
     ts = [t for t in _context_ts(ctx, ts) if t >= ctx.i + ctx.j]
     if not ts:
         return GrowthReport({}, {}, (), None, False)
+    # an orbit refuses a bool t, and the heights would not
+    if any(type(t) is bool for t in ts):
+        raise TypeError("defect valuations are ints, not bools")
+    e_f = ctx.e_f
     open_rows: dict[int, list[GrowthRow]] = {}
     for t in ts:
-        value = _int_at(context_orbit(ctx, t), ctx)
-        row = GrowthRow(t, value, value - Fraction(ctx.e_f * t, 2))
+        value = intersection_length(EntryHeights(t, None, None), ctx)
+        row = GrowthRow(t, value, Fraction(2 * value - e_f * t, 2))
         open_rows.setdefault(t % 2, []).append(row)
     constants = {p: _constant(row.residual for row in rows) for p, rows in open_rows.items()}
     open_constants = {p: c for p, c in constants.items() if c is not None}
@@ -267,12 +283,16 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
     if finite_lvl_a is not None:
         if finite_lvl_a >= ctx.i:
             raise ValueError("finite regime needs a conductor level below the lift level")
+        # the checks an orbit makes on its level, which the heights skip
+        if type(finite_lvl_a) is bool:
+            raise TypeError("conductor levels are ints, not bools")
+        if finite_lvl_a < 0:
+            raise ValueError("conductor levels are >= 0")
+        diag_1 = derived_diag_height(ctx.setup, finite_lvl_a)
         for t in ts:
-            value = _int_at(context_orbit(ctx, t, lvl_a=finite_lvl_a), ctx)
+            value = intersection_length(EntryHeights(t, diag_1, None), ctx)
             saturated_rows.append(GrowthRow(t, value, Fraction(value)))
-        saturation_value = intersection_length(
-            EntryHeights(off_diag=max(ts), diag_1=derived_diag_height(ctx.setup, finite_lvl_a),
-                         diag_4=None), ctx)
+        saturation_value = intersection_length(EntryHeights(max(ts), diag_1, None), ctx)
         # Int must saturate: the rows at the diagonal bound are a non-empty suffix.
         at_bound = [row.int_value == saturation_value for row in saturated_rows]
         if True not in at_bound or not all(at_bound[at_bound.index(True):]):
@@ -342,18 +362,22 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
     threshold = max(validity_threshold(f), ctx.i + ctx.j)
     ts = _context_ts(ctx, range(threshold, threshold + 2 * T_COUNT))[:T_COUNT]
 
-    # Int sees an orbit of the context only through its heights, so it is
-    # computed once per (t, lvl_a, lvl_d) and not once per v(b)
-    ints: dict[tuple[int, Optional[int], Optional[int]], int] = {}
+    # Int sees an orbit of the context only through its heights, so Int and
+    # its geometric residual Int - offset are computed once per (t, lvl_a,
+    # lvl_d), on which the offset depends too, and not once per v(b)
+    geometric: dict[tuple[int, Optional[int], Optional[int]], tuple[int, Fraction]] = {}
 
     def row(gamma: OrbitData, offset: Fraction) -> EndToEndRow:
-        analytic = transfer_factor(gamma) * d_orb(gamma, f)
+        d_value = d_orb(gamma, f)
+        analytic = d_value if transfer_factor(gamma) == PLUS else -d_value  # omega = +-1
         key = (gamma.t, gamma.lvl_a, gamma.lvl_d)
-        int_value = ints.get(key)
-        if int_value is None:
-            int_value = ints[key] = _int_at(gamma, ctx)
+        known = geometric.get(key)
+        if known is None:
+            int_value = _int_at(gamma, ctx)
+            known = geometric[key] = (int_value, int_value - offset)
+        int_value, geometric_residual = known
         return EndToEndRow(gamma.t, gamma.v_b2, analytic, int_value,
-                           analytic - offset, int_value - offset, analytic - int_value)
+                           analytic - offset, geometric_residual, analytic - int_value)
 
     def steady(group: Sequence[EndToEndRow]) -> bool:
         """Both residuals are constant over the group, and so is their
@@ -361,7 +385,8 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
         return None not in (_constant(r.analytic_residual for r in group),
                             _constant(r.geometric_residual for r in group))
 
-    rows = {cls: tuple(row(context_orbit(ctx, t, v_b2=v_b2), Fraction(ctx.e_f * t, 2))
+    offsets = {t: Fraction(ctx.e_f * t, 2) for t in ts}
+    rows = {cls: tuple(row(context_orbit(ctx, t, v_b2=v_b2), offsets[t])
                        for t in ts for v_b2 in (2 * ((t // 2) % 3) - 2 + cls, cls, 4 + cls))
             for cls in ctx.setup.classes}
     corrections = {cls: _constant(r.correction for r in group) for cls, group in rows.items()}
@@ -370,7 +395,8 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
     outside_rows: tuple[EndToEndRow, ...] = ()
     outside_witness: Optional[Fraction] = None
     if ctx.i >= 1:
-        outside_rows = tuple(row(context_orbit(ctx, t, lvl_a=ctx.i - 1), Fraction(0)) for t in ts)
+        zero = Fraction(0)
+        outside_rows = tuple(row(context_orbit(ctx, t, lvl_a=ctx.i - 1), zero) for t in ts)
         if steady(outside_rows) and all(r.analytic == 0 for r in outside_rows):
             outside_witness = outside_rows[0].correction
         else:

@@ -355,6 +355,45 @@ class TestFoldedDerivativeForm:
             assert germ.predicted_d_orb(gamma) == germ.predicted_orb_s(gamma).d_ds_at_s0()
 
 
+class TestPredictedOrbS:
+    @given(germ_pairs(), st.sampled_from((None, 0, 1)),
+           st.none() | st.integers(0, 6), st.none() | st.integers(0, 6))
+    def test_is_the_sum_of_the_side_products(self, pair, dropped, lvl_a, lvl_d):
+        # eta_s(b) A0 + eta_s(c)^(-1) A1 with each side summed from its pieces;
+        # dropped empties one side, so that side is zero on every cell
+        germ, _ = pair
+        if dropped is not None:
+            sides = list(germ.sides)
+            sides[dropped] = ()
+            germ = GermExpansion(germ.setup, *sides, germ.threshold)
+        for gamma in near_diagonal_orbits(germ.setup, germ.threshold, t_span=2,
+                                          vb2_range=range(-3, 4), lvl_a=lvl_a, lvl_d=lvl_d):
+            a0, a1 = (sum((p.poly for p in pieces
+                           if p.matches(gamma.lvl_a, gamma.lvl_d, gamma.v_b2 % 2)),
+                          LaurentPoly.zero())
+                      for pieces in germ.sides)
+            want = (LaurentPoly.monomial(gamma.v_b2, gamma.b_sign) * a0
+                    + LaurentPoly.monomial(-gamma.v_c2, gamma.c_sign) * a1)
+            assert germ.predicted_orb_s(gamma) == want
+
+    def test_no_product_for_a_zero_side(self, monkeypatch):
+        products = []
+        plain = LaurentPoly.__mul__
+
+        def counting(p, q):
+            products.append((p, q))
+            return plain(p, q)
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        for setup in SETUPS:
+            for a0, a1 in ((1, 0), (0, 2), (0, 0), (1, -1)):
+                germ = constant_germ(setup, [(ALL, ALL, a0, a1)])
+                for gamma in near_diagonal_orbits(setup, 1, t_span=2, vb2_range=range(-3, 4)):
+                    products.clear()
+                    germ.predicted_orb_s(gamma)
+                    assert len(products) == (a0 != 0) + (a1 != 0)
+                    assert all(p and q for p, q in products)
+
+
 class TestCellMemo:
     """eval_side memoizes each cell's sum; the memo is invisible to ==, hash,
     repr and to_json, and each cell's pieces are summed once."""

@@ -1,16 +1,18 @@
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aflcalc import matching
 from aflcalc.cli import COMMANDS, parse_ram, parse_range
 from aflcalc.deformation import ramification_index
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
 from aflcalc.germs import extract_germ, function_from_germ, validity_threshold
-from aflcalc.matching import (EntryHeights, MatchContext, MatchingError, afl_verify,
-                              ati_end_to_end, ati_growth_check, context_orbit,
-                              derived_diag_height, entry_heights,
+from aflcalc.matching import (EntryHeights, GrowthReport, GrowthRow, MatchContext,
+                              MatchingError, afl_verify, ati_end_to_end, ati_growth_check,
+                              context_orbit, derived_diag_height, entry_heights,
                               intersection_length, prescribed_transfer_germ)
 from aflcalc.orbital import OrbitData, orbits_at, transfer_factor, unramified_orbit
 
@@ -182,6 +184,88 @@ class TestGrowth:
         assert not report.open_rows and not report.saturated_rows
         assert report.saturation_value is None
 
+    def test_negative_finite_level_rejected(self):
+        ctx = MatchContext(UNRAM3, 2, 2, e_f=ramification_index(UNRAM3, 2))
+        with pytest.raises(ValueError, match="conductor levels"):
+            ati_growth_check(ctx, range(4, 12), finite_lvl_a=-1)
+
+    def test_bools_rejected(self):
+        # the checks an orbit makes on t and on its level
+        ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
+        with pytest.raises(TypeError):
+            ati_growth_check(ctx, [True, 3])
+        ctx = MatchContext(UNRAM3, 2, 2, e_f=ramification_index(UNRAM3, 2))
+        with pytest.raises(TypeError):
+            ati_growth_check(ctx, range(4, 12), finite_lvl_a=True)
+
+
+def _growth_the_old_way(ctx, ts, finite_lvl_a=None):
+    """ati_growth_check built the way it was before it read Int from heights:
+    an orbit of the context per row, its entry heights, then Int."""
+    ts = [t for t in ts if t >= ctx.i + ctx.j and ctx.defect_sign in ctx.setup.signs(2 * t)]
+    if not ts:
+        return GrowthReport({}, {}, (), None, False)
+
+    def int_at(t, lvl_a=None):
+        return intersection_length(entry_heights(context_orbit(ctx, t, lvl_a=lvl_a), ctx), ctx)
+
+    open_rows = {}
+    for t in ts:
+        value = int_at(t)
+        open_rows.setdefault(t % 2, []).append(
+            GrowthRow(t, value, value - Fraction(ctx.e_f * t, 2)))
+    open_constants = {p: rows[0].residual for p, rows in open_rows.items()
+                      if len({row.residual for row in rows}) == 1}
+    passed = len(open_constants) == len(open_rows)
+    saturated, saturation = (), None
+    if finite_lvl_a is not None:
+        saturated = tuple(GrowthRow(t, value, Fraction(value))
+                          for t in ts for value in (int_at(t, finite_lvl_a),))
+        saturation = int_at(max(ts), finite_lvl_a)
+        values = [row.int_value for row in saturated]
+        plateau = values[values.index(saturation):]
+        passed = passed and set(plateau) == {saturation}
+    return GrowthReport({p: tuple(rows) for p, rows in open_rows.items()}, open_constants,
+                        saturated, saturation, passed)
+
+
+@st.composite
+def growth_cases(draw):
+    """A context with q in 2..7, levels up to 3 and e_rel up to 3, a set of
+    t in 0..40 in any order, and a finite level below i or none."""
+    setup = FieldSetup(draw(st.integers(2, 7)), draw(st.booleans()))
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    e_f = draw(st.integers(1, 3)) * ramification_index(setup, max(i, j))
+    ts = draw(st.lists(st.integers(0, 40), unique=True))
+    finite_lvl_a = draw(st.none() | st.integers(0, i - 1)) if i else None
+    return MatchContext(setup, i, j, e_f), ts, finite_lvl_a
+
+
+class TestGrowthFromHeights:
+    @given(growth_cases())
+    def test_equals_the_orbit_route(self, case):
+        ctx, ts, finite_lvl_a = case
+        report = ati_growth_check(ctx, ts, finite_lvl_a)
+        oracle = _growth_the_old_way(ctx, ts, finite_lvl_a)
+        assert report == oracle
+        assert json.dumps(report.to_json()) == json.dumps(oracle.to_json())
+
+    def test_builds_no_orbit(self, monkeypatch):
+        built = []
+        plain = OrbitData.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append((args, kwargs))
+            return plain(cls, *args, **kwargs)
+        monkeypatch.setattr(OrbitData, "__new__", staticmethod(counting))
+        for ctx, finite_lvl_a in ((MatchContext(UNRAM3, 0, 0, e_f=1), None),
+                                  (MatchContext(RAM3, 1, 1, e_f=6), 0),
+                                  (MatchContext(UNRAM3, 2, 2, e_f=12), 1)):
+            report = ati_growth_check(ctx, range(0, 30), finite_lvl_a)
+            assert report.passed and report.open_rows
+            assert bool(report.saturated_rows) == (finite_lvl_a is not None)
+        assert built == []
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("i,j,witness", [(0, 0, Fraction(-1, 2)),
@@ -254,6 +338,22 @@ class TestEndToEndCost:
         assert report.passed and report.outside_rows
         assert set(report.rows) == {0, 1}
         assert len(calls) <= 2 * matching.T_COUNT
+
+    def test_one_offset_per_t(self, monkeypatch):
+        # each e_F * t / 2 is built once, not once per v(b) and class, and the
+        # outside rows share one zero offset
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+        monkeypatch.setattr(matching, "Fraction", counting)
+        ctx = MatchContext(RAM3, 1, 1, e_f=6)
+        report = ati_end_to_end(ctx)
+        assert report.passed and report.outside_rows
+        ts = sorted({row.t for group in report.rows.values() for row in group})
+        assert len(ts) == matching.T_COUNT
+        assert sorted(built) == sorted([(ctx.e_f * t, 2) for t in ts] + [(0,)])
 
     def test_constant(self):
         assert matching._constant([]) is None
