@@ -192,7 +192,7 @@ def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
     f = integral_indicator()
     omega = transfer_factor(gamma)
     d_value = d_orb(gamma, f)
-    lhs = omega * d_value
+    lhs = d_value if omega == PLUS else -d_value
     orb_value = orb(gamma, f)
     if gamma.defect_sign == MINUS:  # odd t
         int_value = _int_at(gamma, MatchContext(setup, 0, 0, e_f=1))
@@ -200,7 +200,7 @@ def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
         passed = lhs == int_value and int_value == closed and orb_value == 0
         return AflRow(setup.q, t, v_b, omega, d_value, lhs, int_value, closed,
                       orb_value, None, passed)
-    transfer_value = omega * orb_value
+    transfer_value = orb_value if omega == PLUS else -orb_value
     passed = transfer_value == 1
     return AflRow(setup.q, t, v_b, omega, d_value, lhs, None, None,
                   orb_value, transfer_value, passed)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, NamedTuple, Optional
+from math import gcd, lcm
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .field import MINUS, PLUS, FieldSetup, ValClass, unit_integral
 from .symbolic import LaurentPoly, Rational, as_fraction
@@ -345,23 +345,15 @@ def level_cells(reqs: Iterable[Interval]) -> list[Interval]:
     return cells
 
 
-def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
-    """The orbital integral as an exact polynomial in T = q^(-s).
-
-    Sums over conjugator valuation shells: the shell at valuation n carries
-    T^n times the eta-weighted measure of its conjugators h whose eta moves
-    each pinned entry onto its pin, eta(h) = req * eta(entry).  That eta is
-    found once per box (a box whose pins disagree meets no conjugator), and
-    the measure unit_integral(setup, 2n, eta) depends on n only through the
-    parity of n.  So each box's shells form two runs of constant weight, read
-    as integer numerators from InvariantFunction._run_weights.  Each box is
-    tested inline, each shell costs one dict entry and each contributing box
-    one polynomial addition: the cost is linear in the output monomials.
-    """
+def _box_runs(gamma: OrbitData, f: InvariantFunction) -> Iterator[tuple]:
+    """(den, (even, odd), n_lo, n_hi) per box of f the orbit meets: the
+    conjugator valuations n putting v(b) - 2n in i_b and v(c) + 2n in i_c, and
+    the integer weights over den of their even and odd shells, each the
+    eta-weighted measure of the conjugators h with eta(h) = req * eta(entry)
+    at every pin, which reads n only through its parity (see _run_weights)."""
     setup, t, v_b2, b_sign, defect_sign, v_a2, lvl_a, lvl_d = gamma
     v_c2 = 2 * t - v_b2
     c_sign = defect_sign * b_sign
-    total = LaurentPoly.zero()
     for k, (coeff, box) in enumerate(f.terms):
         ((a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi), sgn_b, sgn_c,
          (la_lo, la_hi), (ld_lo, ld_hi)) = box
@@ -374,8 +366,7 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
                 or (ld_hi is not None if lvl_d is None else
                     (ld_lo is not None and lvl_d < ld_lo) or (ld_hi is not None and lvl_d > ld_hi))):
             continue
-        # the conjugator valuations n that put v(b) - 2n in i_b and v(c) + 2n
-        # in i_c; where one interval leaves a side open the other bounds it
+        # where one interval leaves a side open the other bounds it
         if (b_lo is None and c_hi is None) or (b_hi is None and c_lo is None):
             raise DivergenceError("the orbit meets the box in an unbounded set")
         n_hi = min((c_hi - v_c2) // 2 if b_lo is None else (v_b2 - b_lo) // 2,
@@ -389,8 +380,17 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
         if eta_b is not None and eta_h != eta_b:
             continue
         den, weights = f._run_weights(setup, eta_h)
+        yield den, weights[k], n_lo, n_hi
+
+
+def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
+    """The orbital integral as an exact polynomial in T = q^(-s), one weight
+    times T^n per shell n of _box_runs' parity runs: one dict entry per shell
+    and one polynomial addition per box, linear in the output monomials."""
+    total = LaurentPoly.zero()
+    for den, weights, n_lo, n_hi in _box_runs(gamma, f):
         run: dict[int, int] = {}
-        for parity, w in enumerate(weights[k]):
+        for parity, w in enumerate(weights):
             if w:
                 first = n_lo + (parity - n_lo) % 2
                 run.update(dict.fromkeys(range(2 * first, 2 * n_hi + 1, 4), w))
@@ -399,25 +399,25 @@ def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
     return total
 
 
-@functools.lru_cache(maxsize=1)
-def _series(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:
-    """orb_s(gamma, f), kept for the last (gamma, f) asked, so that orb and
-    d_orb at one orbit build one series.  Exact: OrbitData is an immutable
-    named tuple hashed by value, an InvariantFunction is hashed by identity
-    and the cache holds it (so its id is not reused), and an orb_s that
-    raises is not cached."""
-    return orb_s(gamma, f)
-
-
 def orb(gamma: OrbitData, f: InvariantFunction) -> Fraction:
-    """orb_s at s = 0; reads the same series as d_orb at the same orbit."""
-    return _series(gamma, f).eval_at_s0()
+    """orb_s at s = 0, the coefficient sum of the series."""
+    return orb_s(gamma, f).eval_at_s0()
 
 
 def d_orb(gamma: OrbitData, f: InvariantFunction) -> Fraction:
-    """The s-derivative of orb_s at s = 0, in log(q) units; reads the same
-    series as orb at the same orbit."""
-    return _series(gamma, f).d_ds_at_s0()
+    """The s-derivative of orb_s at s = 0 in log(q) units, minus the sum of
+    n * weight over the shells, in closed form: a run of weight w from first
+    to last in steps of 2 gives w * count * (first + last) / 2, so the cost
+    does not grow with t.  Integer sums over a running common denominator."""
+    num, den = 0, 1
+    for box_den, weights, n_lo, n_hi in _box_runs(gamma, f):
+        part = 0
+        for parity, w in enumerate(weights):
+            first, last = n_lo + (parity - n_lo) % 2, n_hi - (n_hi - parity) % 2
+            part += w * ((last - first) // 2 + 1) * (first + last)  # count 0 if first > last
+        g = gcd(den, box_den)
+        num, den = num * (box_den // g) + part * (den // g), den // g * box_den
+    return Fraction(-num, 2 * den)
 
 
 def transfer_factor(gamma: OrbitData) -> int:

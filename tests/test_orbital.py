@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -752,9 +753,10 @@ def orbit_pools(draw):
 FUNCTIONALS = {"orb": (orb, LaurentPoly.eval_at_s0), "d_orb": (d_orb, LaurentPoly.d_ds_at_s0)}
 
 
-class TestSharedSeries:
-    """orb and d_orb read one cached series per (gamma, f); in any order of
-    calls each must agree with its functional of the shell oracle."""
+class TestFunctionalsMatchShellOracle:
+    """orb (the coefficient sum of orb_s) and d_orb (summed in closed form
+    from the parity runs) agree with their functionals of the shell oracle
+    in any order of calls, and raise where the oracle diverges."""
 
     @given(gammas=orbit_pools(), f=functions, g=functions, data=st.data())
     def test_interleaved_calls_match_shell_oracle(self, gammas, f, g, data):
@@ -772,15 +774,16 @@ class TestSharedSeries:
         gamma = unramified_orbit(UNRAM, 2, 0)
         f = InvariantFunction.from_box(Box(i_a=Interval(0, 0), i_b=Interval(0, None),
                                            i_c=Interval(), i_d=Interval(0, 0)))
-        orb(gamma, integral_indicator())  # a series is cached before the failing call
+        orb(gamma, integral_indicator())  # a call that succeeds before the failing ones
         for functional in (orb, d_orb, orb, d_orb):
             with pytest.raises(DivergenceError):
                 functional(gamma, f)
 
 
 class TestAflRowCost:
-    """Each afl row builds one series, and the shared integral indicator
-    fills its run-weight table once per setup."""
+    """Each afl row builds one series (for orb; d_orb builds none), the
+    shared integral indicator fills its run-weight table once per setup, and
+    omega is applied as a sign."""
 
     SWEEP = [(FieldSetup(q, ramified=False), t, v_b)
              for q in (3, 5, 7) for t in range(1, 10) for v_b in range(-2, 3)]
@@ -802,9 +805,107 @@ class TestAflRowCost:
         assert integral_indicator() is integral_indicator()
 
     def test_one_series_per_row(self, monkeypatch):
-        orbital._series.cache_clear()
         assert self._count(monkeypatch, "orb_s") == len(self.SWEEP)
 
     def test_weight_table_fills_once_per_setup(self, monkeypatch):
         integral_indicator.cache_clear()
         assert 0 < self._count(monkeypatch, "unit_integral") <= 2 * 3
+
+    def test_no_fraction_multiplication(self, monkeypatch):
+        # omega = +-1 negates lhs and the transfer value instead of
+        # multiplying them; the weight table is filled before counting
+        for row in self.SWEEP:
+            afl_verify(*row)
+        products = []
+        for name in ("__mul__", "__rmul__"):
+            plain = getattr(Fraction, name)
+
+            def counting(a, b, plain=plain):
+                products.append((a, b))
+                return plain(a, b)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        for row in self.SWEEP:
+            assert afl_verify(*row).passed
+        assert products == []
+
+
+def box_dens(gamma, f):
+    """The run-weight denominators of the boxes of f that gamma meets."""
+    return [den for den, _, _, _ in orbital._box_runs(gamma, f)]
+
+
+class TestClosedFormDOrb:
+    """d_orb sums each parity run in closed form over a running common
+    denominator: it builds no series, and its work per box does not depend
+    on how many shells the run holds."""
+
+    def test_mixed_pins_match_shell_oracle(self):
+        # ramified, an unpinned box asks eta = None, whose weights all vanish
+        # over den 1, while the pinned boxes' weights lie over 2 * 21; in
+        # both orders of the terms the denominators must be brought together
+        mix = pinned_mix()
+        reordered = InvariantFunction(mix.terms[::-1])
+        mixed_dens = 0
+        for setup in SETUPS:
+            for gamma in grid(setup):
+                for f in (mix, reordered):
+                    want = _orb_s_by_shells(gamma, f)
+                    assert d_orb(gamma, f) == want.d_ds_at_s0()
+                    assert orb(gamma, f) == want.eval_at_s0()
+                    mixed_dens += len(set(box_dens(gamma, f))) > 1
+        assert mixed_dens > 0
+
+    def test_builds_no_series(self, monkeypatch):
+        def no_series(*args):
+            raise AssertionError("d_orb built a series")
+
+        built = []
+        plain_of = LaurentPoly._of.__func__
+        plain_init = LaurentPoly.__init__
+
+        def counting_of(cls, *args):
+            built.append(args)
+            return plain_of(cls, *args)
+
+        def counting_init(self, *args):
+            built.append(args)
+            plain_init(self, *args)
+
+        cases = [(unramified_orbit(UNRAM, 20481, 0), integral_indicator())]
+        cases += [(gamma, f) for setup in SETUPS for _, f in germ_battery(setup)
+                  for gamma in grid(setup)[::11]]
+        want = [outcome(d_orb, gamma, f) for gamma, f in cases]
+        monkeypatch.setattr(orbital, "orb_s", no_series)
+        monkeypatch.setattr(LaurentPoly, "_of", classmethod(counting_of))
+        monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
+        assert [outcome(d_orb, gamma, f) for gamma, f in cases] == want
+        assert built == []
+        assert want[0] == -(1 + 20481) // 2  # the AFL value, omega = -1 at odd t
+
+    @pytest.mark.parametrize("v_b", (0, -7, 300))
+    def test_box_work_does_not_grow_with_t(self, monkeypatch, v_b):
+        f = integral_indicator()
+        d_orb(unramified_orbit(UNRAM, 1, 0), f)  # the weight table is filled before counting
+        work = {}
+        for t in (41, 20481):
+            gamma = unramified_orbit(UNRAM, t, v_b)
+            calls = []
+            plain = InvariantFunction._run_weights
+
+            def counting(self, *args):
+                calls.append(args)
+                return plain(self, *args)
+
+            monkeypatch.setattr(InvariantFunction, "_run_weights", counting)
+            tracemalloc.start()
+            try:
+                d_orb(gamma, f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            work[t] = (len(calls), peak)
+        assert work[41][0] == work[20481][0] == 1
+        # a series of 20482 monomials would take hundreds of kB
+        assert work[20481][1] <= 2 * work[41][1] + 1024
