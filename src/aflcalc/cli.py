@@ -10,17 +10,19 @@ the command's ``run_*`` the sorted, de-duplicated values, counts the failed
 rows and writes the report.  A ``run_*`` only builds its grid and hands each
 row function to ``_map``, which renders every row to its report text as soon
 as the row is built (in the worker, when a pool runs) and keeps only that
-text and the row's pass flag, never the row itself.  ``render_report``
-splices those texts into the document, which is joined once, and ``main``
-writes it out in 1 MiB slices, so no encoded copy of the whole report is
-made.  Reports are deterministic: rows are sorted by their parameter
-tuple, numbers render canonically, and a fixed schema number leads the
-document, so identical configs yield identical bytes.  Exit code 0 means
-every row passed, 1 means some verification failed, 2 means the
-configuration was rejected: unparsable ranges, an invalid residue size, a
-value below its lower bound, an ``--out`` path that cannot be written, or
-ranges that select no rows; exit 2 also ends a run whose report write fails
-(a full disk, a closed pipe), with one line on stderr.
+text and the row's pass flag, never the row itself.  A dict of scalars
+alone, such as every ``deform`` row, renders in one step from a ``%``-format
+cached per key set and indent.  ``render_report`` splices the row texts into
+the document, which is joined once, and ``main`` writes it out in 1 MiB
+slices, so no encoded copy of the whole report is made.  Reports are
+deterministic: rows are sorted by their parameter tuple, numbers render
+canonically, and a fixed schema number leads the document, so identical
+configs yield identical bytes.  Exit code 0 means every row passed, 1 means
+some verification failed, 2 means the configuration was rejected:
+unparsable ranges, an invalid residue size, a value below its lower bound,
+an ``--out`` path that cannot be written, or ranges that select no rows;
+exit 2 also ends a run whose report write fails (a full disk, a closed
+pipe), with one line on stderr.
 
 AFL_CALC_THREADS caps row-level parallelism (default 1, serial), and the
 process pool never exceeds the CPU count.  The pool's modules are imported
@@ -288,12 +290,23 @@ class _RenderedItems(list):
     __slots__ = ()
 
 
+# The text of each scalar type a report may hold, by exact type: a container,
+# a float, a Fraction or an int subclass is not here.
+_SCALAR_TEXT = {str: _escape, int: int.__repr__, bool: _LITERALS.__getitem__,
+                type(None): _LITERALS.__getitem__}
+
+
 @lru_cache(maxsize=256)
-def _sorted_keys(keys: tuple) -> tuple[tuple[str, str], ...]:
-    """keys in sorted order, each with its escaped ``"key": `` prefix.  A
-    report repeats a few key sets over many dicts, so each set is sorted and
-    escaped once; a non-str key raises TypeError, and a raise is never cached."""
-    return tuple((key, _escape(key) + ": ") for key in sorted(keys))
+def _sorted_keys(keys: tuple, indent: str) -> tuple[tuple[tuple[str, str], ...], str]:
+    """keys in sorted order, each with its escaped ``"key": `` prefix, and the
+    ``%``-format of a dict with those keys at indent whose values are all
+    scalars: one ``%s`` per value in key order.  A report repeats a few key
+    sets over many dicts, so each set is sorted and escaped once per indent;
+    a non-str key raises TypeError, and a raise is never cached."""
+    pairs = tuple((key, _escape(key) + ": ") for key in sorted(keys))
+    inner = indent + "  "
+    body = (",\n" + inner).join(prefix.replace("%", "%%") + "%s" for _, prefix in pairs)
+    return pairs, "{\n" + inner + body + "\n" + indent + "}"
 
 
 def _render_into(obj, indent: str, parts: list[str]) -> None:
@@ -301,26 +314,32 @@ def _render_into(obj, indent: str, parts: list[str]) -> None:
     indent=2)`` writes it, its lines after the first indented by indent.
     Reports hold only dicts with str keys, lists, tuples, str, int, bool,
     None, and _RenderedItems; any other type (a float, a Fraction, an int
-    subclass) raises TypeError."""
+    subclass) raises TypeError.  A dict of scalars alone is one part, its
+    key set's format filled in; any other dict goes key by key."""
     kind = type(obj)
     if kind is dict:
         if not obj:
             parts.append("{}")
             return
+        pairs, form = _sorted_keys(tuple(obj), indent)
+        try:
+            parts.append(form % tuple([_SCALAR_TEXT[type(value := obj[key])](value)
+                                       for key, _ in pairs]))
+            return
+        except KeyError:
+            # a container, or a type no report may hold; the report's rows
+            # go into parts here, never into a copy of the report
+            pass
         inner = indent + "  "
         separator = "{\n" + inner
-        for key, prefix in _sorted_keys(tuple(obj)):
+        for key, prefix in pairs:
             value = obj[key]
-            value_kind = type(value)
-            if value_kind is str:
-                parts.append(separator + prefix + _escape(value))
-            elif value_kind is int:
-                parts.append(separator + prefix + int.__repr__(value))
-            elif value_kind is bool or value is None:
-                parts.append(separator + prefix + _LITERALS[value])
-            else:
+            text = _SCALAR_TEXT.get(type(value))
+            if text is None:
                 parts.append(separator + prefix)
                 _render_into(value, inner, parts)
+            else:
+                parts.append(separator + prefix + text(value))
             separator = ",\n" + inner
         parts.append("\n" + indent + "}")
     elif kind is list or kind is tuple or kind is _RenderedItems:
@@ -337,12 +356,8 @@ def _render_into(obj, indent: str, parts: list[str]) -> None:
                 _render_into(value, inner, parts)
             separator = ",\n" + inner
         parts.append("\n" + indent + "]")
-    elif kind is str:
-        parts.append(_escape(obj))
-    elif kind is int:
-        parts.append(int.__repr__(obj))
-    elif kind is bool or obj is None:
-        parts.append(_LITERALS[obj])
+    elif kind in _SCALAR_TEXT:
+        parts.append(_SCALAR_TEXT[kind](obj))
     else:
         raise TypeError(f"a report cannot hold a {kind.__name__}")
 

@@ -604,6 +604,33 @@ class TestReportWriter:
     def test_key_cache_is_bounded(self):
         assert cli._sorted_keys.cache_info().maxsize is not None
 
+    @pytest.mark.parametrize("key", ["%", "%s", "%%", "%(a)s", "100%"])
+    def test_percent_in_keys(self, key):
+        # a key's text is part of its key set's %-format, so a % in it must
+        # come out as itself
+        for obj in ({key: 1}, {key: "%s", "a": None}, {"a": {key: True, "b": "%"}},
+                    {"a": [1], key: 0}, {key: [1, {key: 2}], "b": 0},
+                    {"a": [key], key: {key: {}}}):
+            assert cli._render(obj, "") == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), _Small.ONE],
+                             ids=["float", "fraction", "int-subclass"])
+    def test_rejects_other_types_after_a_warm_cache(self, value):
+        # the same key sets with scalars fill their formats first
+        for good, bad in [({"a": 1, "b": "x"}, {"a": value, "b": "x"}),
+                          ({"rows": [{"a": 1}]}, {"rows": [{"a": value}]})]:
+            cli._render(good, "")
+            for _ in range(2):
+                with pytest.raises(TypeError):
+                    cli._render(bad, "")
+
+    def test_rendered_items_after_a_warm_cache(self):
+        rows = [{"a": 1, "b": [2]}, "c"]
+        cli._render({"rows": 0, "total": 2}, "")
+        items = cli._RenderedItems(cli._render(row, "    ") for row in rows)
+        assert cli._render({"rows": items, "total": 2}, "") == json.dumps(
+            {"rows": rows, "total": 2}, sort_keys=True, indent=2)
+
     def test_never_calls_json_dumps(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("json.dumps rendered a report")
@@ -613,3 +640,27 @@ class TestReportWriter:
         out = tmp_path / "r.json"
         assert main(["orb", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_DIGESTS["orb"]
+
+
+class TestRenderCost:
+    """A dict of scalars alone is rendered from its key set's %-format, which
+    is built once per key set and indent."""
+
+    @pytest.mark.parametrize("params", [(2, False, 0, 0, 1, 0), (3, True, 0, 1, 1, 1)],
+                             ids=["inadmissible-parity", "ok"])
+    def test_flat_row_is_one_part(self, params):
+        q, ram, *point = params
+        row = cli._deform_row((cli._setup(q, ram), *point))
+        parts = ["before"]
+        # key by key, it would be one part per key and one for the brace
+        cli._render_into(row, cli._ROW_INDENT, parts)
+        assert parts[0] == "before" and len(parts) == 2
+        assert parts[1] == json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+
+    def test_one_format_per_key_set(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AFL_CALC_THREADS", "1")
+        cli._sorted_keys.cache_clear()
+        assert main(["deform", "--out", str(tmp_path / "r.json")]) == 0
+        info = cli._sorted_keys.cache_info()
+        # the two row kinds, the echoed params and the report itself
+        assert info.misses == info.currsize == 4
