@@ -8,21 +8,20 @@ each command's help text and the defaults of its range flags.  ``main`` is
 the one sweep driver: it parses every range once, checks LOWER_BOUNDS, hands
 the command's ``run_*`` the sorted, de-duplicated values, counts the failed
 rows and writes the report.  A ``run_*`` only builds its grid and hands each
-row function to ``_map``, which renders every row to its report text as soon
-as the row is built (in the worker, when a pool runs) and keeps only that
-text and the row's pass flag, never the row itself.  A dict of scalars
-alone, such as every ``deform`` row, renders in one step from a ``%``-format
-cached per key set and indent.  ``render_report`` splices the row texts into
-the document, which is joined once, and ``main`` writes it out in 1 MiB
-slices, so no encoded copy of the whole report is made.  Reports are
-deterministic: rows are sorted by their parameter tuple, numbers render
-canonically, and a fixed schema number leads the document, so identical
-configs yield identical bytes.  Exit code 0 means every row passed, 1 means
-some verification failed, 2 means the configuration was rejected:
-unparsable ranges, an invalid residue size, a value below its lower bound,
-an ``--out`` path that cannot be written, or ranges that select no rows;
-exit 2 also ends a run whose report write fails (a full disk, a closed
-pipe), with one line on stderr.
+row function to ``_map``, which renders each row to its text as it is built
+(in the worker, when a pool runs) and keeps only that text and the row's pass
+flag.  A dict of scalars alone, such as a ``deform`` row, is one ``%`` of a
+format cached per key set, value types and indent, its ints filled by
+``%d``.  ``render_report`` splices the row texts into the document, joined
+once, and ``main`` writes it in 1 MiB slices.  Reports are deterministic:
+rows are sorted by their parameter tuple, numbers render canonically, and a
+fixed schema number leads the document, so identical configs yield identical
+bytes.  Exit code 0 means every row passed, 1 means some verification
+failed, 2 means the configuration was rejected: unparsable ranges, an
+invalid residue size, a value below its lower bound, an ``--out`` path that
+cannot be written, ranges that select no rows, or a row with an int of more
+digits than Python prints; exit 2 also ends a run whose report write fails
+(a full disk, a closed pipe), with one line on stderr.
 
 AFL_CALC_THREADS caps row-level parallelism (default 1, serial), and the
 process pool never exceeds the CPU count.  The pool's modules are imported
@@ -37,6 +36,7 @@ import sys
 from functools import lru_cache, partial
 from itertools import product
 from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .battery import germ_battery
@@ -190,8 +190,9 @@ def _deform_row(params: tuple[FieldSetup, int, int, int, int]) -> dict:
 def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
                l: list[int]) -> dict:
     setups = [_setup(q_, ram_) for ram_, q_ in product(ram, q)]
-    params = [(setup, i, j, e_rel, l_) for setup, i, j, e_rel, l_ in product(setups, ij, ij, e, l)
-              if hom_height_attainable(setup, i, j, l_)]
+    params = [(setup, i, j, e_rel, l_) for setup, i, j in product(setups, ij, ij)
+              for heights in [[l_ for l_ in l if hom_height_attainable(setup, i, j, l_)]]
+              for e_rel in e for l_ in heights]
     return {"rows": _map(_deform_row, params)}
 
 
@@ -297,16 +298,25 @@ _SCALAR_TEXT = {str: _escape, int: int.__repr__, bool: _LITERALS.__getitem__,
 
 
 @lru_cache(maxsize=256)
-def _sorted_keys(keys: tuple, indent: str) -> tuple[tuple[tuple[str, str], ...], str]:
-    """keys in sorted order, each with its escaped ``"key": `` prefix, and the
-    ``%``-format of a dict with those keys at indent whose values are all
-    scalars: one ``%s`` per value in key order.  A report repeats a few key
-    sets over many dicts, so each set is sorted and escaped once per indent;
-    a non-str key raises TypeError, and a raise is never cached."""
-    pairs = tuple((key, _escape(key) + ": ") for key in sorted(keys))
-    inner = indent + "  "
-    body = (",\n" + inner).join(prefix.replace("%", "%%") + "%s" for _, prefix in pairs)
-    return pairs, "{\n" + inner + body + "\n" + indent + "}"
+def _sorted_keys(keys: tuple, indent: str) -> tuple[tuple[str, ...], Callable, dict]:
+    """keys' escaped ``"key": `` prefixes in sorted order, a getter of a dict's
+    values in that order, and the dict _render_into fills with the format of
+    each tuple of value types it meets.  Each key set is sorted and escaped
+    once per indent; a non-str key raises TypeError, and a raise is not cached."""
+    ordered = sorted(keys)
+    getter = itemgetter(*ordered) if len(keys) > 1 else lambda obj: (obj[ordered[0]],)
+    return tuple(_escape(key) + ": " for key in ordered), getter, {}
+
+
+def _typed_format(prefixes: tuple[str, ...], kinds: tuple, indent: str) -> tuple | None:
+    """The ``%``-format of a dict at indent with values of types kinds, if all
+    are scalars, and the text function of each value not filled by a ``%d``."""
+    if all(kind in _SCALAR_TEXT for kind in kinds):
+        inner = indent + "  "
+        slots = [prefix.replace("%", "%%") + ("%d" if kind is int else "%s")
+                 for prefix, kind in zip(prefixes, kinds)]
+        return ("{\n" + inner + (",\n" + inner).join(slots) + "\n" + indent + "}",
+                tuple((k, _SCALAR_TEXT[kind]) for k, kind in enumerate(kinds) if kind is not int))
 
 
 def _render_into(obj, indent: str, parts: list[str]) -> None:
@@ -315,26 +325,30 @@ def _render_into(obj, indent: str, parts: list[str]) -> None:
     Reports hold only dicts with str keys, lists, tuples, str, int, bool,
     None, and _RenderedItems; any other type (a float, a Fraction, an int
     subclass) raises TypeError.  A dict of scalars alone is one part, its
-    key set's format filled in; any other dict goes key by key."""
+    _typed_format filled in; any other dict, the report among them, goes key
+    by key into parts, so the report's rows are never copied before the join."""
     kind = type(obj)
     if kind is dict:
         if not obj:
             parts.append("{}")
             return
-        pairs, form = _sorted_keys(tuple(obj), indent)
+        prefixes, getter, forms = _sorted_keys(tuple(obj), indent)
+        values = getter(obj)
+        kinds = tuple(map(type, values))
         try:
-            parts.append(form % tuple([_SCALAR_TEXT[type(value := obj[key])](value)
-                                       for key, _ in pairs]))
-            return
+            form = forms[kinds]
         except KeyError:
-            # a container, or a type no report may hold; the report's rows
-            # go into parts here, never into a copy of the report
-            pass
+            form = forms[kinds] = _typed_format(prefixes, kinds, indent)
+        if form is not None:
+            values = list(values)
+            for k, text in form[1]:
+                values[k] = text(values[k])
+            parts.append(form[0] % tuple(values))
+            return
         inner = indent + "  "
         separator = "{\n" + inner
-        for key, prefix in pairs:
-            value = obj[key]
-            text = _SCALAR_TEXT.get(type(value))
+        for prefix, value, kind in zip(prefixes, values, kinds):
+            text = _SCALAR_TEXT.get(kind)
             if text is None:
                 parts.append(separator + prefix)
                 _render_into(value, inner, parts)
@@ -365,15 +379,16 @@ def _render_into(obj, indent: str, parts: list[str]) -> None:
 def _render(obj, indent: str, tail: str = "") -> str:
     """The text _render_into gives obj, followed by tail, joined once."""
     parts: list[str] = []
-    _render_into(obj, indent, parts)
+    try:
+        _render_into(obj, indent, parts)
+    except ValueError as exc:  # only an int's conversion raises one
+        raise ConfigError(f"a report int has over {sys.get_int_max_str_digits()} digits") from exc
     parts.append(tail)
     return "".join(parts)
 
 
 def render_report(body: dict) -> str:
-    report = {"schema": SCHEMA}
-    report.update(body)
-    return _render(report, "", "\n")
+    return _render({"schema": SCHEMA, **body}, "", "\n")
 
 
 # Reports are written in slices of this many characters (bytes: a report is

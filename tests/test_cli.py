@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -292,6 +293,29 @@ class TestConfigContract:
         assert main(["orb", "--t", "0..2", "--vb", "0", "--out", str(new)]) == 2
         assert "cannot write" in capsys.readouterr().err
         assert not new.exists()
+
+    @pytest.mark.parametrize("workers, e", [("1", "1"), ("2", "1"), ("2", "1..2")],
+                             ids=["serial", "two-rows", "pool"])
+    def test_int_past_the_digit_limit_exits_two(self, workers, e, tmp_path, capsys,
+                                                monkeypatch):
+        # the (11000, 11000) rows' lift bounds have over 4,650 digits, past
+        # Python's int-to-str limit of 4,300; two rows run serially whatever
+        # AFL_CALC_THREADS says, four start the pool, whose worker raises
+        monkeypatch.setenv("AFL_CALC_THREADS", workers)
+        out = tmp_path / "r.json"
+        assert main(["deform", "--ram", "0", "--q", "7", "--ij", "0,11000", "--e", e,
+                     "--l", "10998", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "digits" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_int_past_the_digit_limit_in_a_nested_dict(self):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python prints ints of any length")
+        huge = 10 ** sys.get_int_max_str_digits()
+        for obj in ({"a": huge}, {"a": huge, "b": [1]}, {"a": [huge]}, [huge], huge):
+            with pytest.raises(ConfigError):
+                cli._render(obj, "")
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
     def test_read_only_out_exits_two_before_the_sweep(self, tmp_path, capsys, monkeypatch):
@@ -613,6 +637,15 @@ class TestReportWriter:
                     {"a": [key], key: {key: {}}}):
             assert cli._render(obj, "") == json.dumps(obj, sort_keys=True, indent=2)
 
+    @pytest.mark.parametrize("indent", ["", "    "])
+    def test_value_types_change_at_a_key(self, indent):
+        # each tuple of value types has its own format: an int's %d never
+        # takes a bool (which it would print as 1), None or a str
+        for value in [1, True, 0, False, None, "1", "%d", 7, [1], {"x": 1}, -3]:
+            for obj in ({"a": value, "b": 2}, {"a": 2, "b": value}, {"a": value}):
+                expected = json.dumps(obj, sort_keys=True, indent=2)
+                assert cli._render(obj, indent) == expected.replace("\n", "\n" + indent)
+
     @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), _Small.ONE],
                              ids=["float", "fraction", "int-subclass"])
     def test_rejects_other_types_after_a_warm_cache(self, value):
@@ -643,8 +676,9 @@ class TestReportWriter:
 
 
 class TestRenderCost:
-    """A dict of scalars alone is rendered from its key set's %-format, which
-    is built once per key set and indent."""
+    """A dict of scalars alone is rendered from a %-format built once per key
+    set, value types and indent, and converts only its non-int values; a
+    dict that nests converts each scalar once."""
 
     @pytest.mark.parametrize("params", [(2, False, 0, 0, 1, 0), (3, True, 0, 1, 1, 1)],
                              ids=["inadmissible-parity", "ok"])
@@ -656,6 +690,81 @@ class TestRenderCost:
         cli._render_into(row, cli._ROW_INDENT, parts)
         assert parts[0] == "before" and len(parts) == 2
         assert parts[1] == json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        """A list that gets the type of each value _SCALAR_TEXT converts while
+        the test runs; the cached formats, which hold the text functions, are
+        dropped before and after."""
+        converted = []
+
+        def counting(kind, text):
+            def convert(value):
+                converted.append(kind)
+                return text(value)
+            return convert
+
+        for kind, text in list(cli._SCALAR_TEXT.items()):
+            monkeypatch.setitem(cli._SCALAR_TEXT, kind, counting(kind, text))
+        cli._sorted_keys.cache_clear()
+        yield converted
+        cli._sorted_keys.cache_clear()
+
+    @pytest.mark.parametrize("params", [(2, False, 0, 0, 1, 0), (3, True, 0, 1, 1, 1)],
+                             ids=["inadmissible-parity", "ok"])
+    def test_flat_row_converts_only_its_non_ints(self, params, conversions):
+        # ramified, passed and status; ints go to the format's %d, so an ok
+        # row's 8 ints and an inadmissible row's 5 are never converted
+        q, ram, *point = params
+        row = cli._deform_row((cli._setup(q, ram), *point))
+        for _ in range(2):
+            conversions.clear()
+            text = cli._render(row, cli._ROW_INDENT)
+            assert sorted(conversions, key=str) == [bool, bool, str]
+        assert text == json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+
+    @pytest.mark.parametrize("command", ["ati", "germ", "orb"])
+    def test_nested_dict_converts_each_scalar_once(self, command, conversions):
+        def conversions_of(obj):
+            # a scalar in a list or beside a container is converted once; a
+            # dict of scalars alone converts its non-ints and prints its ints
+            # with %d
+            values = obj.values() if type(obj) is dict else obj
+            if type(obj) is dict and not any(type(v) in (dict, list) for v in values):
+                return sum(type(value) is not int for value in values)
+            return sum(conversions_of(value) if type(value) in (dict, list) else 1
+                       for value in values)
+
+        setup = cli._setup(3, True)
+        row = {"ati": lambda: cli._ati_row((setup, 1, 1, 1, (2, 3))),
+               "germ": lambda: cli._germ_row((setup, *cli.germ_battery(setup)[0])),
+               "orb": lambda: cli._orb_row((setup, 2, 1))}[command]()
+        for obj in (row, {"a": 1, "b": [2, "c"], "d": None}):
+            assert any(type(value) in (dict, list) for value in obj.values())
+            for _ in range(2):
+                conversions.clear()
+                cli._render(obj, "")
+                # the key set's format is never tried on a dict that nests
+                assert len(conversions) == conversions_of(obj)
+
+    def test_deform_tests_each_height_once_per_level_pair(self, monkeypatch):
+        calls = []
+        attainable = cli.hom_height_attainable
+
+        def counting(*args):
+            calls.append(args)
+            return attainable(*args)
+
+        monkeypatch.setattr(cli, "hom_height_attainable", counting)
+        monkeypatch.setattr(cli, "_map", lambda fn, items: items)
+        # the deform_grid benchmark's seed-0 grid
+        ram, q, ij, e, l = [False, True], range(2, 8), range(8), range(1, 4), range(61)
+        params = cli.run_deform(ram, q, ij, e, l)["rows"]
+        assert len(calls) == len(set(calls)) == 2 * 6 * 8 * 8 * 61 == 46_848
+        setups = [cli._setup(q_, ram_) for ram_, q_ in product(ram, q)]
+        assert params == [point for point in product(setups, ij, ij, e, l)
+                          if attainable(point[0], point[1], point[2], point[4])]
+        assert len(params) == 98_640
 
     def test_one_format_per_key_set(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AFL_CALC_THREADS", "1")

@@ -2,7 +2,8 @@
 
 Several caches outlive a row: integral_indicator's shared instance and its
 run-weight tables, GermExpansion._cells and cli._sorted_keys (each key
-set's order, prefixes and %-format, per indent).
+set's prefixes and getter, per indent, and the %-format of each tuple of
+value types met at them).
 Rows of small grids of all five commands are built here in orders that mix
 the commands, in a process that has run whatever ran before, and each row's
 text must equal its text in an in-order run of its own grid in a fresh
