@@ -7,10 +7,13 @@ ati (growth plus end-to-end residual checks).  COMMANDS is the flag table:
 each command's help text and the defaults of its range flags.  ``main`` is
 the one sweep driver: it parses every range once, checks LOWER_BOUNDS, hands
 the command's ``run_*`` the sorted, de-duplicated values, counts the failed
-rows and writes the report.  A ``run_*`` only builds its grid and hands each
-row function to ``_map``, which renders each row to its text as it is built
-(in the worker, when a pool runs) and keeps only that text and the row's pass
-flag.  A dict of scalars alone, such as a ``deform`` row, is one ``%`` of a
+rows and writes the report.  A ``run_*`` only builds its grid's items and
+hands them with its row function to ``_map``, which renders each row to its
+text as it is built (in the worker, when a pool runs) and keeps only that
+text and the row's pass flag.  An item gives one row, except in ``deform``:
+there it is one unordered level pair, whose rows at (i, j) and (j, i) share
+each closed form, and ``run_deform`` slices the rows back into report order.
+A dict of scalars alone, such as a ``deform`` row, is one ``%`` of a
 format cached per key set, value types and indent, its ints filled by
 ``%d``.  ``render_report`` splices the row texts into the document, joined
 once, and ``main`` writes it in 1 MiB slices.  Reports are deterministic:
@@ -23,9 +26,10 @@ cannot be written, ranges that select no rows, or a row with an int of more
 digits than Python prints; exit 2 also ends a run whose report write fails
 (a full disk, a closed pipe), with one line on stderr.
 
-AFL_CALC_THREADS caps row-level parallelism (default 1, serial), and the
-process pool never exceeds the CPU count.  The pool's modules are imported
-only when a pool starts, so a serial run never loads them.
+AFL_CALC_THREADS caps item-level parallelism (default 1, serial), the
+process pool never exceeds the CPU count, and fewer than four items run
+serially.  The pool's modules are imported only when a pool starts, so a
+serial run never loads them.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from functools import lru_cache, partial
 from itertools import product
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .battery import germ_battery
 from .deformation import (DeformQuery, InadmissibleParityError, hom_height_attainable,
@@ -138,27 +142,33 @@ def _workers() -> int:
 _ROW_INDENT = "    "
 
 
-def _rendered_row(fn: Callable[..., dict], item) -> tuple[bool, str]:
-    """fn's row for item, as its pass flag and its text at its report depth."""
-    row = fn(item)
-    return bool(row.get("passed", False)), _render(row, _ROW_INDENT)
+def _rendered_rows(fn: Callable, item) -> list[tuple[bool, str]]:
+    """fn's rows for item, each as its pass flag and its text at its report
+    depth: fn gives one row dict, or an iterable of them."""
+    rows = fn(item)
+    if type(rows) is dict:
+        rows = (rows,)
+    return [(bool(row.get("passed", False)), _render(row, _ROW_INDENT)) for row in rows]
 
 
-def _map(fn: Callable[..., dict], items: Sequence) -> list[tuple[bool, str]]:
-    """_rendered_row of fn over items, in order."""
+def _map(fn: Callable, items: Sequence) -> list[tuple[bool, str]]:
+    """_rendered_rows of fn over items, each item's rows in its order, the
+    items in theirs."""
     # a partial, not a closure, so the pool can ship it to its workers
-    row = partial(_rendered_row, fn)
+    rows = partial(_rendered_rows, fn)
     # the executor starts every worker up front, so more than one per CPU
     # only costs processes
     n = min(_workers(), os.cpu_count() or 1)
     if n == 1 or len(items) < 4:
-        return [row(item) for item in items]
+        return [row for block in map(rows, items) for row in block]
     # imported here: its modules (multiprocessing, pickle, socket, logging)
     # cost a serial run's import time and never serve it
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n) as pool:
-        # about four chunks per worker: rows are too small to ship one by one
-        return list(pool.map(row, items, chunksize=-(-len(items) // (4 * n))))
+        # about four chunks per worker: most items are a row, too small to
+        # ship one by one
+        blocks = pool.map(rows, items, chunksize=-(-len(items) // (4 * n)))
+        return [row for block in blocks for row in block]
 
 
 def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
@@ -171,29 +181,54 @@ def run_afl(q: list[int], t: list[int], vb: list[int]) -> dict:
     return {"rows": _map(_afl_row, list(product(setups, [t_ for t_ in t if t_ >= 0], vb)))}
 
 
-def _deform_row(params: tuple[FieldSetup, int, int, int, int]) -> dict:
-    setup, i, j, e_rel, l = params
-    try:
-        query = DeformQuery(setup, i, j, e_rel, l)
-        mirror = DeformQuery(setup, j, i, e_rel, l)
-    except InadmissibleParityError:
-        return {"ramified": setup.ramified, "q": setup.q, "i": i, "j": j, "e_rel": e_rel, "l": l,
-                "status": "inadmissible-parity", "passed": True}
-    closed = lift_bound(query)
-    recursive = lift_bound_recursive(query)
-    symmetric = lift_bound(mirror)
-    return {"ramified": setup.ramified, "q": setup.q, "i": i, "j": j, "e_rel": e_rel, "l": l,
-            "status": "ok", "closed": closed, "recursive": recursive, "mirror": symmetric,
-            "passed": closed == recursive == symmetric and closed >= e_rel}
+def _deform_rows(params: tuple[FieldSetup, int, int, list[int], list[int]]) -> Iterator[dict]:
+    """The rows at levels (i, j) and, when i != j, at (j, i), for each e_rel
+    and height in order; at each, the (j, i) row right after the (i, j) row.
+
+    A lift bound is symmetric in the levels, so each row's mirror, the closed
+    form at the swapped levels, is the other row's closed value: each
+    query's closed form is computed once and still compared."""
+    setup, i, j, e, heights = params
+    ram, q = setup.ramified, setup.q
+    orders = ((i, j), (j, i)) if i != j else ((i, j),)
+    for e_rel in e:
+        for l in heights:
+            try:
+                query = DeformQuery(setup, i, j, e_rel, l)
+                mirror = DeformQuery(setup, j, i, e_rel, l) if i != j else query
+            except InadmissibleParityError:
+                for a, b in orders:
+                    yield {"ramified": ram, "q": q, "i": a, "j": b, "e_rel": e_rel, "l": l,
+                           "status": "inadmissible-parity", "passed": True}
+                continue
+            closed = lift_bound(query)
+            swapped = lift_bound(mirror) if i != j else closed
+            for own, value, other in ((query, closed, swapped),
+                                      (mirror, swapped, closed))[:len(orders)]:
+                recursive = lift_bound_recursive(own)
+                yield {"ramified": ram, "q": q, "i": own.i, "j": own.j, "e_rel": e_rel, "l": l,
+                       "status": "ok", "closed": value, "recursive": recursive, "mirror": other,
+                       "passed": value == recursive == other and value >= e_rel}
 
 
 def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
                l: list[int]) -> dict:
     setups = [_setup(q_, ram_) for ram_, q_ in product(ram, q)]
-    params = [(setup, i, j, e_rel, l_) for setup, i, j in product(setups, ij, ij)
-              for heights in [[l_ for l_ in l if hom_height_attainable(setup, i, j, l_)]]
-              for e_rel in e for l_ in heights]
-    return {"rows": _map(_deform_row, params)}
+    # one item per setup and unordered level pair; hom_height_attainable
+    # reads only |i - j| and min(i, j)
+    items = [(setup, i, j, e, [l_ for l_ in l if hom_height_attainable(setup, i, j, l_)])
+             for setup in setups for k, i in enumerate(ij) for j in ij[k:]]
+    rows = _map(_deform_rows, items)
+    # an item's rows alternate between its two orders, so each order's block
+    # is every other row
+    blocks, start = {}, 0
+    for setup, i, j, _, heights in items:
+        step = 1 if i == j else 2
+        end = start + step * len(e) * len(heights)
+        for k, (a, b) in enumerate(((i, j), (j, i))[:step]):
+            blocks[setup, a, b] = rows[start + k:end:step]
+        start = end
+    return {"rows": [row for key in product(setups, ij, ij) for row in blocks[key]]}
 
 
 def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:

@@ -15,7 +15,8 @@ the quasi-homomorphism relative to the module of honest homomorphisms.  The
 closed form and the recursion are independent routes to the same integer.
 Their agreement is sampled, not proved: the test suite checks it on sweep
 grids and on random admissible queries, and every `deform` report row
-checks it again, with the mirrored query, at that row's input.
+checks it again at that row's input, together with the closed form at the
+swapped levels, which is the transposed row's closed value.
 """
 
 from __future__ import annotations

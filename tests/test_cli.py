@@ -19,6 +19,8 @@ from hypothesis import given, strategies as st
 
 from aflcalc import cli
 from aflcalc.cli import COMMANDS, ConfigError, main, parse_ram, parse_range, render_report
+from aflcalc.deformation import (DeformQuery, InadmissibleParityError, hom_height_attainable,
+                                 lift_bound, lift_bound_recursive)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -182,6 +184,100 @@ class TestReports:
         assert report["passed"] and report["total"] == 2
 
 
+class TestDeformPairs:
+    """A deform item is one unordered level pair.  Each ordered query's closed
+    form is computed once: it is its own row's closed value and the
+    transposed row's mirror, and both rows still compare it."""
+
+    # gapped levels with both ramifications, which hold inadmissible rows
+    # (at level 0, unramified), and a single level, which holds none
+    GRIDS = {
+        "gapped-levels": ["--ram", "0,1", "--q", "2,3", "--ij", "0,3,7", "--e", "1..2",
+                          "--l", "0..16"],
+        "one-level": ["--ram", "0,1", "--q", "3,4", "--ij", "4", "--e", "1,3", "--l", "0..12"],
+    }
+
+    @staticmethod
+    def reference_row(setup, i, j, e_rel, l) -> dict:
+        """The row built on its own: its query and its mirror built and
+        bounded separately."""
+        point = {"ramified": setup.ramified, "q": setup.q, "i": i, "j": j, "e_rel": e_rel,
+                 "l": l}
+        try:
+            query = DeformQuery(setup, i, j, e_rel, l)
+            mirror = DeformQuery(setup, j, i, e_rel, l)
+        except InadmissibleParityError:
+            return {**point, "status": "inadmissible-parity", "passed": True}
+        closed, recursive, symmetric = (lift_bound(query), lift_bound_recursive(query),
+                                        lift_bound(mirror))
+        return {**point, "status": "ok", "closed": closed, "recursive": recursive,
+                "mirror": symmetric,
+                "passed": closed == recursive == symmetric and closed >= e_rel}
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_rows_are_the_row_by_row_reference_in_product_order(self, grid, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.setenv("AFL_CALC_THREADS", "1")
+        argv = self.GRIDS[grid]
+        out = tmp_path / "r.json"
+        assert main(["deform", *argv, "--out", str(out)]) == 0
+        flags = dict(zip(argv[::2], argv[1::2]))
+        ram = sorted(set(parse_ram(flags["--ram"])))
+        q, ij, e, l = (sorted(set(parse_range(flags[f"--{flag}"])))
+                       for flag in ("q", "ij", "e", "l"))
+        setups = [cli._setup(q_, ram_) for ram_, q_ in product(ram, q)]
+        rows = json.loads(out.read_text())["rows"]
+        assert rows == [self.reference_row(*point) for point in product(setups, ij, ij, e, l)
+                        if hom_height_attainable(point[0], point[1], point[2], point[4])]
+        statuses = {"ok", "inadmissible-parity"} if grid == "gapped-levels" else {"ok"}
+        assert {row["status"] for row in rows} == statuses
+
+    @pytest.mark.parametrize("wrong_when", ["ascending", "descending"])
+    def test_an_order_sensitive_lift_bound_fails_every_ok_row_off_the_diagonal(
+            self, wrong_when, tmp_path, monkeypatch):
+        def order_sensitive(query):
+            # a closed form that reads the levels in order: one more when they
+            # come in this order
+            _, i, j, _, _ = query
+            return lift_bound(query) + ((i < j) if wrong_when == "ascending" else (i > j))
+
+        monkeypatch.setattr(cli, "lift_bound", order_sensitive)
+        monkeypatch.setenv("AFL_CALC_THREADS", "1")
+        out = tmp_path / "r.json"
+        assert main(["deform", "--out", str(out)]) == 1
+        rows = json.loads(out.read_text())["rows"]
+        failed = [row for row in rows if not row["passed"]]
+        # the row whose own closed form is right fails through its mirror alone
+        assert failed and failed == [row for row in rows
+                                     if row["status"] == "ok" and row["i"] != row["j"]]
+
+    def test_one_closed_form_per_admissible_ordered_query(self, tmp_path, monkeypatch):
+        calls = {name: [] for name in ("lift_bound", "lift_bound_recursive",
+                                       "hom_height_attainable")}
+
+        def counting(name, fn):
+            def call(*args):
+                calls[name].append(args)
+                return fn(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        monkeypatch.setenv("AFL_CALC_THREADS", "1")
+        out = tmp_path / "r.json"
+        assert main(["deform", *self.GRIDS["gapped-levels"], "--out", str(out)]) == 0
+        ok = sorted((row["ramified"], row["q"], row["i"], row["j"], row["e_rel"], row["l"])
+                    for row in json.loads(out.read_text())["rows"] if row["status"] == "ok")
+        for name in ("lift_bound", "lift_bound_recursive"):
+            queried = [(setup.ramified, setup.q, i, j, e_rel, l)
+                       for (setup, i, j, e_rel, l), in calls[name]]
+            assert sorted(queried) == ok, name
+        # two ramifications, two q, six unordered pairs of three levels, 17 heights
+        heights = calls["hom_height_attainable"]
+        assert len(heights) == len(set(heights)) == 2 * 2 * 6 * 17
+        assert all(i <= j for _, i, j, _ in heights)
+
+
 class TestConfigContract:
     @pytest.mark.parametrize("command", ["afl", "deform", "orb", "germ", "ati"])
     def test_invalid_q_exits_two(self, command, capsys):
@@ -294,16 +390,18 @@ class TestConfigContract:
         assert "cannot write" in capsys.readouterr().err
         assert not new.exists()
 
-    @pytest.mark.parametrize("workers, e", [("1", "1"), ("2", "1"), ("2", "1..2")],
+    @pytest.mark.parametrize("workers, ij", [("1", "0,11000"), ("2", "0,11000"),
+                                             ("2", "0,1,11000")],
                              ids=["serial", "two-rows", "pool"])
-    def test_int_past_the_digit_limit_exits_two(self, workers, e, tmp_path, capsys,
+    def test_int_past_the_digit_limit_exits_two(self, workers, ij, tmp_path, capsys,
                                                 monkeypatch):
-        # the (11000, 11000) rows' lift bounds have over 4,650 digits, past
-        # Python's int-to-str limit of 4,300; two rows run serially whatever
-        # AFL_CALC_THREADS says, four start the pool, whose worker raises
+        # the (11000, 11000) row's lift bound has over 4,650 digits, past
+        # Python's int-to-str limit of 4,300; two levels make three level-pair
+        # items, which run serially whatever AFL_CALC_THREADS says, and three
+        # make six, which start the pool, whose worker raises
         monkeypatch.setenv("AFL_CALC_THREADS", workers)
         out = tmp_path / "r.json"
-        assert main(["deform", "--ram", "0", "--q", "7", "--ij", "0,11000", "--e", e,
+        assert main(["deform", "--ram", "0", "--q", "7", "--ij", ij, "--e", "1",
                      "--l", "10998", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "digits" in err and err.count("\n") == 1
@@ -675,6 +773,11 @@ class TestReportWriter:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_DIGESTS["orb"]
 
 
+def deform_row(q, ram, i, j, e_rel, l) -> dict:
+    """The deform row at one point: the first row of its level pair's item."""
+    return next(cli._deform_rows((cli._setup(q, ram), i, j, [e_rel], [l])))
+
+
 class TestRenderCost:
     """A dict of scalars alone is rendered from a %-format built once per key
     set, value types and indent, and converts only its non-int values; a
@@ -683,8 +786,7 @@ class TestRenderCost:
     @pytest.mark.parametrize("params", [(2, False, 0, 0, 1, 0), (3, True, 0, 1, 1, 1)],
                              ids=["inadmissible-parity", "ok"])
     def test_flat_row_is_one_part(self, params):
-        q, ram, *point = params
-        row = cli._deform_row((cli._setup(q, ram), *point))
+        row = deform_row(*params)
         parts = ["before"]
         # key by key, it would be one part per key and one for the brace
         cli._render_into(row, cli._ROW_INDENT, parts)
@@ -715,8 +817,7 @@ class TestRenderCost:
     def test_flat_row_converts_only_its_non_ints(self, params, conversions):
         # ramified, passed and status; ints go to the format's %d, so an ok
         # row's 8 ints and an inadmissible row's 5 are never converted
-        q, ram, *point = params
-        row = cli._deform_row((cli._setup(q, ram), *point))
+        row = deform_row(*params)
         for _ in range(2):
             conversions.clear()
             text = cli._render(row, cli._ROW_INDENT)
@@ -756,14 +857,20 @@ class TestRenderCost:
             return attainable(*args)
 
         monkeypatch.setattr(cli, "hom_height_attainable", counting)
-        monkeypatch.setattr(cli, "_map", lambda fn, items: items)
+        # each row's parameters in place of its text: rows are built, not rendered
+        monkeypatch.setattr(cli, "_map", lambda fn, items: [
+            (row["ramified"], row["q"], row["i"], row["j"], row["e_rel"], row["l"])
+            for item in items for row in fn(item)])
         # the deform_grid benchmark's seed-0 grid
         ram, q, ij, e, l = [False, True], range(2, 8), range(8), range(1, 4), range(61)
         params = cli.run_deform(ram, q, ij, e, l)["rows"]
-        assert len(calls) == len(set(calls)) == 2 * 6 * 8 * 8 * 61 == 46_848
+        # one call per setup, unordered level pair and height
+        assert len(calls) == len(set(calls)) == 2 * 6 * (8 * 9 // 2) * 61 == 26_352
+        assert all(i <= j for _, i, j, _ in calls)
         setups = [cli._setup(q_, ram_) for ram_, q_ in product(ram, q)]
-        assert params == [point for point in product(setups, ij, ij, e, l)
-                          if attainable(point[0], point[1], point[2], point[4])]
+        assert params == [(setup.ramified, setup.q, i, j, e_rel, l_)
+                          for setup, i, j, e_rel, l_ in product(setups, ij, ij, e, l)
+                          if attainable(setup, i, j, l_)]
         assert len(params) == 98_640
 
     def test_one_format_per_key_set(self, tmp_path, monkeypatch):

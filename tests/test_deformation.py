@@ -220,6 +220,13 @@ class TestAttainability:
         assert hom_height_attainable(RAM3, 2, 2, 5)
         assert hom_height_attainable(RAM3, 0, 0, 1)
 
+    @given(st.integers(2, 13), st.booleans(), st.integers(0, 12), st.integers(0, 12),
+           st.integers(0, 80))
+    def test_symmetric_in_the_levels(self, q, ram, i, j, l):
+        # a deform sweep tests each height once per unordered level pair
+        setup = FieldSetup(q, ram)
+        assert hom_height_attainable(setup, i, j, l) == hom_height_attainable(setup, j, i, l)
+
 
 class TestReductionCommutes:
     @pytest.mark.parametrize("i,j,want", [(1, 2, True), (0, 0, True), (2, 4, True)])

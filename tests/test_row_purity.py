@@ -4,10 +4,11 @@ Several caches outlive a row: integral_indicator's shared instance and its
 run-weight tables, GermExpansion._cells and cli._sorted_keys (each key
 set's prefixes and getter, per indent, and the %-format of each tuple of
 value types met at them).
-Rows of small grids of all five commands are built here in orders that mix
-the commands, in a process that has run whatever ran before, and each row's
-text must equal its text in an in-order run of its own grid in a fresh
-interpreter."""
+Items of small grids of all five commands are built here in orders that mix
+the commands, in a process that has run whatever ran before.  Each row an
+item yields (a deform item yields the rows of an unordered level pair) must
+equal the row with the same parameters in an in-order run of its own grid in
+a fresh interpreter, and the items must build every report row exactly once."""
 
 import json
 import os
@@ -36,28 +37,42 @@ GRIDS = {
     "ati": ("--q", "3", "--ram", "0,1", "--i", "0..1", "--j", "0..1", "--e", "1", "--t", "0..12"),
 }
 
+# The keys whose values name a row in its command's report.
+PARAMS = {
+    "afl": ("q", "t", "v_b"),
+    "deform": ("ramified", "q", "i", "j", "e_rel", "l"),
+    "orb": ("q", "ramified", "t", "v_b"),
+    "germ": ("q", "ramified", "eta_pi_f", "name"),
+    "ati": ("q", "ramified", "i", "j", "e_rel"),
+}
+
+
+def params_of(command: str, text: str) -> tuple:
+    row = json.loads(text)
+    return tuple(row[key] for key in PARAMS[command])
+
 
 @cache
-def grid_rows() -> tuple:
-    """(command, index, row function, row parameters) for every row of every
-    grid, each grid in its own order, as main hands them to _map."""
-    rows = []
+def grid_items() -> tuple:
+    """(command, row function, item) for every item of every grid, each grid
+    in its own order, as main hands them to _map."""
+    items = []
     for command, flags in GRIDS.items():
         mapped = []
 
-        def recording(fn, items):
-            mapped.extend((fn, item) for item in items)
+        def recording(fn, fn_items):
+            mapped.extend((fn, item) for item in fn_items)
             return []  # no rows: main stops with "the sweep selects no rows"
         with mock.patch.object(cli, "_map", recording):
             assert cli.main([command, *flags]) == 2
-        rows.extend((command, k, fn, item) for k, (fn, item) in enumerate(mapped))
-    return tuple(rows)
+        items.extend((command, fn, item) for fn, item in mapped)
+    return tuple(items)
 
 
 @cache
 def fresh_texts() -> dict:
-    """command -> each row's text from its grid's report, written by a fresh
-    interpreter."""
+    """command -> {row parameters: row text} from its grid's report, written
+    by a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("AFL_CALC_THREADS", None)
     texts = {}
@@ -65,15 +80,16 @@ def fresh_texts() -> dict:
         done = subprocess.run([sys.executable, "-m", "aflcalc.cli", command, *flags],
                               capture_output=True, text=True, env=env)
         assert done.returncode in (0, 1), done.stderr  # 1: some row failed its check
-        rows = json.loads(done.stdout)["rows"]
-        texts[command] = [cli._render(row, cli._ROW_INDENT) for row in rows]
+        rows = [cli._render(row, cli._ROW_INDENT) for row in json.loads(done.stdout)["rows"]]
+        texts[command] = {params_of(command, text): text for text in rows}
+        assert len(texts[command]) == len(rows), command  # parameters name one row each
     return texts
 
 
 def round_robin(reverse: bool) -> list:
-    """One row of each command in turn, in grid order, or that order reversed."""
-    by_command = [[row for row in grid_rows() if row[0] == command] for command in GRIDS]
-    order = [row for row in chain.from_iterable(zip_longest(*by_command)) if row is not None]
+    """One item of each command in turn, in grid order, or that order reversed."""
+    by_command = [[item for item in grid_items() if item[0] == command] for command in GRIDS]
+    order = [item for item in chain.from_iterable(zip_longest(*by_command)) if item is not None]
     return order[::-1] if reverse else order
 
 
@@ -83,12 +99,16 @@ def round_robin(reverse: bool) -> list:
 @given(order=st.randoms(use_true_random=False))
 def test_rows_are_pure(order):
     if isinstance(order, str):
-        rows = round_robin(reverse=order.startswith("reversed"))
+        items = round_robin(reverse=order.startswith("reversed"))
     else:
-        rows = list(grid_rows())
-        order.shuffle(rows)
+        items = list(grid_items())
+        order.shuffle(items)
     texts = fresh_texts()
-    assert sorted((command, k) for command, k, _, _ in rows) == sorted(
-        (command, k) for command in GRIDS for k in range(len(texts[command])))
-    for command, k, fn, item in rows:
-        assert cli._rendered_row(fn, item)[1] == texts[command][k], (command, k)
+    built = []
+    for command, fn, item in items:
+        for _, text in cli._rendered_rows(fn, item):
+            key = params_of(command, text)
+            assert text == texts[command].get(key), (command, key)
+            built.append((command, key))
+    assert len(built) == len(set(built))
+    assert set(built) == {(command, key) for command in GRIDS for key in texts[command]}
