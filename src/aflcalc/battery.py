@@ -1,8 +1,6 @@
-"""Named test-function batteries shared by the germ checks and the CLI.
-
-Two collections per field setup: functions vanishing on the degenerate
-diagonal (germ-extractable), and functions whose plain orbital integrals
-vanish identically (inputs for the zero-germ consistency check).
+"""The named test-function battery shared by the germ checks and the CLI:
+per field setup, functions vanishing on the degenerate diagonal, so that
+their germs can be extracted.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from fractions import Fraction
 from .field import MINUS, PLUS, FieldSetup
 from .germs import constant_germ, function_from_germ, shell_box
 from .orbital import (TWIST, Box, Interval, InvariantFunction, clear_diagonal,
-                      diagonal_killer, integral_indicator, unit_diag_indicator)
+                      integral_indicator, unit_diag_indicator)
 
 
 def germ_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
@@ -54,19 +52,4 @@ def germ_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
                 setup, [(Interval(0, None), Interval(1, None), Fraction(-1, 2), Fraction(1, 2))]))),
             ("unram_mixed_sign_shell", InvariantFunction.from_box(shell_box(0, -2, neg))),
         ])
-    return entries
-
-
-def zero_orbit_battery(setup: FieldSetup) -> list[tuple[str, InvariantFunction]]:
-    """Functions whose plain orbital integrals vanish on every orbit."""
-    base = unit_diag_indicator()
-    entries = [
-        ("diag_killer_all", diagonal_killer()),
-        ("diag_killer_cell", diagonal_killer(Interval(0, 1), Interval(2, None))),
-        ("eta_pair_units", base + base.pulled_back(TWIST)),
-        ("eta_pair_integral", integral_indicator() + integral_indicator().pulled_back(TWIST)),
-    ]
-    if setup.ramified:
-        # every sign-free function integrates to zero against the character
-        entries.append(("ram_sign_free", integral_indicator()))
     return entries

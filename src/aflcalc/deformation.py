@@ -13,10 +13,12 @@ Inputs are the two levels i, j, the ramification index e_rel of the
 deformation base over the larger ring class field, and the class height l of
 the quasi-homomorphism relative to the module of honest homomorphisms.  The
 closed form and the recursion are independent routes to the same integer.
-Their agreement is sampled, not proved: the test suite checks it on sweep
-grids and on random admissible queries, and every `deform` report row
-checks it again at that row's input, together with the closed form at the
-swapped levels, which is the transposed row's closed value.
+Their agreement is sampled, not proved: the test suite checks it on a sweep
+grid and on random queries at every admissible height, including heights no
+honest homomorphism attains (ATI bounds the odd heights below 2k at equal
+levels k), and every `deform` report row, at an attainable height, checks it
+again at that row's input, together with the closed form at the swapped
+levels, which is the transposed row's closed value.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from .field import FieldSetup
 
 class InadmissibleParityError(ValueError):
     """Height/level parity that no genuine quasi-homomorphism class attains."""
-
-
-def unit_index(setup: FieldSetup, s: int) -> int:
-    """Index of the conductor-s unit group in the maximal units."""
-    return ramification_index(setup, s) if s else 1
 
 
 def ramification_index(setup: FieldSetup, s: int) -> int:

@@ -24,8 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .symbolic import LaurentPoly
-
 PLUS = 1
 MINUS = -1
 
@@ -44,6 +42,8 @@ class FieldSetup(_FieldSetup):
     def __new__(cls, q: int, ramified: bool, eta_pi_f: int | None = None) -> "FieldSetup":
         if not isinstance(q, int) or q < 2:
             raise ValueError("residue size q must be an integer >= 2")
+        if type(ramified) is not bool:  # 0 would reach report JSON as "ramified": 0
+            raise TypeError("the ramification flag must be a bool")
         if eta_pi_f is None:
             eta_pi_f = PLUS if ramified else MINUS
         self = tuple.__new__(cls, (q, ramified, eta_pi_f))
@@ -82,24 +82,6 @@ class ValClass(_ValClass):
         if type(half_val) is not int:  # exactly int: T^True is no monomial
             raise TypeError("half_val stores 2*v(x) and must be int")
         return tuple.__new__(cls, (half_val, eta_sign))
-
-    def __mul__(self, other: "ValClass") -> "ValClass":
-        if not isinstance(other, ValClass):
-            return NotImplemented
-        return ValClass(self.half_val + other.half_val, self.eta_sign * other.eta_sign)
-
-    def inverse(self) -> "ValClass":
-        return ValClass(-self.half_val, self.eta_sign)
-
-    def consistent_with(self, setup: FieldSetup) -> bool:
-        return self.eta_sign in setup.signs(self.half_val)
-
-
-def eta_s(x: ValClass, setup: FieldSetup) -> LaurentPoly:
-    """eta(x) * T^v(x), the twisted character value as a monomial in T = q^(-s)."""
-    if not x.consistent_with(setup):
-        raise ValueError("class is inconsistent with the unramified sign convention")
-    return LaurentPoly.monomial(x.half_val, x.eta_sign)
 
 
 def unit_integral(setup: FieldSetup, v2: int, sign_constraint: int | None) -> Fraction:

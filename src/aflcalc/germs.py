@@ -4,16 +4,16 @@ For a test function vanishing on the degenerate diagonal, the orbital integral
 of any orbit close enough to it (defect valuation t at least a computable
 threshold) splits as
 
-    orb_s(gamma, f) = eta_s(b) * A0 + eta_s(c)^(-1) * A1,
+    orb_s(gamma, f) = eta(b) T^v(b) * A0 + eta(c) T^(-v(c)) * A1,
 
 where A0 and A1 are locally constant in the diagonal-entry levels and in the
 class of b (resp. c) modulo the base field, with values in exact Laurent
-polynomials.  This module extracts (A0, A1) from a box function, rebuilds a
-box function from prescribed germ data using valuation-homogeneous shells,
-solves the two-sided transfer system for germ values, and exposes the
-derivative-form coefficients of the germ.  The two sides are one
-construction with b and c swapped and the exponent sign flipped, so every
-routine here takes the side (0 = b, 1 = c) as a parameter.
+polynomials in T = q^(-s).  This module extracts (A0, A1) from a box
+function, rebuilds a box function from prescribed germ data using
+valuation-homogeneous shells, solves the two-sided transfer system for germ
+values, and exposes the derivative-form coefficients of the germ.  The two
+sides are one construction with b and c swapped and the exponent sign
+flipped, so every routine here takes the side (0 = b, 1 = c) as a parameter.
 
 Invariant classes modulo the base field are FieldSetup.classes: the parity of
 the doubled valuation of b (0 integral, 1 half-integral), of which only class
@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .field import PLUS, FieldSetup, unit_integral
-from .orbital import (Box, DivergenceError, Interval, InvariantFunction, OrbitData,
-                      clear_diagonal, level_cells)
+from .orbital import Box, DivergenceError, Interval, InvariantFunction, OrbitData, level_cells
 from .symbolic import LaurentPoly, Rational, as_fraction
 
 
@@ -62,7 +61,7 @@ class GermPiece(NamedTuple):
 
 
 # The b-side (A0) is side 0, the c-side (A1) side 1.  A0 enters through
-# eta_s(b) and A1 through eta_s(c)^(-1), so a shell at doubled valuation w2
+# eta(b) T^v(b) and A1 through eta(c) T^(-v(c)), so a shell at doubled valuation w2
 # contributes T^(SIDE_SIGN * w2 / 2) to its side, and the derivative slope in
 # v(b) resp. v(c) is SIDE_SIGN * A(1).
 SIDES = (0, 1)
@@ -111,15 +110,15 @@ class GermExpansion(_GermExpansion):
             self._cells[key] = out
         return out
 
-    def _probe_cells(self, other: Optional["GermExpansion"] = None
+    def _probe_cells(self, other: "GermExpansion"
                      ) -> Iterator[tuple[int, Optional[int], Optional[int], int]]:
-        """(side, lvl_a, lvl_d, vclass) for every side of every probe cell.
+        """(side, lvl_a, lvl_d, vclass) for every side of every probe cell of
+        the two germs' pieces.
 
         Every piece matches a whole level cell or none of it, and level None
         (a base-field entry) matches like the last, unbounded cell, so one
         representative level per cell probes everything."""
-        pieces = [piece for germ in ((self,) if other is None else (self, other))
-                  for piece in germ.a0 + germ.a1]
+        pieces = [piece for germ in (self, other) for piece in germ.a0 + germ.a1]
         for ca in level_cells(piece.lvl_a for piece in pieces):
             for cd in level_cells(piece.lvl_d for piece in pieces):
                 for cls in self.setup.classes:
@@ -134,11 +133,8 @@ class GermExpansion(_GermExpansion):
         return all(self.eval_side(*cell) == other.eval_side(*cell)
                    for cell in self._probe_cells(other))
 
-    def value_at_s0_is_zero(self) -> bool:
-        return not any(self.eval_side(*cell).eval_at_s0() for cell in self._probe_cells())
-
     def predicted_orb_s(self, gamma: OrbitData) -> LaurentPoly:
-        """eta_s(b) A0 + eta_s(c)^(-1) A1 evaluated at the orbit's invariants.
+        """eta(b) T^v(b) A0 + eta(c) T^(-v(c)) A1 evaluated at the orbit's invariants.
 
         A side whose germ is zero on the orbit's cell is already its own
         product with the monomial, so it builds neither."""
@@ -158,7 +154,7 @@ class GermExpansion(_GermExpansion):
 
         Near the diagonal the derivative integral at s = 0 is
         eta(b)[v(b)*slope0 + const0] + eta(c)^(-1)[v(c)*slope1 + const1],
-        times log(q): the b-side enters through eta_s(b), whose derivative
+        times log(q): the b-side enters through eta(b) T^v(b), whose derivative
         contributes -v(b) log(q) times the value, and the c-side enters
         inverted, flipping the slope sign.  Both coefficients are linear in
         the side polynomial, so they are read off the summed polynomial."""
@@ -173,11 +169,6 @@ class GermExpansion(_GermExpansion):
             slope, constant = self.derivative_side(side, gamma.lvl_a, gamma.lvl_d, cls)
             out += sign * (Fraction(v2, 2) * slope + constant)
         return out
-
-    def derivative_is_zero(self) -> bool:
-        """Both derivative-form coefficients vanish on every probe cell, so
-        pieces that cancel on a cell count as zero."""
-        return not any(any(self.derivative_side(*cell)) for cell in self._probe_cells())
 
     def to_json(self) -> dict:
         return {
@@ -356,13 +347,3 @@ def solve_transfer_germ(c0: Rational, c1: Rational) -> tuple[Fraction, Fraction]
     c0 = as_fraction(c0)
     c1 = as_fraction(c1)
     return (c0 - c1) / 2, (c0 + c1) / 2
-
-
-def zero_orbit_zero_germ(setup: FieldSetup, f: InvariantFunction) -> bool:
-    """For f whose plain orbital integrals vanish identically (checked by the
-    caller on a sweep), the value germ at s = 0 must be zero.
-
-    The function is first replaced by a diagonal-vanishing representative with
-    the same integrals, then extracted.  A False return signals an engine bug."""
-    germ = extract_germ(setup, clear_diagonal(f))
-    return germ.value_at_s0_is_zero()

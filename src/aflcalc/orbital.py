@@ -204,13 +204,6 @@ class OrbitData(_OrbitData):
     def c_sign(self) -> int:
         return self.defect_sign * self.b_sign
 
-    def along_orbit(self, lam: ValClass) -> "OrbitData":
-        """The conjugated orbit representative: (v(b), eta(b)) twisted by lam."""
-        _require_base(lam)
-        return OrbitData(self.setup, self.t, self.v_b2 - lam.half_val,
-                         self.b_sign * lam.eta_sign, self.defect_sign, self.v_a2,
-                         self.lvl_a, self.lvl_d)
-
     def to_json(self) -> dict:
         return {
             "q": self.setup.q,
@@ -423,15 +416,6 @@ def d_orb(gamma: OrbitData, f: InvariantFunction) -> Fraction:
 def transfer_factor(gamma: OrbitData) -> int:
     """The sign eta(c) that makes orbital integrals descend to matched orbits."""
     return gamma.c_sign
-
-
-def eta_twist_difference(f: InvariantFunction, lam: ValClass) -> InvariantFunction:
-    """eta(lam) * f - f.pulled_back(lam); its derivative integral is a rational
-    multiple of the plain integral of f, with all coefficients exact."""
-    _require_base(lam)
-    if lam.half_val == 0:
-        raise ValueError("the twisting element must have nonzero valuation")
-    return f.scale(lam.eta_sign) - f.pulled_back(lam)
 
 
 @functools.cache

@@ -7,18 +7,18 @@ pytest -s / the captured output."""
 import time
 from fractions import Fraction
 
-from aflcalc.battery import germ_battery, zero_orbit_battery
+from aflcalc.battery import germ_battery
 from aflcalc.deformation import (DeformQuery, InadmissibleParityError,
                                  hom_height_attainable, lift_bound,
                                  lift_bound_recursive, ramification_index)
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
-from aflcalc.germs import extract_germ, function_from_germ, zero_orbit_zero_germ
+from aflcalc.germs import extract_germ, function_from_germ
 from aflcalc.matching import (MatchContext, afl_verify, ati_end_to_end,
                               ati_growth_check)
 from aflcalc.orbital import (Box, Interval, InvariantFunction, OrbitData,
-                             clear_diagonal, d_orb, eta_twist_difference,
-                             integral_indicator, orb, orb_s,
+                             clear_diagonal, d_orb, integral_indicator, orb, orb_s,
                              unit_diag_indicator, unramified_orbit)
+from laws import zero_orbit_battery, zero_orbit_zero_germ
 
 UNRAM3 = FieldSetup(3, ramified=False)
 SETUPS = (UNRAM3, FieldSetup(3, ramified=True), FieldSetup(3, ramified=True, eta_pi_f=MINUS))
@@ -130,7 +130,7 @@ def test_criterion_5_transformation_and_twist_laws():
                 lam = ValClass(2 * v_lam, sign)
                 for name, f in germ_battery(setup)[:8]:
                     pulled = f.pulled_back(lam)
-                    combo = eta_twist_difference(f, lam)
+                    combo = f.scale(sign) - pulled
                     for gamma in battery_orbits(setup, 0, 5, range(-4, 5, 2),
                                                 lvls=((None, None),)):
                         value = orb(gamma, f)

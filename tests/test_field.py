@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, eta_s, unit_integral
+from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, unit_integral
 from aflcalc.symbolic import LaurentPoly
 
 UNRAM = FieldSetup(3, ramified=False)
@@ -50,62 +50,38 @@ class TestSigns:
             assert setup.signs(v2) == (PLUS, MINUS)
         assert setup.classes == (0, 1)
 
-    def test_consistency_follows_signs(self):
-        for setup in (UNRAM, RAM):
-            for v2 in range(-9, 10):
-                for sign in (PLUS, MINUS):
-                    assert ValClass(v2, sign).consistent_with(setup) == (sign in setup.signs(v2))
-        for v in range(-5, 6):
-            assert unram_class(v) == ValClass(2 * v, (-1) ** v)
 
-
-class TestValClassMonoid:
-    def test_exhaustive_monoid_laws(self):
-        grid = [ValClass(h, s) for h in range(-8, 9) for s in (PLUS, MINUS)]
-        one = ValClass(0, PLUS)
-        for x in grid:
-            assert x * one == x and one * x == x
-        small = [ValClass(h, s) for h in range(-4, 5, 2) for s in (PLUS, MINUS)]
-        for x in small:
-            for y in small:
-                assert x * y == y * x
-                for z in small:
-                    assert (x * y) * z == x * (y * z)
-
-    def test_multiplication_componentwise(self):
-        x = ValClass(3, MINUS)
-        y = ValClass(-1, MINUS)
-        assert x * y == ValClass(2, PLUS)
-
+class TestValClass:
     @pytest.mark.parametrize("half_val", [True, Fraction(2), 2.0])
     def test_half_val_is_exactly_int(self, half_val):
-        # ValClass(True, 1) used to build, and eta_s rendered it as T^True/2
+        # ValClass(True, 1) used to build, and a monomial read it as T^True/2
         with pytest.raises(TypeError):
             ValClass(half_val, PLUS)
 
 
 class TestEtaS:
+    """eta_s(x) = eta(x) T^v(x), the twisted character value as a monomial in
+    T = q^(-s), is LaurentPoly.monomial(*x) for x = (2v(x), eta(x))."""
+
     def test_unramified_uniformizer(self):
-        assert eta_s(unram_class(1), UNRAM) == LaurentPoly.monomial(2, -1)
+        assert LaurentPoly.monomial(*unram_class(1)) == LaurentPoly.monomial(2, -1)
 
     def test_unramified_unit(self):
-        assert eta_s(unram_class(0), UNRAM) == LaurentPoly.monomial(0)
+        assert LaurentPoly.monomial(*unram_class(0)) == LaurentPoly.monomial(0)
 
     def test_ramified_half_valuation(self):
-        assert eta_s(ValClass(1, PLUS), RAM) == LaurentPoly.monomial(1, 1)
-
-    def test_unramified_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            eta_s(ValClass(2, PLUS), UNRAM)  # v = 1 needs sign -1
+        x = ValClass(1, PLUS)
+        assert x.eta_sign in RAM.signs(x.half_val)
+        assert LaurentPoly.monomial(*x) == LaurentPoly.monomial(1, 1)
 
     def test_value_at_zero_is_sign_of_valuation(self):
         for v in range(-20, 21):
-            value = eta_s(unram_class(v), UNRAM).eval_at_s0()
-            assert value == (-1) ** v
+            assert LaurentPoly.monomial(*unram_class(v)).eval_at_s0() == (-1) ** v
 
     def test_inverse_flips_exponent(self):
-        x = ValClass(3, MINUS)
-        assert eta_s(x, RAM) * eta_s(x.inverse(), RAM) == LaurentPoly.monomial(0)
+        x, x_inverse = ValClass(3, MINUS), ValClass(-3, MINUS)
+        product = LaurentPoly.monomial(*x) * LaurentPoly.monomial(*x_inverse)
+        assert product == LaurentPoly.monomial(0)
 
 
 def unit_measure(setup, constraint, weighted):

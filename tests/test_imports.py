@@ -1,8 +1,9 @@
 """Every imported name is used in the module that imports it, every
-definition in the package is read somewhere in the package or its tests, and
-the definitions only tests read are exactly the declared ones.  No module of
-the package builds a value type through _replace or _make, which skip its
-checks.
+definition in the package and in the tests' law helpers is read somewhere in
+the package or its tests, and the definitions the package itself does not
+read are exactly the declared ones, each read where it is declared to be.  No
+module of the package imports from the tests, or builds a value type through
+_replace or _make, which skip its checks.
 
 A name that only appears in a docstring or a comment is not a use."""
 
@@ -16,25 +17,20 @@ from aflcalc.cli import COMMANDS
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "aflcalc").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+# the modules whose every definition must be read: the package and the law
+# helpers its tests share
+DEFINING = SOURCES + [ROOT / "tests" / "laws.py"]
 # the package __init__ re-exports its imports through __all__
 MODULES = [p for p in SOURCES if p.name != "__init__.py"] + TESTS
 # main dispatches run_<command> by name from the COMMANDS table
 DISPATCHED = "\n".join(f"run_{command}" for command in COMMANDS)
 
 # The library definitions no module of the package reads, each with the
-# reason it stays: the tests state a law of the engine through it, or a tool
-# outside the package reads it.
+# file outside the package that reads it: a test that states a law of the
+# engine through it, or a tool.
 READ_OUTSIDE_THE_PACKAGE = {
-    "eta_s": "states the pullback law",
-    "ValClass.inverse": "states the pullback law",
-    "OrbitData.along_orbit": "states the transformation law",
-    "eta_twist_difference": "states the transformation law",
-    "zero_orbit_battery": "the acceptance zero-germ check",
-    "zero_orbit_zero_germ": "the acceptance zero-germ check",
-    "GermExpansion.predicted_d_orb": "the derivative germ",
-    "GermExpansion.derivative_is_zero": "the derivative germ",
-    "LaurentPoly.monomial_count": "the perfbench tracer counts monomials with it",
-    "unit_index": "states the unit-group index; the package reads the equal ramification index",
+    "GermExpansion.predicted_d_orb": "tests/test_germs.py",  # the derivative germ
+    "LaurentPoly.monomial_count": "perfbench/tracer.py",  # counts orb_s's monomials
 }
 
 
@@ -80,6 +76,16 @@ def reads(sources: list[str]) -> set[str]:
     return names
 
 
+def imported_roots(source: str) -> set[str]:
+    """The top-level names of the modules a source imports by absolute name."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names.update(node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0)
+    return {name.split(".")[0] for name in names}
+
+
 def unread(defining: str, readers: list[str]) -> list[str]:
     """The definitions of one module that no reader reads, in source order."""
     read = reads(readers)
@@ -120,7 +126,7 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", DEFINING, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_definition_is_read(path):
     readers = [p.read_text() for p in SOURCES + TESTS] + [DISPATCHED]
     assert unread(path.read_text(), readers) == []
@@ -130,6 +136,19 @@ def test_only_the_declared_definitions_go_unread_by_the_package():
     readers = [p.read_text() for p in SOURCES] + [DISPATCHED]
     unread_in_package = {name for path in SOURCES for name in unread(path.read_text(), readers)}
     assert unread_in_package == set(READ_OUTSIDE_THE_PACKAGE)
+
+
+def test_each_exemption_is_read_where_it_is_declared():
+    for name, path in READ_OUTSIDE_THE_PACKAGE.items():
+        assert name.split(".")[-1] in reads([(ROOT / path).read_text()]), name
+
+
+def test_the_package_imports_nothing_from_the_tests():
+    from_tests = {"tests"} | {path.stem for path in TESTS}
+    source = "import tests.laws\nfrom laws import along_orbit\nfrom .field import PLUS\n"
+    assert imported_roots(source) & from_tests == {"tests", "laws"}
+    for path in SOURCES:
+        assert not imported_roots(path.read_text()) & from_tests, path.name
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -15,6 +15,7 @@ from aflcalc.matching import (EntryHeights, GrowthReport, GrowthRow, MatchContex
                               context_orbit, derived_diag_height, entry_heights,
                               intersection_length, prescribed_transfer_germ)
 from aflcalc.orbital import OrbitData, orbits_at, transfer_factor, unramified_orbit
+from laws import along_orbit
 
 UNRAM3 = FieldSetup(3, ramified=False)
 RAM3 = FieldSetup(3, ramified=True)
@@ -123,7 +124,7 @@ class TestIntersectionLength:
         ctx = MatchContext(UNRAM3, 1, 1, e_f=ramification_index(UNRAM3, 1))
         g = context_orbit(ctx, t=5)
         lam = ValClass(2, MINUS)
-        moved = g.along_orbit(lam)
+        moved = along_orbit(g, lam)
         assert moved.defect_sign == g.defect_sign
         assert intersection_length(entry_heights(moved, ctx), ctx) == \
             intersection_length(entry_heights(g, ctx), ctx)

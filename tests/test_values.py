@@ -106,3 +106,11 @@ def test_bool_is_no_int(build, field):
     assert type(value) is int and value in (0, 1)
     with pytest.raises(TypeError):
         build(**{field: bool(value)})
+
+
+# the reverse case: FieldSetup(3, 0) built, and OrbitData.to_json() then wrote
+# "ramified": 0; FieldSetup(3, "no") built a ramified setup
+@pytest.mark.parametrize("ramified", [0, 1, "no", None])
+def test_ramified_is_exactly_bool(ramified):
+    with pytest.raises(TypeError):
+        FieldSetup(3, ramified)
