@@ -7,12 +7,14 @@ ati (growth plus end-to-end residual checks).  COMMANDS is the flag table:
 each command's help text and the defaults of its range flags.  ``main`` is
 the one sweep driver: it parses every range once, checks LOWER_BOUNDS, hands
 the command's ``run_*`` the sorted, de-duplicated values, counts the failed
-rows and writes the report.  A ``run_*`` only builds its grid's items and
-hands them with its row function to ``_map``, which renders each row to its
-text as it is built (in the worker, when a pool runs) and keeps only that
-text and the row's pass flag.  An item gives one row, except in ``deform``:
-there it is one unordered level pair, whose rows at (i, j) and (j, i) share
-each closed form, and ``run_deform`` slices the rows back into report order.
+rows of the row lists it returns and writes the report.  A ``run_*`` only
+builds its grid's items and hands them with its row function to ``_map``,
+which renders each row to its text as it is built (in the worker, when a
+pool runs), keeps only that text and the row's pass flag, and returns one
+list per item.  An item gives one row, except in ``deform``: there it is one
+unordered level pair, whose (i, j) rows come before its (j, i) rows, each
+closed form shared by both, and ``run_deform`` places the two halves in
+report order.
 A dict of scalars alone, such as a ``deform`` row, is one ``%`` of a
 format cached per key set, value types and indent, its ints filled by
 ``%d``.  ``render_report`` splices the row texts into the document, joined
@@ -41,7 +43,7 @@ from functools import lru_cache, partial
 from itertools import product
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .battery import germ_battery
 from .deformation import (DeformQuery, InadmissibleParityError, hom_height_attainable,
@@ -144,31 +146,29 @@ _ROW_INDENT = "    "
 
 def _rendered_rows(fn: Callable, item) -> list[tuple[bool, str]]:
     """fn's rows for item, each as its pass flag and its text at its report
-    depth: fn gives one row dict, or an iterable of them."""
+    depth: fn gives one row dict, or a list of them."""
     rows = fn(item)
     if type(rows) is dict:
         rows = (rows,)
     return [(bool(row.get("passed", False)), _render(row, _ROW_INDENT)) for row in rows]
 
 
-def _map(fn: Callable, items: Sequence) -> list[tuple[bool, str]]:
-    """_rendered_rows of fn over items, each item's rows in its order, the
-    items in theirs."""
+def _map(fn: Callable, items: Sequence) -> list[list[tuple[bool, str]]]:
+    """_rendered_rows of fn over each item: one list per item, in order."""
     # a partial, not a closure, so the pool can ship it to its workers
     rows = partial(_rendered_rows, fn)
     # the executor starts every worker up front, so more than one per CPU
     # only costs processes
     n = min(_workers(), os.cpu_count() or 1)
     if n == 1 or len(items) < 4:
-        return [row for block in map(rows, items) for row in block]
+        return list(map(rows, items))
     # imported here: its modules (multiprocessing, pickle, socket, logging)
     # cost a serial run's import time and never serve it
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n) as pool:
         # about four chunks per worker: most items are a row, too small to
         # ship one by one
-        blocks = pool.map(rows, items, chunksize=-(-len(items) // (4 * n)))
-        return [row for block in blocks for row in block]
+        return list(pool.map(rows, items, chunksize=-(-len(items) // (4 * n))))
 
 
 def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
@@ -181,34 +181,34 @@ def run_afl(q: list[int], t: list[int], vb: list[int]) -> dict:
     return {"rows": _map(_afl_row, list(product(setups, [t_ for t_ in t if t_ >= 0], vb)))}
 
 
-def _deform_rows(params: tuple[FieldSetup, int, int, list[int], list[int]]) -> Iterator[dict]:
-    """The rows at levels (i, j) and, when i != j, at (j, i), for each e_rel
-    and height in order; at each, the (j, i) row right after the (i, j) row.
+def _deform_rows(params: tuple[FieldSetup, int, int, list[int], list[int]]) -> list[dict]:
+    """The rows at levels (i, j), for each e_rel and height in order, then,
+    when i != j, the rows at (j, i) in the same order.
 
     A lift bound is symmetric in the levels, so each row's mirror, the closed
-    form at the swapped levels, is the other row's closed value: each
-    query's closed form is computed once and still compared."""
+    form at the swapped levels, is the other order's closed value at the same
+    point: each query's closed form is computed once and still compared."""
     setup, i, j, e, heights = params
     ram, q = setup.ramified, setup.q
     orders = ((i, j), (j, i)) if i != j else ((i, j),)
+    blocks = [[] for _ in orders]
     for e_rel in e:
         for l in heights:
             try:
-                query = DeformQuery(setup, i, j, e_rel, l)
-                mirror = DeformQuery(setup, j, i, e_rel, l) if i != j else query
+                queries = [DeformQuery(setup, a, b, e_rel, l) for a, b in orders]
             except InadmissibleParityError:
-                for a, b in orders:
-                    yield {"ramified": ram, "q": q, "i": a, "j": b, "e_rel": e_rel, "l": l,
-                           "status": "inadmissible-parity", "passed": True}
+                for block, (a, b) in zip(blocks, orders):
+                    block.append({"ramified": ram, "q": q, "i": a, "j": b, "e_rel": e_rel, "l": l,
+                                  "status": "inadmissible-parity", "passed": True})
                 continue
-            closed = lift_bound(query)
-            swapped = lift_bound(mirror) if i != j else closed
-            for own, value, other in ((query, closed, swapped),
-                                      (mirror, swapped, closed))[:len(orders)]:
-                recursive = lift_bound_recursive(own)
-                yield {"ramified": ram, "q": q, "i": own.i, "j": own.j, "e_rel": e_rel, "l": l,
-                       "status": "ok", "closed": value, "recursive": recursive, "mirror": other,
-                       "passed": value == recursive == other and value >= e_rel}
+            closed = [lift_bound(query) for query in queries]
+            for block, query, value, mirror in zip(blocks, queries, closed, closed[::-1]):
+                recursive = lift_bound_recursive(query)
+                block.append({"ramified": ram, "q": q, "i": query.i, "j": query.j,
+                              "e_rel": e_rel, "l": l, "status": "ok", "closed": value,
+                              "recursive": recursive, "mirror": mirror,
+                              "passed": value == recursive == mirror and value >= e_rel})
+    return [row for block in blocks for row in block]
 
 
 def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
@@ -218,17 +218,15 @@ def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
     # reads only |i - j| and min(i, j)
     items = [(setup, i, j, e, [l_ for l_ in l if hom_height_attainable(setup, i, j, l_)])
              for setup in setups for k, i in enumerate(ij) for j in ij[k:]]
-    rows = _map(_deform_rows, items)
-    # an item's rows alternate between its two orders, so each order's block
-    # is every other row
-    blocks, start = {}, 0
-    for setup, i, j, _, heights in items:
-        step = 1 if i == j else 2
-        end = start + step * len(e) * len(heights)
-        for k, (a, b) in enumerate(((i, j), (j, i))[:step]):
-            blocks[setup, a, b] = rows[start + k:end:step]
-        start = end
-    return {"rows": [row for key in product(setups, ij, ij) for row in blocks[key]]}
+    # an item's rows are its (i, j) block, then, when i != j, its (j, i) block
+    blocks = {}
+    for (setup, i, j, _, _), rows in zip(items, _map(_deform_rows, items)):
+        if i == j:
+            blocks[setup, i, j] = rows
+        else:
+            half = len(rows) // 2
+            blocks[setup, i, j], blocks[setup, j, i] = rows[:half], rows[half:]
+    return {"rows": [blocks[key] for key in product(setups, ij, ij)]}
 
 
 def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
@@ -510,15 +508,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                                   "(levels and heights are >= 0, e_rel is >= 1)")
         run = globals()[f"run_{args.command}"]  # looked up per call, so a tracer's wrapper runs
         body = run(**{flag: sorted(set(values)) for flag, values in params.items()})
-        if not body["rows"]:
+        if not any(body["rows"]):
             raise ConfigError("the sweep selects no rows")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "deform":
         params["oracle_cross_check"] = args.oracle_cross_check
-    failures = sum(1 for passed, _ in body["rows"] if not passed)
-    body["rows"] = _RenderedItems(text for _, text in body["rows"])
+    # one list of (passed, text) per item or block; the pairs are dropped
+    # before the report is rendered, so they and its text are never all held
+    failures = sum(not passed for block in body["rows"] for passed, _ in block)
+    body["rows"] = _RenderedItems(text for block in body["rows"] for _, text in block)
     body.update(command=args.command, params=params, total=len(body["rows"]),
                 failures=failures, passed=failures == 0)
     text = render_report(body)

@@ -292,7 +292,7 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
         for t in ts:
             value = intersection_length(EntryHeights(t, diag_1, None), ctx)
             saturated_rows.append(GrowthRow(t, value, Fraction(value)))
-        saturation_value = intersection_length(EntryHeights(max(ts), diag_1, None), ctx)
+        saturation_value = saturated_rows[ts.index(max(ts))].int_value
         # Int must saturate: the rows at the diagonal bound are a non-empty suffix.
         at_bound = [row.int_value == saturation_value for row in saturated_rows]
         if True not in at_bound or not all(at_bound[at_bound.index(True):]):

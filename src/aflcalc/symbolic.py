@@ -140,11 +140,6 @@ class LaurentPoly:
                 acc[k] = acc[k] + n * m if k in acc else n * m
         return LaurentPoly._of({e2: n for e2, n in acc.items() if n}, self._den * other._den)
 
-    def scale(self, c: Rational) -> "LaurentPoly":
-        n, d = _ratio(c)
-        return LaurentPoly._of({e2: n * v for e2, v in self._nums.items()} if n else {},
-                               d * self._den)
-
     def eval_at_s0(self) -> Fraction:
         """Value at s = 0, i.e. the coefficient sum, built as one Fraction
         from an exact integer sum."""

@@ -1,3 +1,4 @@
+import contextlib
 import enum
 import errno
 import hashlib
@@ -10,12 +11,14 @@ import runpy
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aflcalc import cli
 from aflcalc.cli import COMMANDS, ConfigError, main, parse_ram, parse_range, render_report
@@ -24,6 +27,43 @@ from aflcalc.deformation import (DeformQuery, InadmissibleParityError, hom_heigh
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
+
+
+def shipped(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@contextlib.contextmanager
+def serial_pool(cpus, threads):
+    """While open, the host has cpus CPUs, AFL_CALC_THREADS is threads, and a
+    pool _map starts is a SerialPool; yields the list of the (pool size,
+    chunk size) of each pool started."""
+    started = []
+
+    class SerialPool:
+        """Records the pool size and chunk size, then maps in process,
+        passing the function, each item and each result through pickle as
+        the real pool does."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            started.append((self.max_workers, chunksize))
+            fn = shipped(fn)
+            return (shipped(fn(shipped(item))) for item in items)
+
+    # _map imports the pool class from concurrent.futures when it starts one
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", SerialPool), \
+            mock.patch.object(cli.os, "cpu_count", lambda: cpus), \
+            mock.patch.dict(os.environ, AFL_CALC_THREADS=str(threads)):
+        yield started
 
 
 class TestRangeParsing:
@@ -187,7 +227,8 @@ class TestReports:
 class TestDeformPairs:
     """A deform item is one unordered level pair.  Each ordered query's closed
     form is computed once: it is its own row's closed value and the
-    transposed row's mirror, and both rows still compare it."""
+    transposed row's mirror, and both rows still compare it.  The report,
+    serial or pooled, holds the rows built one by one, in product order."""
 
     # gapped levels with both ramifications, which hold inadmissible rows
     # (at level 0, unramified), and a single level, which holds none
@@ -214,23 +255,55 @@ class TestDeformPairs:
                 "mirror": symmetric,
                 "passed": closed == recursive == symmetric and closed >= e_rel}
 
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_rows_are_the_row_by_row_reference_in_product_order(self, grid, tmp_path,
-                                                                monkeypatch):
-        monkeypatch.setenv("AFL_CALC_THREADS", "1")
-        argv = self.GRIDS[grid]
-        out = tmp_path / "r.json"
-        assert main(["deform", *argv, "--out", str(out)]) == 0
+    @classmethod
+    def reference_rows(cls, argv) -> list[dict]:
+        """The rows of the deform grid argv gives, each built on its own, in
+        product order."""
         flags = dict(zip(argv[::2], argv[1::2]))
         ram = sorted(set(parse_ram(flags["--ram"])))
         q, ij, e, l = (sorted(set(parse_range(flags[f"--{flag}"])))
                        for flag in ("q", "ij", "e", "l"))
         setups = [cli._setup(q_, ram_) for ram_, q_ in product(ram, q)]
-        rows = json.loads(out.read_text())["rows"]
-        assert rows == [self.reference_row(*point) for point in product(setups, ij, ij, e, l)
-                        if hom_height_attainable(point[0], point[1], point[2], point[4])]
+        return [cls.reference_row(*point) for point in product(setups, ij, ij, e, l)
+                if hom_height_attainable(point[0], point[1], point[2], point[4])]
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_rows_are_the_row_by_row_reference_in_product_order(self, grid, tmp_path):
+        argv = self.GRIDS[grid]
+        out = tmp_path / "r.json"
+        # serially, then through the pool: each grid has at least four items
+        for threads in (1, 2):
+            with serial_pool(cpus=2, threads=threads) as started:
+                assert main(["deform", *argv, "--out", str(out)]) == 0
+            assert bool(started) == (threads > 1)
+            rows = json.loads(out.read_text())["rows"]
+            assert rows == self.reference_rows(argv)
         statuses = {"ok", "inadmissible-parity"} if grid == "gapped-levels" else {"ok"}
         assert {row["status"] for row in rows} == statuses
+
+    # levels in 0..9 and heights in 0..6 leave some level pairs no attainable
+    # height, and so no row; a level may be given twice
+    @settings(max_examples=60, deadline=None)
+    @example(ram="0,1", q=[3, 5], ij=[0, 2, 9], e=[1, 2], l=[0, 1, 2, 3, 4, 5], threads=2)
+    @given(ram=st.sampled_from(["0", "1", "0,1", "1,0"]),
+           q=st.lists(st.sampled_from([2, 3, 4, 5, 7, 9]), min_size=1, max_size=2),
+           ij=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+           e=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           l=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+           threads=st.sampled_from([1, 2]))
+    def test_random_grids_are_the_row_by_row_reference(self, ram, q, ij, e, l, threads):
+        argv = ["--ram", ram]
+        for flag, values in (("q", q), ("ij", ij), ("e", e), ("l", l)):
+            argv += [f"--{flag}", ",".join(map(str, values))]
+        want = self.reference_rows(argv)
+        with tempfile.TemporaryDirectory() as tmp, serial_pool(cpus=2, threads=threads):
+            out = pathlib.Path(tmp, "r.json")
+            code = main(["deform", *argv, "--out", str(out)])
+            if not want:
+                assert code == 2 and not out.exists()  # the sweep selects no rows
+                return
+            assert code == (0 if all(row["passed"] for row in want) else 1)
+            assert json.loads(out.read_text())["rows"] == want
 
     @pytest.mark.parametrize("wrong_when", ["ascending", "descending"])
     def test_an_order_sensitive_lift_bound_fails_every_ok_row_off_the_diagonal(
@@ -452,40 +525,23 @@ class TestRamFlags:
 
 class TestProcessPool:
     @pytest.mark.parametrize("cpus, pools", [(3, [(3, 2)]), (None, [])])
-    def test_workers_capped_at_cpu_count(self, cpus, pools, tmp_path, monkeypatch):
-        started = []
-
-        def shipped(obj):
-            return pickle.loads(pickle.dumps(obj))
-
-        class SerialPool:
-            """Records the pool size and chunk size, then maps in process,
-            passing the function, each item and each result through pickle
-            as the real pool does."""
-
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                started.append((self.max_workers, chunksize))
-                fn = shipped(fn)
-                return (shipped(fn(shipped(item))) for item in items)
-
-        # _map imports the pool class from concurrent.futures when it starts one
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv("AFL_CALC_THREADS", "1000000")
+    def test_workers_capped_at_cpu_count(self, cpus, pools, tmp_path):
         argv, digest = GOLDEN["afl"]  # 15 rows: two per chunk at four chunks per worker
         out = tmp_path / "r.json"
-        assert main(argv + ["--out", str(out)]) == 0
+        with serial_pool(cpus, threads=1000000) as started:
+            assert main(argv + ["--out", str(out)]) == 0
         assert started == pools
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads, pools", [(1, []), (2, [(2, 1)])])
+    def test_map_gives_one_list_per_item(self, threads, pools):
+        # items of no row, of one row and of several, on both branches
+        items = [0, 2, 0, 1, 3]
+        with serial_pool(cpus=2, threads=threads) as started:
+            blocks = cli._map(numbered_rows, items)
+        assert started == pools
+        assert blocks == [[(k % 2 == 0, cli._render(row, cli._ROW_INDENT))
+                           for k, row in enumerate(numbered_rows(n))] for n in items]
 
     def test_serial_run_never_imports_the_pool(self, tmp_path):
         script = ("import sys, aflcalc.cli\n"
@@ -773,9 +829,14 @@ class TestReportWriter:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_DIGESTS["orb"]
 
 
+def numbered_rows(n: int) -> list[dict]:
+    """n rows, numbered from 0, the even ones passed."""
+    return [{"n": n, "k": k, "passed": k % 2 == 0} for k in range(n)]
+
+
 def deform_row(q, ram, i, j, e_rel, l) -> dict:
     """The deform row at one point: the first row of its level pair's item."""
-    return next(cli._deform_rows((cli._setup(q, ram), i, j, [e_rel], [l])))
+    return cli._deform_rows((cli._setup(q, ram), i, j, [e_rel], [l]))[0]
 
 
 class TestRenderCost:
@@ -857,13 +918,14 @@ class TestRenderCost:
             return attainable(*args)
 
         monkeypatch.setattr(cli, "hom_height_attainable", counting)
-        # each row's parameters in place of its text: rows are built, not rendered
+        # each row's parameters in place of its text, one list per item: rows
+        # are built, not rendered
         monkeypatch.setattr(cli, "_map", lambda fn, items: [
-            (row["ramified"], row["q"], row["i"], row["j"], row["e_rel"], row["l"])
-            for item in items for row in fn(item)])
+            [(row["ramified"], row["q"], row["i"], row["j"], row["e_rel"], row["l"])
+             for row in fn(item)] for item in items])
         # the deform_grid benchmark's seed-0 grid
         ram, q, ij, e, l = [False, True], range(2, 8), range(8), range(1, 4), range(61)
-        params = cli.run_deform(ram, q, ij, e, l)["rows"]
+        params = [row for block in cli.run_deform(ram, q, ij, e, l)["rows"] for row in block]
         # one call per setup, unordered level pair and height
         assert len(calls) == len(set(calls)) == 2 * 6 * (8 * 9 // 2) * 61 == 26_352
         assert all(i <= j for _, i, j, _ in calls)

@@ -1,9 +1,11 @@
 """Every imported name is used in the module that imports it, every
 definition in the package and in the tests' law helpers is read somewhere in
 the package or its tests, and the definitions the package itself does not
-read are exactly the declared ones, each read where it is declared to be.  No
-module of the package imports from the tests, or builds a value type through
-_replace or _make, which skip its checks.
+read are exactly the declared ones, each read where it is declared to be.
+The method names more than one package class defines are declared too: a
+read matches a name, not a class, so a shared name could hide an unread
+method.  No module of the package imports from the tests, or builds a value
+type through _replace or _make, which skip its checks.
 
 A name that only appears in a docstring or a comment is not a use."""
 
@@ -32,6 +34,12 @@ READ_OUTSIDE_THE_PACKAGE = {
     "GermExpansion.predicted_d_orb": "tests/test_germs.py",  # the derivative germ
     "LaurentPoly.monomial_count": "perfbench/tracer.py",  # counts orb_s's monomials
 }
+
+# The method names more than one package class defines.  A read is matched
+# by name alone, so reading one class's method counts for every class that
+# shares its name; each of these is read on every class that defines it, as
+# checked by hand when it was declared.
+SHARED_METHOD_NAMES = {"to_json", "pulled_back", "terms"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -62,6 +70,13 @@ def definitions(source: str) -> list[str]:
             out.extend(f"{node.name}.{item.name}" for item in node.body
                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
     return out
+
+
+def shared_method_names(sources: list[str]) -> set[str]:
+    """The method names that more than one class of the sources defines."""
+    methods = [name.split(".")[1] for source in sources for name in definitions(source)
+               if "." in name]
+    return {name for name in methods if methods.count(name) > 1}
 
 
 def reads(sources: list[str]) -> set[str]:
@@ -113,6 +128,21 @@ def test_a_definition_mentioned_only_in_text_is_unread():
                 '        return 0\n')
     assert unread(defining, [defining]) == ["TWO", "Box", "Box.area"]
     assert unread(defining, [defining, "Box().area()\nTWO\n"]) == []
+
+
+def test_a_method_name_two_classes_define_is_shared():
+    source = ('class A:\n    def scale(self):\n        pass\n    def __len__(self):\n'
+              '        return 0\ndef scale():\n    pass\n')
+    other = ('class B:\n    def scale(self):\n        pass\n    def __len__(self):\n'
+             '        return 0\n')
+    assert shared_method_names([source]) == set()
+    assert shared_method_names([source, other]) == {"scale"}
+
+
+def test_only_the_declared_method_names_are_shared():
+    # a new shared name could hide an unread method: check by hand that it
+    # is read on every class that defines it, then declare it
+    assert shared_method_names([p.read_text() for p in SOURCES]) == SHARED_METHOD_NAMES
 
 
 def test_every_unchecked_build_is_found():

@@ -62,7 +62,8 @@ def grid_items() -> tuple:
 
         def recording(fn, fn_items):
             mapped.extend((fn, item) for item in fn_items)
-            return []  # no rows: main stops with "the sweep selects no rows"
+            # no rows for any item: main stops with "the sweep selects no rows"
+            return [[] for _ in fn_items]
         with mock.patch.object(cli, "_map", recording):
             assert cli.main([command, *flags]) == 2
         items.extend((command, fn, item) for fn, item in mapped)

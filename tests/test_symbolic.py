@@ -35,7 +35,8 @@ class TestBasics:
         assert p * q == poly((2, 1), (0, -1))
         assert p + q - q == p
         assert (-p) + p == LaurentPoly.zero()
-        assert p.scale(Fraction(1, 2)) == poly((0, Fraction(1, 2)), (-2, Fraction(-1, 2)))
+        half = LaurentPoly.monomial(0, Fraction(1, 2))
+        assert p * half == poly((0, Fraction(1, 2)), (-2, Fraction(-1, 2)))
 
 
 class TestEvalAtZero:
@@ -138,7 +139,7 @@ rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 class TestFunctionalProperties:
     @given(small_polys, small_polys, rationals)
     def test_linearity(self, p, q, c):
-        combo = p + q.scale(c)
+        combo = p + q * LaurentPoly.monomial(0, c)
         assert combo.eval_at_s0() == p.eval_at_s0() + c * q.eval_at_s0()
         got = combo.d_ds_at_s0()
         want = p.d_ds_at_s0() + c * q.d_ds_at_s0()
@@ -184,14 +185,14 @@ class TestAddition:
     @given(polys, polys, rationals)
     def test_operands_unchanged(self, p, q, c):
         before = (dict(p._nums), p._den, dict(q._nums), q._den)
-        _ = (p + q, q + p, p - q, -p, p.scale(c), p * q)
+        _ = (p + q, q + p, p - q, -p, p * LaurentPoly.monomial(0, c), p * q)
         assert (p._nums, p._den, q._nums, q._den) == before
 
     @given(polys, rationals)
     def test_scale_and_negation_match_public_constructor(self, p, c):
-        assert p.scale(c) == LaurentPoly([(e2, c * v) for e2, v in p.terms()])
+        assert p * LaurentPoly.monomial(0, c) == LaurentPoly([(e2, c * v) for e2, v in p.terms()])
         assert -p == LaurentPoly([(e2, -v) for e2, v in p.terms()])
-        assert not p.scale(0)
+        assert not p * LaurentPoly.monomial(0, 0)
 
 
 # the trusted constructor's inputs: nonzero int numerators over a positive
@@ -205,7 +206,7 @@ expressions = st.recursive(
     polys | trusted_polys | st.builds(LaurentPoly.monomial, st.integers(-20, 20), scalars),
     lambda kids: st.builds(operator.add, kids, kids) | st.builds(operator.sub, kids, kids)
     | st.builds(operator.mul, kids, kids) | st.builds(operator.neg, kids)
-    | st.builds(LaurentPoly.scale, kids, scalars),
+    | st.builds(operator.mul, kids, st.builds(LaurentPoly.monomial, st.just(0), scalars)),
     max_leaves=6)
 
 
@@ -227,15 +228,17 @@ class TestCanonicalForm:
     @given(expressions, expressions)
     def test_equality_is_equality_of_terms(self, p, q):
         # the halved copy has p's numerators over twice its denominator
-        for a, b in ((p, q), (p, p.scale(Fraction(1, 2))), (p, LaurentPoly(p.terms()))):
+        for a, b in ((p, q), (p, p * LaurentPoly.monomial(0, Fraction(1, 2))),
+                     (p, LaurentPoly(p.terms()))):
             assert (a == b) == (a.terms() == b.terms())
 
     def test_arithmetic_builds_no_fraction(self, fraction_builds):
         p = poly((-1, Fraction(1, 3)), (0, 2), (2, Fraction(-5, 6)))
         q = poly((0, Fraction(-2)), (2, Fraction(7, 10)), (4, Fraction(1, 4)))
-        twin, c = LaurentPoly(p.terms()), Fraction(-3, 4)
+        twin = LaurentPoly(p.terms())
+        constants = [LaurentPoly.monomial(0, c) for c in (Fraction(-3, 4), 6, 0)]
         fraction_builds.clear()
-        results = (p + q, q + p, p - q, -p, p * q, q * p, p.scale(c), p.scale(6), p.scale(0),
+        results = (p + q, q + p, p - q, -p, p * q, q * p, *(p * c for c in constants),
                    p == q, p == twin)
         assert fraction_builds == []
         assert results[-2:] == (False, True)
