@@ -51,7 +51,7 @@ from .deformation import (DeformQuery, InadmissibleParityError, hom_height_attai
 from .field import MINUS, PLUS, FieldSetup
 from .germs import extract_germ, function_from_germ
 from .matching import (MatchContext, afl_verify, ati_end_to_end, ati_growth_check)
-from .orbital import InvariantFunction, integral_indicator, orb_s, orbits_at
+from .orbital import InvariantFunction, OrbitData, integral_indicator, orb_s, orbits_at
 from .symbolic import log_text
 
 SCHEMA = 1
@@ -255,17 +255,27 @@ def run_orb(q: list[int], ram: list[bool], t: list[int], vb: list[int]) -> dict:
     return {"rows": _map(_orb_row, params), "f": integral_indicator().to_json()}
 
 
+@lru_cache(maxsize=64)
+def _expansion_orbits(setup: FieldSetup, threshold: int) -> tuple[OrbitData, ...]:
+    """Every orbit of the setup with t from threshold to threshold + 3 and
+    v_b2 from -4 to 4, the orbits a germ's expansion is checked on."""
+    return tuple(gamma for t in range(threshold, threshold + 4) for v_b2 in range(-4, 5)
+                 for gamma in orbits_at(setup, t, v_b2))
+
+
 def _germ_row(params: tuple[FieldSetup, str, InvariantFunction]) -> dict:
+    """A battery function's round trip, and its orbital integrals against its
+    germ's expansion on the orbits past the threshold.  Orbits are fixed by
+    their invariants, so every function of a setup whose germ has the same
+    threshold is checked on one cached tuple of them."""
     setup, name, f = params
     q, ram = setup.q, setup.ramified
     germ = extract_germ(setup, f)
     roundtrip = germ.equivalent(extract_germ(setup, function_from_germ(germ)))
     expansion = True
-    for t in range(germ.threshold, germ.threshold + 4):
-        for v_b2 in range(-4, 5):
-            for gamma in orbits_at(setup, t, v_b2):
-                if orb_s(gamma, f) != germ.predicted_orb_s(gamma):
-                    expansion = False
+    for gamma in _expansion_orbits(setup, germ.threshold):
+        if orb_s(gamma, f) != germ.predicted_orb_s(gamma):
+            expansion = False
     return {"q": q, "ramified": ram, "eta_pi_f": setup.eta_pi_f, "name": name,
             "threshold": germ.threshold, "germ": germ.to_json(),
             "roundtrip": roundtrip, "expansion": expansion,

@@ -23,6 +23,7 @@ Int * log q for a test function f realizing the prescribed transfer germ.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .deformation import DeformQuery, lift_bound, ramification_index, reduction_commutes
@@ -114,21 +115,24 @@ def diag_height_attainable(setup: FieldSetup, level: int, h: int) -> bool:
     return any(h == derived_diag_height(setup, lvl) for lvl in range(level))
 
 
+def _diag_bound(ctx: MatchContext, level: int, h: int) -> int:
+    """Lift bound of a diagonal entry of finite class height h whose lift
+    level is level; h must be a class height that level admits."""
+    if not diag_height_attainable(ctx.setup, level, h):
+        raise MatchingError(f"diagonal class height {h} is not attainable at level {level}")
+    return lift_bound(DeformQuery(ctx.setup, level, level, ctx.e_rel(level, level), h))
+
+
 def intersection_length(heights: EntryHeights, ctx: MatchContext) -> int:
     """Minimum of the four entrywise lift bounds.
 
     The off-diagonal entries always give a finite bound, so the length is
     finite; finite diagonal heights must be class heights their level admits."""
-    setup = ctx.setup
-    bounds = []
-    off_query = DeformQuery(setup, ctx.i, ctx.j, ctx.e_rel(ctx.i, ctx.j), heights.off_diag)
-    bounds.append(lift_bound(off_query))  # two identical off-diagonal entries
+    off_query = DeformQuery(ctx.setup, ctx.i, ctx.j, ctx.e_rel(ctx.i, ctx.j), heights.off_diag)
+    bounds = [lift_bound(off_query)]  # two identical off-diagonal entries
     for level, h in ((ctx.i, heights.diag_1), (ctx.j, heights.diag_4)):
-        if h is None:
-            continue
-        if not diag_height_attainable(setup, level, h):
-            raise MatchingError(f"diagonal class height {h} is not attainable at level {level}")
-        bounds.append(lift_bound(DeformQuery(setup, level, level, ctx.e_rel(level, level), h)))
+        if h is not None:
+            bounds.append(_diag_bound(ctx, level, h))
     return min(bounds)
 
 
@@ -137,9 +141,16 @@ def context_orbit(ctx: MatchContext, t: int, v_b2: int = 0,
     """An orbit with defect valuation t inside the context's matching locus,
     with the first eta(b) the setup admits at v(b): +1 where both occur.
 
-    The defect sign is read once: each read of ctx.defect_sign asks
-    reduction_commutes again."""
-    setup, defect_sign = ctx.setup, ctx.defect_sign
+    An orbit is fixed by its invariants, so every context with the same
+    setup and defect sign shares one orbit per (t, v_b2, lvl_a, lvl_d)."""
+    return _locus_orbit(ctx.setup, ctx.defect_sign, t, v_b2, lvl_a, lvl_d)
+
+
+# typed: True == 1, and an orbit cached at t = 1 must not answer t = True,
+# which OrbitData refuses
+@lru_cache(maxsize=1024, typed=True)
+def _locus_orbit(setup: FieldSetup, defect_sign: int, t: int, v_b2: int,
+                 lvl_a: Optional[int], lvl_d: Optional[int]) -> OrbitData:
     b_signs = setup.signs(v_b2)
     if not b_signs or defect_sign not in setup.signs(2 * t):
         raise MatchingError(f"no orbit with t = {t}, v_b2 = {v_b2} is in this context")
@@ -262,7 +273,10 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
     height t, and diagonals unbounded (open regime) or at the derived
     height of finite_lvl_a (finite regime).  The orbit those heights stand
     for exists at every t kept: v(b) = 0 admits eta(b) = +1 in every setup,
-    and _context_ts keeps only the t whose defect sign the context admits."""
+    and _context_ts keeps only the t whose defect sign the context admits.
+    Int is the minimum of the entrywise lift bounds, and the finite regime
+    adds only the first diagonal's, which does not depend on t: so its Int
+    at t is the open regime's capped by one diagonal bound per context."""
     ts = [t for t in _context_ts(ctx, ts) if t >= ctx.i + ctx.j]
     if not ts:
         return GrowthReport({}, {}, (), None, False)
@@ -270,9 +284,9 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
     if any(type(t) is bool for t in ts):
         raise TypeError("defect valuations are ints, not bools")
     e_f = ctx.e_f
+    values = [intersection_length(EntryHeights(t, None, None), ctx) for t in ts]
     open_rows: dict[int, list[GrowthRow]] = {}
-    for t in ts:
-        value = intersection_length(EntryHeights(t, None, None), ctx)
+    for t, value in zip(ts, values):
         row = GrowthRow(t, value, Fraction(2 * value - e_f * t, 2))
         open_rows.setdefault(t % 2, []).append(row)
     constants = {p: _constant(row.residual for row in rows) for p, rows in open_rows.items()}
@@ -288,10 +302,10 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
             raise TypeError("conductor levels are ints, not bools")
         if finite_lvl_a < 0:
             raise ValueError("conductor levels are >= 0")
-        diag_1 = derived_diag_height(ctx.setup, finite_lvl_a)
-        for t in ts:
-            value = intersection_length(EntryHeights(t, diag_1, None), ctx)
-            saturated_rows.append(GrowthRow(t, value, Fraction(value)))
+        bound = _diag_bound(ctx, ctx.i, derived_diag_height(ctx.setup, finite_lvl_a))
+        for t, value in zip(ts, values):
+            capped = min(value, bound)
+            saturated_rows.append(GrowthRow(t, capped, Fraction(capped)))
         saturation_value = saturated_rows[ts.index(max(ts))].int_value
         # Int must saturate: the rows at the diagonal bound are a non-empty suffix.
         at_bound = [row.int_value == saturation_value for row in saturated_rows]
@@ -357,7 +371,11 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
     on orbits past the validity threshold that omega * dOrb(f) and Int * log q
     both grow with slope e_F/2 in t and that their difference is a constant,
     the correction-term germ witness, per valuation class (and per diagonal
-    cell: inside the prescribed support and, when i >= 1, outside it)."""
+    cell: inside the prescribed support and, when i >= 1, outside it).
+
+    The v(b) sample of a valuation class repeats an orbit at some t; each
+    distinct orbit's row is computed once and reported at every place the
+    sample puts it."""
     f = function_from_germ(prescribed_transfer_germ(ctx))
     threshold = max(validity_threshold(f), ctx.i + ctx.j)
     ts = _context_ts(ctx, range(threshold, threshold + 2 * T_COUNT))[:T_COUNT]
@@ -366,8 +384,14 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
     # its geometric residual Int - offset are computed once per (t, lvl_a,
     # lvl_d), on which the offset depends too, and not once per v(b)
     geometric: dict[tuple[int, Optional[int], Optional[int]], tuple[int, Fraction]] = {}
+    # an orbit fixes its row: the offset follows from lvl_a, None on the
+    # support and i - 1 outside it
+    known_rows: dict[OrbitData, EndToEndRow] = {}
 
     def row(gamma: OrbitData, offset: Fraction) -> EndToEndRow:
+        known_row = known_rows.get(gamma)
+        if known_row is not None:
+            return known_row
         d_value = d_orb(gamma, f)
         analytic = d_value if transfer_factor(gamma) == PLUS else -d_value  # omega = +-1
         key = (gamma.t, gamma.lvl_a, gamma.lvl_d)
@@ -376,8 +400,10 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
             int_value = _int_at(gamma, ctx)
             known = geometric[key] = (int_value, int_value - offset)
         int_value, geometric_residual = known
-        return EndToEndRow(gamma.t, gamma.v_b2, analytic, int_value,
-                           analytic - offset, geometric_residual, analytic - int_value)
+        known_row = known_rows[gamma] = EndToEndRow(
+            gamma.t, gamma.v_b2, analytic, int_value, analytic - offset, geometric_residual,
+            analytic - int_value)
+        return known_row
 
     def steady(group: Sequence[EndToEndRow]) -> bool:
         """Both residuals are constant over the group, and so is their

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from aflcalc import cli
 from aflcalc.battery import germ_battery
 from aflcalc.cli import _germ_row
 from aflcalc.field import MINUS, PLUS, FieldSetup
@@ -11,7 +12,7 @@ from aflcalc.germs import (GermExpansion, GermGradingError, GermPiece,
                            function_from_germ, solve_transfer_germ)
 from aflcalc.orbital import (Box, Interval, InvariantFunction, OrbitData,
                              clear_diagonal, d_orb, diagonal_killer,
-                             integral_indicator, orb, orb_s, unramified_orbit)
+                             integral_indicator, orb, orb_s, orbits_at, unramified_orbit)
 from aflcalc.symbolic import LaurentPoly
 from laws import value_at_s0_is_zero, zero_orbit_battery, zero_orbit_zero_germ
 
@@ -449,3 +450,35 @@ class TestCellMemo:
             assert len(seen) == len(set(seen)), name
             total += len(seen)
         assert total
+
+
+class TestExpansionOrbits:
+    """_germ_row checks each battery function's expansion on the orbits of
+    one cached tuple per (setup, threshold)."""
+
+    def test_each_orbit_built_once_per_setup_and_threshold(self, monkeypatch):
+        cli._expansion_orbits.cache_clear()
+        built, compared = [], []
+        plain = OrbitData.__new__
+
+        def counting(cls, *args, **kwargs):
+            gamma = plain(cls, *args, **kwargs)
+            built.append(gamma)
+            return gamma
+        monkeypatch.setattr(OrbitData, "__new__", staticmethod(counting))
+        real_orb_s = cli.orb_s
+        monkeypatch.setattr(cli, "orb_s", lambda gamma, f: compared.append(gamma)
+                            or real_orb_s(gamma, f))
+        asked = []
+        for setup in SETUPS:
+            for name, f in germ_battery(setup):
+                row = _germ_row((setup, name, f))
+                assert row["passed"], name
+                asked.append((setup, row["threshold"]))
+        monkeypatch.undo()
+        expansion = {key: [gamma for t in range(key[1], key[1] + 4) for v_b2 in range(-4, 5)
+                           for gamma in orbits_at(key[0], t, v_b2)] for key in asked}
+        assert len(expansion) < len(asked)  # some functions share a threshold
+        assert built == [gamma for gammas in expansion.values() for gamma in gammas]
+        # every function still compares its own integrals on every orbit
+        assert compared == [gamma for key in asked for gamma in expansion[key]]

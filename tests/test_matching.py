@@ -14,7 +14,7 @@ from aflcalc.matching import (EntryHeights, GrowthReport, GrowthRow, MatchContex
                               MatchingError, afl_verify, ati_end_to_end, ati_growth_check,
                               context_orbit, derived_diag_height, entry_heights,
                               intersection_length, prescribed_transfer_germ)
-from aflcalc.orbital import OrbitData, orbits_at, transfer_factor, unramified_orbit
+from aflcalc.orbital import OrbitData, d_orb, orbits_at, transfer_factor, unramified_orbit
 from laws import along_orbit
 
 UNRAM3 = FieldSetup(3, ramified=False)
@@ -64,6 +64,28 @@ class TestContextLocus:
                         context_orbit(ctx, t, v_b2=v_b2)
                     continue
                 assert context_orbit(ctx, t, v_b2=v_b2) == members[0]
+
+    def test_contexts_sharing_a_defect_sign_share_one_orbit(self):
+        # an orbit is fixed by its invariants, so every e_rel and every (i, j)
+        # of one setup and defect sign is handed the same cached orbit
+        matching._locus_orbit.cache_clear()
+        contexts = [MatchContext(RAM3, i, j, e_f=e_rel * ramification_index(RAM3, max(i, j)))
+                    for i, j, e_rel in product(range(3), range(3), (1, 2))]
+        assert {ctx.defect_sign for ctx in contexts} == {MINUS}
+        first = context_orbit(contexts[0], 5, v_b2=1, lvl_a=0)
+        assert all(context_orbit(ctx, 5, v_b2=1, lvl_a=0) is first for ctx in contexts)
+        assert matching._locus_orbit.cache_info().currsize == 1
+        assert matching._locus_orbit.cache_info().maxsize is not None
+
+    def test_cached_orbit_refuses_a_bool(self):
+        # True == 1: a cache that did not tell them apart would hand back
+        # the orbit built at t = 1 where OrbitData refuses the bool
+        ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
+        assert context_orbit(ctx, 1).t == 1
+        with pytest.raises(TypeError):
+            context_orbit(ctx, True)
+        with pytest.raises(TypeError):
+            context_orbit(ctx, 1, lvl_a=False)
 
     def test_ramified_always_u1(self):
         ctx = MatchContext(RAM3, 0, 1, e_f=ramification_index(RAM3, 1))
@@ -252,6 +274,9 @@ class TestGrowthFromHeights:
         assert json.dumps(report.to_json()) == json.dumps(oracle.to_json())
 
     def test_builds_no_orbit(self, monkeypatch):
+        # with the orbit cache empty, a row that took its orbit from
+        # context_orbit would show as a build
+        matching._locus_orbit.cache_clear()
         built = []
         plain = OrbitData.__new__
 
@@ -266,6 +291,32 @@ class TestGrowthFromHeights:
             assert report.passed and report.open_rows
             assert bool(report.saturated_rows) == (finite_lvl_a is not None)
         assert built == []
+
+
+    @pytest.mark.parametrize("ctx,finite_lvl_a", [(MatchContext(UNRAM3, 2, 2, e_f=12), 1),
+                                                  (MatchContext(RAM3, 2, 1, e_f=18), 0),
+                                                  (MatchContext(RAM3, 3, 0, e_f=54), 2)])
+    def test_finite_regime_adds_one_lift_bound(self, ctx, finite_lvl_a, monkeypatch):
+        # its Int is the open regime's capped by one diagonal bound, which
+        # does not depend on t: one Int per t and one lift bound beyond them
+        calls = {"intersection_length": 0, "lift_bound": 0}
+        for name in calls:
+            real = getattr(matching, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(matching, name, counting)
+        counts = []
+        for lvl in (None, finite_lvl_a):
+            calls.update(dict.fromkeys(calls, 0))
+            report = ati_growth_check(ctx, range(0, 30), lvl)
+            assert report.passed
+            counts.append(dict(calls))
+        n_ts = sum(map(len, report.open_rows.values()))
+        assert len(report.saturated_rows) == n_ts > 1
+        assert counts == [{"intersection_length": n_ts, "lift_bound": n_ts},
+                          {"intersection_length": n_ts, "lift_bound": n_ts + 1}]
 
 
 class TestEndToEnd:
@@ -356,6 +407,26 @@ class TestEndToEndCost:
         assert len(ts) == matching.T_COUNT
         assert sorted(built) == sorted([(ctx.e_f * t, 2) for t in ts] + [(0,)])
 
+    @pytest.mark.parametrize("ctx", [MatchContext(RAM3, 1, 1, e_f=6),
+                                     MatchContext(UNRAM3, 2, 1, e_f=24)])
+    def test_one_d_orb_per_distinct_orbit(self, ctx, monkeypatch):
+        # the v(b) sample repeats an orbit at some t; its row is computed
+        # once, reported at each place, and equal to a rebuild without memos
+        matching._locus_orbit.cache_clear()
+        calls = []
+        real = matching.d_orb
+
+        def counting(gamma, f):
+            calls.append(gamma)
+            return real(gamma, f)
+        monkeypatch.setattr(matching, "d_orb", counting)
+        report = ati_end_to_end(ctx)
+        assert report.passed and report.outside_rows
+        reported = [(r.t, r.v_b2) for group in report.rows.values() for r in group]
+        assert len(set(reported)) < len(reported)  # some orbit repeats
+        assert len(calls) == len(set(calls)) == len(set(reported)) + len(report.outside_rows)
+        assert report == _end_to_end_the_old_way(ctx)
+
     def test_constant(self):
         assert matching._constant([]) is None
         assert matching._constant(iter(())) is None
@@ -363,6 +434,42 @@ class TestEndToEndCost:
         assert matching._constant([Fraction(1, 2)] * 3) == Fraction(1, 2)
         assert matching._constant([Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)]) is None
         assert matching._constant([Fraction(-1), 1]) is None
+
+
+def _end_to_end_the_old_way(ctx):
+    """ati_end_to_end's report built row by row with no memo: a fresh orbit,
+    dOrb and Int for every place the v(b) sample puts a row."""
+    f = function_from_germ(prescribed_transfer_germ(ctx))
+    threshold = max(validity_threshold(f), ctx.i + ctx.j)
+    ts = [t for t in range(threshold, threshold + 2 * matching.T_COUNT)
+          if ctx.defect_sign in ctx.setup.signs(2 * t)][:matching.T_COUNT]
+
+    def row(t, v_b2, lvl_a, offset):
+        b_sign = ctx.setup.signs(v_b2)[0]
+        gamma = OrbitData(ctx.setup, t, v_b2, b_sign, ctx.defect_sign, lvl_a=lvl_a)
+        analytic = transfer_factor(gamma) * d_orb(gamma, f)
+        int_value = intersection_length(entry_heights(gamma, ctx), ctx)
+        return matching.EndToEndRow(t, v_b2, analytic, int_value, analytic - offset,
+                                    int_value - offset, analytic - int_value)
+
+    def steady(group):
+        return (len({r.analytic_residual for r in group}) == 1
+                and len({r.geometric_residual for r in group}) == 1)
+
+    rows = {cls: tuple(row(t, v_b2, None, Fraction(ctx.e_f * t, 2)) for t in ts
+                       for v_b2 in (2 * ((t // 2) % 3) - 2 + cls, cls, 4 + cls))
+            for cls in ctx.setup.classes}
+    witnesses = {cls: group[0].correction for cls, group in rows.items()
+                 if len({r.correction for r in group}) == 1}
+    passed = all(steady(group) for group in rows.values())
+    outside, outside_witness = (), None
+    if ctx.i >= 1:
+        outside = tuple(row(t, 0, ctx.i - 1, Fraction(0)) for t in ts)
+        if steady(outside) and all(r.analytic == 0 for r in outside):
+            outside_witness = outside[0].correction
+        else:
+            passed = False
+    return matching.EndToEndReport(rows, witnesses, outside, outside_witness, threshold, passed)
 
 
 def _perturb_int(monkeypatch, delta, at):
@@ -393,12 +500,28 @@ class TestVerdictFailures:
         assert report.open_constants == {}
 
     def test_leaving_the_plateau(self, monkeypatch):
+        # the finite regime reads Int as the open regime's capped by the
+        # diagonal bound 5, so the dip comes through the open Int at t = 11
         ctx = MatchContext(UNRAM3, 2, 2, e_f=ramification_index(UNRAM3, 2))
-        _perturb_int(monkeypatch, -1, lambda h: h.off_diag == 11 and h.diag_1 is not None)
+        open_11 = intersection_length(EntryHeights(11, None, None), ctx)
+        _perturb_int(monkeypatch, 4 - open_11, lambda h: h.off_diag == 11)
         report = ati_growth_check(ctx, range(4, 20), finite_lvl_a=1)
         assert not report.passed
-        assert report.open_constants  # the open regime is untouched
+        # every t kept is odd here, so the one open parity loses its constant
+        assert set(report.open_rows) == {1} and report.open_constants == {}
         assert [r.int_value for r in report.saturated_rows] == [5, 5, 5, 4, 5, 5, 5, 5]
+
+    def test_leaving_the_plateau_on_two_open_lines(self, monkeypatch):
+        # the odd line moves down as a whole, below the diagonal bound 8 at
+        # t = 5: each parity keeps its open constant, so the plateau rule
+        # alone fails the report
+        ctx = MatchContext(RAM3, 2, 2, e_f=ramification_index(RAM3, 2))
+        _perturb_int(monkeypatch, -19, lambda h: h.off_diag % 2 == 1)
+        report = ati_growth_check(ctx, range(4, 10), finite_lvl_a=1)
+        assert not report.passed
+        assert report.open_constants == {0: Fraction(-19), 1: Fraction(-38)}
+        assert [r.int_value for r in report.saturated_rows] == [8, 7, 8, 8, 8, 8]
+        assert report.saturation_value == 8
 
     def _inside_t(self, ctx):
         rows = ati_end_to_end(ctx).rows[0]

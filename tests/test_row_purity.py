@@ -1,9 +1,12 @@
 """A report row is a function of its parameters alone.
 
 Several caches outlive a row: integral_indicator's shared instance and its
-run-weight tables, GermExpansion._cells and cli._sorted_keys (each key
-set's prefixes and getter, per indent, and the %-format of each tuple of
-value types met at them).
+run-weight tables, GermExpansion._cells, cli._sorted_keys (each key set's
+prefixes and getter, per indent, and the %-format of each tuple of value
+types met at them), and the two orbit caches, matching._locus_orbit (the
+orbits context_orbit hands out, per setup and defect sign) and
+cli._expansion_orbits (the orbits a germ row checks, per setup and
+threshold).
 Items of small grids of all five commands are built here in orders that mix
 the commands, in a process that has run whatever ran before.  Each row an
 item yields (a deform item yields the rows of an unordered level pair) must
@@ -21,7 +24,9 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from aflcalc import cli
+from aflcalc import cli, matching
+from aflcalc.deformation import ramification_index
+from aflcalc.field import FieldSetup
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,11 +34,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # can put an afl row and an ati row at one orbit, with different functions,
 # next to each other.  orb takes both ramifications of a q no other test uses,
 # so the first order run here decides which fills its shared weight table.
+# germ takes both ramifications, so the unramified setup and the ramified
+# setups of both eta(pi_F) fill the expansion-orbit cache in mixed orders.
 GRIDS = {
     "afl": ("--q", "3", "--t", "1..3", "--vb", "-1..0"),
     "deform": ("--ram", "0,1", "--q", "2,3", "--ij", "0..1", "--e", "1", "--l", "0..2"),
     "orb": ("--q", "3,23", "--ram", "0,1", "--t", "0..2", "--vb", "0"),
-    "germ": ("--q", "3", "--ram", "0"),
+    "germ": ("--q", "3", "--ram", "0,1"),
     "ati": ("--q", "3", "--ram", "0,1", "--i", "0..1", "--j", "0..1", "--e", "1", "--t", "0..12"),
 }
 
@@ -113,3 +120,25 @@ def test_rows_are_pure(order):
             built.append((command, key))
     assert len(built) == len(set(built))
     assert set(built) == {(command, key) for command in GRIDS for key in texts[command]}
+
+
+def test_cached_orbits_belong_to_the_setup_asked_for():
+    """Each orbit the two orbit caches hand out has the setup it was asked
+    for, eta(pi_F) included.  A key that dropped q or eta(pi_F) would hand
+    back another setup's orbit, and no report byte would show it, since
+    unit_integral reads only the ramification.  Two q and, ramified, both
+    eta(pi_F) are asked at the same invariants, so such a key would meet an
+    entry of another setup."""
+    matching._locus_orbit.cache_clear()
+    cli._expansion_orbits.cache_clear()
+    setups = [FieldSetup(q, ram, eta_pi) for ram in (False, True)
+              for eta_pi in FieldSetup(3, ram).signs(2) for q in (3, 5)]
+    for threshold in (1, 2):
+        for setup in setups:
+            gammas = cli._expansion_orbits(setup, threshold)
+            assert gammas and all(gamma.setup == setup for gamma in gammas), setup
+            for i, j in ((0, 0), (0, 1), (1, 1)):
+                ctx = matching.MatchContext(setup, i, j, ramification_index(setup, max(i, j)))
+                for t, v_b2, lvl_a in ((threshold, 0, None), (2 * threshold + 1, 2, 0)):
+                    if ctx.defect_sign in setup.signs(2 * t):
+                        assert matching.context_orbit(ctx, t, v_b2, lvl_a).setup == setup, ctx
