@@ -7,26 +7,27 @@ ati (growth plus end-to-end residual checks).  COMMANDS is the flag table:
 each command's help text and the defaults of its range flags.  ``main`` is
 the one sweep driver: it parses every range once, checks LOWER_BOUNDS, hands
 the command's ``run_*`` the sorted, de-duplicated values, counts the failed
-rows of the row lists it returns and writes the report.  A ``run_*`` only
-builds its grid's items and hands them with its row function to ``_map``,
-which renders each row to its text as it is built (in the worker, when a
-pool runs), keeps only that text and the row's pass flag, and returns one
-list per item.  An item gives one row, except in ``deform``: there it is one
-unordered level pair, whose (i, j) rows come before its (j, i) rows, each
-closed form shared by both, and ``run_deform`` places the two halves in
-report order.
-A dict of scalars alone, such as a ``deform`` row, is one ``%`` of a
-format cached per key set, value types and indent, its ints filled by
-``%d``.  ``render_report`` splices the row texts into the document, joined
-once, and ``main`` writes it in 1 MiB slices.  Reports are deterministic:
-rows are sorted by their parameter tuple, numbers render canonically, and a
-fixed schema number leads the document, so identical configs yield identical
-bytes.  Exit code 0 means every row passed, 1 means some verification
-failed, 2 means the configuration was rejected: unparsable ranges, an
-invalid residue size, a value below its lower bound, an ``--out`` path that
-cannot be written, ranges that select no rows, or a row with an int of more
-digits than Python prints; exit 2 also ends a run whose report write fails
-(a full disk, a closed pipe), with one line on stderr.
+rows and collects the texts of the row lists it returns in one pass, and
+writes the report.  A ``run_*`` only builds its grid's items and hands them
+with its row function to ``_map``, which renders each row to its text as it
+is built (in the worker, when a pool runs), keeps only that text and the
+row's pass flag, and returns one list per item.  An item gives one row,
+except in ``deform``: there it is one unordered level pair, whose (i, j)
+rows come before its (j, i) rows, each closed form shared by both, and
+``run_deform`` places the two halves in report order.
+A row of scalars alone, such as a ``deform`` row, is ``_flat_text``'s one
+``%`` of a format cached per key set, value types and indent, its ints filled
+by ``%d``, with no parts list or join; a row that nests goes through
+``_render``.  ``render_report`` splices the row texts into the document,
+joined once, and ``main`` writes it in 1 MiB slices.  Reports are
+deterministic: rows are sorted by their parameter tuple, numbers render
+canonically, and a fixed schema number leads the document, so identical
+configs yield identical bytes.  Exit code 0 means every row passed, 1 means
+some verification failed, 2 means the configuration was rejected: unparsable
+ranges, an invalid residue size, a value below its lower bound, an ``--out``
+path that cannot be written, ranges that select no rows, or a row with an int
+of more digits than Python prints; exit 2 also ends a run whose report write
+fails (a full disk, a closed pipe), with one line on stderr.
 
 AFL_CALC_THREADS caps item-level parallelism (default 1, serial), the
 process pool never exceeds the CPU count, and fewer than four items run
@@ -150,7 +151,16 @@ def _rendered_rows(fn: Callable, item) -> list[tuple[bool, str]]:
     rows = fn(item)
     if type(rows) is dict:
         rows = (rows,)
-    return [(bool(row.get("passed", False)), _render(row, _ROW_INDENT)) for row in rows]
+    rendered = []
+    for row in rows:
+        try:
+            text = _flat_text(row, _ROW_INDENT)
+        except ValueError as exc:  # only an int's conversion raises one
+            raise _digit_limit() from exc
+        if text is None:
+            text = _render(row, _ROW_INDENT)
+        rendered.append((bool(row.get("passed", False)), text))
+    return rendered
 
 
 def _map(fn: Callable, items: Sequence) -> list[list[tuple[bool, str]]]:
@@ -190,25 +200,32 @@ def _deform_rows(params: tuple[FieldSetup, int, int, list[int], list[int]]) -> l
     point: each query's closed form is computed once and still compared."""
     setup, i, j, e, heights = params
     ram, q = setup.ramified, setup.q
-    orders = ((i, j), (j, i)) if i != j else ((i, j),)
-    blocks = [[] for _ in orders]
+    rows, swapped_rows = [], []  # the (i, j) rows; the (j, i) rows, none when i == j
     for e_rel in e:
         for l in heights:
             try:
-                queries = [DeformQuery(setup, a, b, e_rel, l) for a, b in orders]
+                query = DeformQuery(setup, i, j, e_rel, l)
+                swapped = DeformQuery(setup, j, i, e_rel, l) if i != j else query
             except InadmissibleParityError:
-                for block, (a, b) in zip(blocks, orders):
-                    block.append({"ramified": ram, "q": q, "i": a, "j": b, "e_rel": e_rel, "l": l,
-                                  "status": "inadmissible-parity", "passed": True})
+                rows.append({"ramified": ram, "q": q, "i": i, "j": j, "e_rel": e_rel, "l": l,
+                             "status": "inadmissible-parity", "passed": True})
+                if i != j:
+                    swapped_rows.append({**rows[-1], "i": j, "j": i})
                 continue
-            closed = [lift_bound(query) for query in queries]
-            for block, query, value, mirror in zip(blocks, queries, closed, closed[::-1]):
-                recursive = lift_bound_recursive(query)
-                block.append({"ramified": ram, "q": q, "i": query.i, "j": query.j,
-                              "e_rel": e_rel, "l": l, "status": "ok", "closed": value,
-                              "recursive": recursive, "mirror": mirror,
-                              "passed": value == recursive == mirror and value >= e_rel})
-    return [row for block in blocks for row in block]
+            closed = lift_bound(query)
+            mirror = lift_bound(swapped) if i != j else closed
+            recursive = lift_bound_recursive(query)
+            rows.append({"ramified": ram, "q": q, "i": i, "j": j, "e_rel": e_rel, "l": l,
+                         "status": "ok", "closed": closed, "recursive": recursive, "mirror": mirror,
+                         "passed": closed == recursive == mirror and closed >= e_rel})
+            if i != j:
+                recursive = lift_bound_recursive(swapped)
+                swapped_rows.append({"ramified": ram, "q": q, "i": j, "j": i, "e_rel": e_rel,
+                                     "l": l, "status": "ok", "closed": mirror,
+                                     "recursive": recursive, "mirror": closed,
+                                     "passed": mirror == recursive == closed and mirror >= e_rel})
+    rows += swapped_rows
+    return rows
 
 
 def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
@@ -343,7 +360,7 @@ _SCALAR_TEXT = {str: _escape, int: int.__repr__, bool: _LITERALS.__getitem__,
 @lru_cache(maxsize=256)
 def _sorted_keys(keys: tuple, indent: str) -> tuple[tuple[str, ...], Callable, dict]:
     """keys' escaped ``"key": `` prefixes in sorted order, a getter of a dict's
-    values in that order, and the dict _render_into fills with the format of
+    values in that order, and the dict _flat_text fills with the format of
     each tuple of value types it meets.  Each key set is sorted and escaped
     once per indent; a non-str key raises TypeError, and a raise is not cached."""
     ordered = sorted(keys)
@@ -362,35 +379,45 @@ def _typed_format(prefixes: tuple[str, ...], kinds: tuple, indent: str) -> tuple
                 tuple((k, _SCALAR_TEXT[kind]) for k, kind in enumerate(kinds) if kind is not int))
 
 
+def _flat_text(obj: dict, indent: str) -> str | None:
+    """The text _render_into gives obj if obj is empty or holds scalars alone,
+    its _typed_format filled in by one ``%``; None if obj holds anything else."""
+    if not obj:
+        return "{}"
+    prefixes, getter, forms = _sorted_keys(tuple(obj), indent)
+    values = getter(obj)
+    kinds = tuple(map(type, values))
+    try:
+        form = forms[kinds]
+    except KeyError:
+        form = forms[kinds] = _typed_format(prefixes, kinds, indent)
+    if form is None:
+        return None
+    values = list(values)
+    for k, text in form[1]:
+        values[k] = text(values[k])
+    return form[0] % tuple(values)
+
+
 def _render_into(obj, indent: str, parts: list[str]) -> None:
     """Append to parts the text of obj as ``json.dumps(obj, sort_keys=True,
     indent=2)`` writes it, its lines after the first indented by indent.
     Reports hold only dicts with str keys, lists, tuples, str, int, bool,
     None, and _RenderedItems; any other type (a float, a Fraction, an int
-    subclass) raises TypeError.  A dict of scalars alone is one part, its
-    _typed_format filled in; any other dict, the report among them, goes key
-    by key into parts, so the report's rows are never copied before the join."""
+    subclass) raises TypeError.  A dict _flat_text renders is one part; any
+    other dict, the report among them, goes key by key into parts, so the
+    report's rows are never copied before the join."""
     kind = type(obj)
     if kind is dict:
-        if not obj:
-            parts.append("{}")
+        text = _flat_text(obj, indent)
+        if text is not None:
+            parts.append(text)
             return
-        prefixes, getter, forms = _sorted_keys(tuple(obj), indent)
-        values = getter(obj)
-        kinds = tuple(map(type, values))
-        try:
-            form = forms[kinds]
-        except KeyError:
-            form = forms[kinds] = _typed_format(prefixes, kinds, indent)
-        if form is not None:
-            values = list(values)
-            for k, text in form[1]:
-                values[k] = text(values[k])
-            parts.append(form[0] % tuple(values))
-            return
+        prefixes, getter, _ = _sorted_keys(tuple(obj), indent)
         inner = indent + "  "
         separator = "{\n" + inner
-        for prefix, value, kind in zip(prefixes, values, kinds):
+        for prefix, value in zip(prefixes, getter(obj)):
+            kind = type(value)
             text = _SCALAR_TEXT.get(kind)
             if text is None:
                 parts.append(separator + prefix)
@@ -419,13 +446,17 @@ def _render_into(obj, indent: str, parts: list[str]) -> None:
         raise TypeError(f"a report cannot hold a {kind.__name__}")
 
 
+def _digit_limit() -> ConfigError:
+    return ConfigError(f"a report int has over {sys.get_int_max_str_digits()} digits")
+
+
 def _render(obj, indent: str, tail: str = "") -> str:
     """The text _render_into gives obj, followed by tail, joined once."""
     parts: list[str] = []
     try:
         _render_into(obj, indent, parts)
     except ValueError as exc:  # only an int's conversion raises one
-        raise ConfigError(f"a report int has over {sys.get_int_max_str_digits()} digits") from exc
+        raise _digit_limit() from exc
     parts.append(tail)
     return "".join(parts)
 
@@ -527,8 +558,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         params["oracle_cross_check"] = args.oracle_cross_check
     # one list of (passed, text) per item or block; the pairs are dropped
     # before the report is rendered, so they and its text are never all held
-    failures = sum(not passed for block in body["rows"] for passed, _ in block)
-    body["rows"] = _RenderedItems(text for block in body["rows"] for _, text in block)
+    failures = 0
+    texts = _RenderedItems()
+    for block in body["rows"]:
+        for passed, text in block:
+            failures += not passed
+            texts.append(text)
+    body["rows"] = texts
     body.update(command=args.command, params=params, total=len(body["rows"]),
                 failures=failures, passed=failures == 0)
     text = render_report(body)

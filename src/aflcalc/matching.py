@@ -103,9 +103,11 @@ def entry_heights(gamma: OrbitData, ctx: MatchContext) -> EntryHeights:
     height of their level."""
     if gamma.defect_sign != ctx.defect_sign:
         raise MatchingError("orbit does not match into the context's unitary group")
-    return EntryHeights(gamma.t, *(
-        None if lvl is None or lvl >= level else derived_diag_height(ctx.setup, lvl)
-        for lvl, level in ((gamma.lvl_a, ctx.i), (gamma.lvl_d, ctx.j))))
+    lvl_a, lvl_d = gamma.lvl_a, gamma.lvl_d
+    return EntryHeights(
+        gamma.t,
+        None if lvl_a is None or lvl_a >= ctx.i else derived_diag_height(ctx.setup, lvl_a),
+        None if lvl_d is None or lvl_d >= ctx.j else derived_diag_height(ctx.setup, lvl_d))
 
 
 def diag_height_attainable(setup: FieldSetup, level: int, h: int) -> bool:
@@ -129,11 +131,11 @@ def intersection_length(heights: EntryHeights, ctx: MatchContext) -> int:
     The off-diagonal entries always give a finite bound, so the length is
     finite; finite diagonal heights must be class heights their level admits."""
     off_query = DeformQuery(ctx.setup, ctx.i, ctx.j, ctx.e_rel(ctx.i, ctx.j), heights.off_diag)
-    bounds = [lift_bound(off_query)]  # two identical off-diagonal entries
+    length = lift_bound(off_query)  # two identical off-diagonal entries
     for level, h in ((ctx.i, heights.diag_1), (ctx.j, heights.diag_4)):
         if h is not None:
-            bounds.append(_diag_bound(ctx, level, h))
-    return min(bounds)
+            length = min(length, _diag_bound(ctx, level, h))
+    return length
 
 
 def context_orbit(ctx: MatchContext, t: int, v_b2: int = 0,
@@ -256,8 +258,9 @@ def _constant(values: Iterable[Fraction]) -> Optional[Fraction]:
     """The one value all values share, or None when they differ or are none."""
     values = iter(values)
     first = next(values, None)
-    if first is None or any(value != first for value in values):
-        return None
+    for value in values:
+        if value != first:
+            return None
     return first
 
 
@@ -412,9 +415,13 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
                             _constant(r.geometric_residual for r in group))
 
     offsets = {t: Fraction(ctx.e_f * t, 2) for t in ts}
-    rows = {cls: tuple(row(context_orbit(ctx, t, v_b2=v_b2), offsets[t])
-                       for t in ts for v_b2 in (2 * ((t // 2) % 3) - 2 + cls, cls, 4 + cls))
-            for cls in ctx.setup.classes}
+    rows: dict[int, tuple[EndToEndRow, ...]] = {}
+    for cls in ctx.setup.classes:
+        group = []
+        for t in ts:
+            for v_b2 in (2 * ((t // 2) % 3) - 2 + cls, cls, 4 + cls):
+                group.append(row(context_orbit(ctx, t, v_b2=v_b2), offsets[t]))
+        rows[cls] = tuple(group)
     corrections = {cls: _constant(r.correction for r in group) for cls, group in rows.items()}
     witnesses = {cls: c for cls, c in corrections.items() if c is not None}
     passed = all(steady(group) for group in rows.values())

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .field import MINUS, PLUS, FieldSetup, ValClass, unit_integral
 from .symbolic import LaurentPoly, Rational, as_fraction
@@ -338,15 +338,16 @@ def level_cells(reqs: Iterable[Interval]) -> list[Interval]:
     return cells
 
 
-def _box_runs(gamma: OrbitData, f: InvariantFunction) -> Iterator[tuple]:
-    """(den, (even, odd), n_lo, n_hi) per box of f the orbit meets: the
-    conjugator valuations n putting v(b) - 2n in i_b and v(c) + 2n in i_c, and
-    the integer weights over den of their even and odd shells, each the
-    eta-weighted measure of the conjugators h with eta(h) = req * eta(entry)
+def _box_runs(gamma: OrbitData, f: InvariantFunction) -> list[tuple]:
+    """A list of (den, (even, odd), n_lo, n_hi), one per box of f the orbit
+    meets: the conjugator valuations n putting v(b) - 2n in i_b and v(c) + 2n
+    in i_c, and the integer weights over den of their even and odd shells, each
+    the eta-weighted measure of the conjugators h with eta(h) = req * eta(entry)
     at every pin, which reads n only through its parity (see _run_weights)."""
     setup, t, v_b2, b_sign, defect_sign, v_a2, lvl_a, lvl_d = gamma
     v_c2 = 2 * t - v_b2
     c_sign = defect_sign * b_sign
+    runs = []
     for k, (coeff, box) in enumerate(f.terms):
         ((a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi), sgn_b, sgn_c,
          (la_lo, la_hi), (ld_lo, ld_hi)) = box
@@ -373,7 +374,8 @@ def _box_runs(gamma: OrbitData, f: InvariantFunction) -> Iterator[tuple]:
         if eta_b is not None and eta_h != eta_b:
             continue
         den, weights = f._run_weights(setup, eta_h)
-        yield den, weights[k], n_lo, n_hi
+        runs.append((den, weights[k], n_lo, n_hi))
+    return runs
 
 
 def orb_s(gamma: OrbitData, f: InvariantFunction) -> LaurentPoly:

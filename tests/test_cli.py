@@ -487,6 +487,12 @@ class TestConfigContract:
         for obj in ({"a": huge}, {"a": huge, "b": [1]}, {"a": [huge]}, [huge], huge):
             with pytest.raises(ConfigError):
                 cli._render(obj, "")
+            if type(obj) is dict:
+                # the row path, the first time from a cold format cache
+                cli._sorted_keys.cache_clear()
+                for _ in range(2):
+                    with pytest.raises(ConfigError):
+                        row_text(obj)
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
     def test_read_only_out_exits_two_before_the_sweep(self, tmp_path, capsys, monkeypatch):
@@ -743,10 +749,24 @@ class _Small(enum.IntEnum):
     ONE = 1
 
 
+def row_text(row: dict) -> str:
+    """row's text from the row path: _rendered_rows of a row function giving
+    row, which renders a row of scalars alone without _render."""
+    ((passed, text),) = cli._rendered_rows(lambda _: row, None)
+    assert passed is bool(row.get("passed", False))
+    return text
+
+
 class TestReportWriter:
     @given(_TREES)
     def test_writes_the_bytes_of_json_dumps(self, tree):
         assert cli._render(tree, "") == json.dumps(tree, sort_keys=True, indent=2)
+
+    @given(st.dictionaries(_TEXT, _SCALARS, max_size=6)
+           | st.dictionaries(st.sampled_from(["passed", "a", "%d"]) | _TEXT, _TREES, max_size=4))
+    def test_row_path_gives_the_text_of_render(self, row):
+        expected = json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n" + cli._ROW_INDENT)
+        assert row_text(row) == cli._render(row, cli._ROW_INDENT) == expected
 
     @given(st.dictionaries(_TEXT, _TREES, max_size=4))
     def test_report_is_json_dumps_with_a_final_newline(self, body):
@@ -763,6 +783,10 @@ class TestReportWriter:
     def test_rejects_every_other_type(self, body):
         with pytest.raises(TypeError):
             render_report(body)
+        for row in (body, body["rows"][0]):
+            if type(row) is dict:
+                with pytest.raises(TypeError):
+                    row_text(row)
 
     @given(st.dictionaries(_TEXT, _TREES, max_size=6))
     def test_key_insertion_order_does_not_matter(self, forward):
@@ -775,9 +799,12 @@ class TestReportWriter:
     def test_non_str_key_raises_on_every_call(self, bad):
         # the same key set as strings fills the cache first
         cli._render({str(key): value for key, value in bad.items()}, "")
+        row_text({str(key): value for key, value in bad.items()})
         for _ in range(2):
             with pytest.raises(TypeError):
                 cli._render(bad, "")
+            with pytest.raises(TypeError):
+                row_text(bad)
 
     def test_key_cache_is_bounded(self):
         assert cli._sorted_keys.cache_info().maxsize is not None
@@ -790,6 +817,7 @@ class TestReportWriter:
                     {"a": [1], key: 0}, {key: [1, {key: 2}], "b": 0},
                     {"a": [key], key: {key: {}}}):
             assert cli._render(obj, "") == json.dumps(obj, sort_keys=True, indent=2)
+            assert row_text(obj) == cli._render(obj, cli._ROW_INDENT)
 
     @pytest.mark.parametrize("indent", ["", "    "])
     def test_value_types_change_at_a_key(self, indent):
@@ -799,17 +827,28 @@ class TestReportWriter:
             for obj in ({"a": value, "b": 2}, {"a": 2, "b": value}, {"a": value}):
                 expected = json.dumps(obj, sort_keys=True, indent=2)
                 assert cli._render(obj, indent) == expected.replace("\n", "\n" + indent)
+                assert row_text(obj) == expected.replace("\n", "\n" + cli._ROW_INDENT)
 
     @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), _Small.ONE],
                              ids=["float", "fraction", "int-subclass"])
     def test_rejects_other_types_after_a_warm_cache(self, value):
         # the same key sets with scalars fill their formats first
-        for good, bad in [({"a": 1, "b": "x"}, {"a": value, "b": "x"}),
-                          ({"rows": [{"a": 1}]}, {"rows": [{"a": value}]})]:
+        pairs = [({"a": 1, "b": "x"}, {"a": value, "b": "x"}),
+                 ({"rows": [{"a": 1}]}, {"rows": [{"a": value}]})]
+        for good, bad in pairs:
             cli._render(good, "")
             for _ in range(2):
                 with pytest.raises(TypeError):
                     cli._render(bad, "")
+        # the row path, from a cold format cache and then a warm one
+        cli._sorted_keys.cache_clear()
+        for good, bad in pairs:
+            for warm in (False, True):
+                if warm:
+                    row_text(good)
+                for _ in range(2):
+                    with pytest.raises(TypeError):
+                        row_text(bad)
 
     def test_rendered_items_after_a_warm_cache(self):
         rows = [{"a": 1, "b": [2]}, "c"]
