@@ -8,26 +8,25 @@ each command's help text and the defaults of its range flags.  ``main`` is
 the one sweep driver: it parses every range once, checks LOWER_BOUNDS, hands
 the command's ``run_*`` the sorted, de-duplicated values, counts the failed
 rows and collects the texts of the row lists it returns in one pass, and
-writes the report.  A ``run_*`` only builds its grid's items and hands them
-with its row function to ``_map``, which renders each row to its text as it
-is built (in the worker, when a pool runs), keeps only that text and the
-row's pass flag, and returns one list per item.  An item gives one row,
-except in ``deform``: there it is one unordered level pair, whose (i, j)
-rows come before its (j, i) rows, each closed form shared by both, and
-``run_deform`` places the two halves in report order.
-A row of scalars alone, such as a ``deform`` row, is ``_flat_text``'s one
-``%`` of a format cached per key set, value types and indent, its ints filled
-by ``%d``, with no parts list or join; a row that nests goes through
-``_render``.  ``render_report`` splices the row texts into the document,
-joined once, and ``main`` writes it in 1 MiB slices.  Reports are
-deterministic: rows are sorted by their parameter tuple, numbers render
-canonically, and a fixed schema number leads the document, so identical
-configs yield identical bytes.  Exit code 0 means every row passed, 1 means
-some verification failed, 2 means the configuration was rejected: unparsable
-ranges, an invalid residue size, a value below its lower bound, an ``--out``
-path that cannot be written, ranges that select no rows, or a row with an int
-of more digits than Python prints; exit 2 also ends a run whose report write
-fails (a full disk, a closed pipe), with one line on stderr.
+writes the report.  A ``run_*`` only builds its grid's items and hands
+``_map`` a function giving an item's rows as (pass flag, text) pairs, in the
+worker when a pool runs.  An item gives one row, except in ``deform``: there
+it is one unordered level pair, whose (i, j) rows come before its (j, i)
+rows, each closed form shared by both, and ``run_deform`` places the two
+halves in report order.  A ``deform`` row is no dict but one ``%`` of
+``_OK_ROW`` or ``_INADMISSIBLE_ROW``, built at import by the generator of
+``_flat_text``, which renders every other row of scalars alone; a row that
+nests goes through ``_render``.  ``render_report`` splices the row texts
+into the document, joined once, and ``main`` writes it in 1 MiB slices.
+Reports are deterministic: rows are sorted by their parameter tuple, numbers
+render canonically, and a fixed schema number leads the document, so
+identical configs yield identical bytes.  Exit code 0 means every row passed,
+1 means some verification failed, 2 means the configuration was rejected:
+unparsable ranges, an invalid residue size, a value below its lower bound,
+an ``--out`` path that cannot be written, ranges that select no rows, or a
+row with an int of more digits than Python prints; exit 2 also ends a run
+whose report write fails (a full disk, a closed pipe), with one line on
+stderr.
 
 AFL_CALC_THREADS caps item-level parallelism (default 1, serial), the
 process pool never exceeds the CPU count, and fewer than four items run
@@ -135,10 +134,9 @@ def parse_ram(text: str) -> list[bool]:
 def _workers() -> int:
     raw = os.environ.get("AFL_CALC_THREADS", "1")
     try:
-        n = int(raw)
+        return max(1, int(raw))
     except ValueError:
         raise ConfigError(f"AFL_CALC_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 # Rows are the items of the report's top-level "rows" list, two levels deep.
@@ -146,39 +144,30 @@ _ROW_INDENT = "    "
 
 
 def _rendered_rows(fn: Callable, item) -> list[tuple[bool, str]]:
-    """fn's rows for item, each as its pass flag and its text at its report
-    depth: fn gives one row dict, or a list of them."""
-    rows = fn(item)
-    if type(rows) is dict:
-        rows = (rows,)
-    rendered = []
-    for row in rows:
-        try:
-            text = _flat_text(row, _ROW_INDENT)
-        except ValueError as exc:  # only an int's conversion raises one
-            raise _digit_limit() from exc
-        if text is None:
-            text = _render(row, _ROW_INDENT)
-        rendered.append((bool(row.get("passed", False)), text))
-    return rendered
+    """fn's row dict for item as [(pass flag, text)], a flat row in one
+    _flat_text call; bound to fn by a partial, it can ship to a pool."""
+    row = fn(item)
+    try:
+        text = _flat_text(row, _ROW_INDENT)
+    except ValueError as exc:  # only an int's conversion raises one
+        raise _digit_limit() from exc
+    return [(bool(row.get("passed", False)), _render(row, _ROW_INDENT) if text is None else text)]
 
 
 def _map(fn: Callable, items: Sequence) -> list[list[tuple[bool, str]]]:
-    """_rendered_rows of fn over each item: one list per item, in order."""
-    # a partial, not a closure, so the pool can ship it to its workers
-    rows = partial(_rendered_rows, fn)
+    """fn over items, in order: each item's list of (pass flag, text) pairs."""
     # the executor starts every worker up front, so more than one per CPU
     # only costs processes
     n = min(_workers(), os.cpu_count() or 1)
     if n == 1 or len(items) < 4:
-        return list(map(rows, items))
+        return list(map(fn, items))
     # imported here: its modules (multiprocessing, pickle, socket, logging)
     # cost a serial run's import time and never serve it
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n) as pool:
         # about four chunks per worker: most items are a row, too small to
         # ship one by one
-        return list(pool.map(rows, items, chunksize=-(-len(items) // (4 * n))))
+        return list(pool.map(fn, items, chunksize=-(-len(items) // (4 * n))))
 
 
 def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
@@ -187,19 +176,21 @@ def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
 
 
 def run_afl(q: list[int], t: list[int], vb: list[int]) -> dict:
-    setups = [_setup(q_, False) for q_ in q]
-    return {"rows": _map(_afl_row, list(product(setups, [t_ for t_ in t if t_ >= 0], vb)))}
+    params = list(product([_setup(q_, False) for q_ in q], [t_ for t_ in t if t_ >= 0], vb))
+    return {"rows": _map(partial(_rendered_rows, _afl_row), params)}
 
 
-def _deform_rows(params: tuple[FieldSetup, int, int, list[int], list[int]]) -> list[dict]:
+def _deform_rows(params: tuple[FieldSetup, int, int, list[int], list[int]]
+                 ) -> list[tuple[bool, str]]:
     """The rows at levels (i, j), for each e_rel and height in order, then,
-    when i != j, the rows at (j, i) in the same order.
+    when i != j, the rows at (j, i) in the same order, each as its pass flag
+    and its text, one ``%`` of _OK_ROW or _INADMISSIBLE_ROW.
 
     A lift bound is symmetric in the levels, so each row's mirror, the closed
     form at the swapped levels, is the other order's closed value at the same
     point: each query's closed form is computed once and still compared."""
     setup, i, j, e, heights = params
-    ram, q = setup.ramified, setup.q
+    q, ram = setup.q, _LITERALS[setup.ramified]
     rows, swapped_rows = [], []  # the (i, j) rows; the (j, i) rows, none when i == j
     for e_rel in e:
         for l in heights:
@@ -207,23 +198,27 @@ def _deform_rows(params: tuple[FieldSetup, int, int, list[int], list[int]]) -> l
                 query = DeformQuery(setup, i, j, e_rel, l)
                 swapped = DeformQuery(setup, j, i, e_rel, l) if i != j else query
             except InadmissibleParityError:
-                rows.append({"ramified": ram, "q": q, "i": i, "j": j, "e_rel": e_rel, "l": l,
-                             "status": "inadmissible-parity", "passed": True})
+                rows.append((True, _INADMISSIBLE_ROW % (e_rel, i, j, l, "true", q, ram,
+                                                        _INADMISSIBLE)))
                 if i != j:
-                    swapped_rows.append({**rows[-1], "i": j, "j": i})
+                    swapped_rows.append((True, _INADMISSIBLE_ROW % (e_rel, j, i, l, "true", q,
+                                                                    ram, _INADMISSIBLE)))
                 continue
             closed = lift_bound(query)
             mirror = lift_bound(swapped) if i != j else closed
             recursive = lift_bound_recursive(query)
-            rows.append({"ramified": ram, "q": q, "i": i, "j": j, "e_rel": e_rel, "l": l,
-                         "status": "ok", "closed": closed, "recursive": recursive, "mirror": mirror,
-                         "passed": closed == recursive == mirror and closed >= e_rel})
-            if i != j:
-                recursive = lift_bound_recursive(swapped)
-                swapped_rows.append({"ramified": ram, "q": q, "i": j, "j": i, "e_rel": e_rel,
-                                     "l": l, "status": "ok", "closed": mirror,
-                                     "recursive": recursive, "mirror": closed,
-                                     "passed": mirror == recursive == closed and mirror >= e_rel})
+            passed = closed == recursive == mirror and closed >= e_rel
+            try:
+                rows.append((passed, _OK_ROW % (closed, e_rel, i, j, l, mirror, _LITERALS[passed],
+                                                q, ram, recursive, _OK)))
+                if i != j:
+                    recursive = lift_bound_recursive(swapped)
+                    passed = mirror == recursive == closed and mirror >= e_rel
+                    swapped_rows.append((passed, _OK_ROW % (mirror, e_rel, j, i, l, closed,
+                                                            _LITERALS[passed], q, ram,
+                                                            recursive, _OK)))
+            except ValueError as exc:  # only an int's conversion raises one
+                raise _digit_limit() from exc
     rows += swapped_rows
     return rows
 
@@ -269,7 +264,8 @@ def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
 def run_orb(q: list[int], ram: list[bool], t: list[int], vb: list[int]) -> dict:
     setups = [_setup(q_, ram_) for q_, ram_ in product(q, ram)]
     params = list(product(setups, [t_ for t_ in t if t_ >= 0], vb))
-    return {"rows": _map(_orb_row, params), "f": integral_indicator().to_json()}
+    return {"rows": _map(partial(_rendered_rows, _orb_row), params),
+            "f": integral_indicator().to_json()}
 
 
 @lru_cache(maxsize=64)
@@ -304,7 +300,7 @@ def run_germ(q: list[int], ram: list[bool]) -> dict:
     setups = [_setup(q_, ram_, eta_pi) for q_, ram_ in product(q, ram)
               for eta_pi in _setup(q_, ram_).signs(2)]
     params = [(setup, name, f) for setup in setups for name, f in germ_battery(setup)]
-    return {"rows": _map(_germ_row, params)}
+    return {"rows": _map(partial(_rendered_rows, _germ_row), params)}
 
 
 def _ati_row(params: tuple[FieldSetup, int, int, int, tuple[int, ...]]) -> dict:
@@ -321,7 +317,7 @@ def run_ati(q: list[int], ram: list[bool], i: list[int], j: list[int], e: list[i
             t: list[int]) -> dict:
     setups = [_setup(q_, ram_) for q_, ram_ in product(q, ram)]
     params = [(*point, tuple(t)) for point in product(setups, i, j, e)]
-    return {"rows": _map(_ati_row, params)}
+    return {"rows": _map(partial(_rendered_rows, _ati_row), params)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,6 +393,19 @@ def _flat_text(obj: dict, indent: str) -> str | None:
     for k, text in form[1]:
         values[k] = text(values[k])
     return form[0] % tuple(values)
+
+
+def _row_format(*ints: str) -> str:
+    """_flat_text's format for a deform row of these int keys, two bools and a status."""
+    kinds = dict.fromkeys(ints, int) | {"passed": bool, "ramified": bool, "status": str}
+    prefixes, getter, _ = _sorted_keys(tuple(kinds), _ROW_INDENT)
+    return _typed_format(prefixes, getter(kinds), _ROW_INDENT)[0]
+
+
+# The two kinds of deform row, formatted once; values fill them in sorted key order.
+_OK_ROW = _row_format("closed", "e_rel", "i", "j", "l", "mirror", "q", "recursive")
+_INADMISSIBLE_ROW = _row_format("e_rel", "i", "j", "l", "q")
+_OK, _INADMISSIBLE = _escape("ok"), _escape("inadmissible-parity")
 
 
 def _render_into(obj, indent: str, parts: list[str]) -> None:
@@ -481,16 +490,10 @@ _VALUE_FLAGS = {"--out"} | {f"--{flag}" for _, defaults in COMMANDS.values() for
 def _fuse_values(argv: Sequence[str]) -> list[str]:
     """Join value flags with their argument so ranges like -8..8 survive argparse."""
     out: list[str] = []
-    skip = False
-    for k, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in _VALUE_FLAGS and k + 1 < len(argv):
-            out.append(f"{token}={argv[k + 1]}")
-            skip = True
-        else:
-            out.append(token)
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
     return out
 
 
@@ -531,11 +534,8 @@ def _drop_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fuse_values(argv))
+        args = build_parser().parse_args(_fuse_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

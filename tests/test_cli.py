@@ -18,7 +18,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aflcalc import cli
 from aflcalc.cli import COMMANDS, ConfigError, main, parse_ram, parse_range, render_report
@@ -239,9 +239,10 @@ class TestDeformPairs:
     }
 
     @staticmethod
-    def reference_row(setup, i, j, e_rel, l) -> dict:
+    def reference_row(setup, i, j, e_rel, l, bound=lift_bound,
+                      recursion=lift_bound_recursive) -> dict:
         """The row built on its own: its query and its mirror built and
-        bounded separately."""
+        bounded separately, by bound and by recursion."""
         point = {"ramified": setup.ramified, "q": setup.q, "i": i, "j": j, "e_rel": e_rel,
                  "l": l}
         try:
@@ -249,8 +250,7 @@ class TestDeformPairs:
             mirror = DeformQuery(setup, j, i, e_rel, l)
         except InadmissibleParityError:
             return {**point, "status": "inadmissible-parity", "passed": True}
-        closed, recursive, symmetric = (lift_bound(query), lift_bound_recursive(query),
-                                        lift_bound(mirror))
+        closed, recursive, symmetric = bound(query), recursion(query), bound(mirror)
         return {**point, "status": "ok", "closed": closed, "recursive": recursive,
                 "mirror": symmetric,
                 "passed": closed == recursive == symmetric and closed >= e_rel}
@@ -304,6 +304,49 @@ class TestDeformPairs:
                 return
             assert code == (0 if all(row["passed"] for row in want) else 1)
             assert json.loads(out.read_text())["rows"] == want
+
+    @staticmethod
+    def distinct_bound(query) -> int:
+        """A stand-in closed form whose values at (i, j) and (j, i) differ when
+        i != j and exceed every other value a row holds."""
+        _, i, j, e_rel, l = query
+        return 10_000 + 1_000 * i + 100 * j + 10 * e_rel + l
+
+    @staticmethod
+    def distinct_recursion(query) -> int:
+        """A stand-in recursion that never equals distinct_bound."""
+        return 50_000 + TestDeformPairs.distinct_bound(query)
+
+    # each text must be json.dumps of the row built on its own.  On a passing
+    # row closed, recursive and mirror are equal, so only the stand-ins, which
+    # keep the three apart (and fail the row), show a format that swaps two
+    @pytest.mark.parametrize("stand_ins", [False, True], ids=["engine", "distinct"])
+    @settings(max_examples=60, deadline=None)
+    @example(q=2, ram=False, i=0, j=1, e=[1], heights=[0, 1])  # inadmissible at odd l
+    @example(q=3, ram=True, i=2, j=5, e=[1, 3], heights=[30, 7])
+    @given(q=st.integers(2, 9), ram=st.booleans(), i=st.integers(0, 6), j=st.integers(0, 6),
+           e=st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+           heights=st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True))
+    def test_texts_put_each_value_in_its_own_slot(self, stand_ins, q, ram, i, j, e, heights):
+        bound, recursion = lift_bound, lift_bound_recursive
+        if stand_ins:
+            assume(i != j)  # at i == j the mirror is the closed value itself
+            bound, recursion = self.distinct_bound, self.distinct_recursion
+        setup = cli._setup(q, ram)
+        orders = [(i, j)] if i == j else [(i, j), (j, i)]
+        want = [self.reference_row(setup, a, b, e_rel, l, bound, recursion)
+                for a, b in orders for e_rel in e for l in heights]
+        with mock.patch.object(cli, "lift_bound", bound), \
+                mock.patch.object(cli, "lift_bound_recursive", recursion):
+            got = cli._deform_rows((setup, i, j, e, heights))
+        assert [text for _, text in got] == [
+            json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n" + cli._ROW_INDENT)
+            for row in want]
+        assert [passed for passed, _ in got] == [row["passed"] for row in want]
+        if stand_ins:
+            ok = [row for row in want if row["status"] == "ok"]
+            assert all(len({row["closed"], row["recursive"], row["mirror"]}) == 3
+                       and not row["passed"] for row in ok)
 
     @pytest.mark.parametrize("wrong_when", ["ascending", "descending"])
     def test_an_order_sensitive_lift_bound_fails_every_ok_row_off_the_diagonal(
@@ -544,7 +587,7 @@ class TestProcessPool:
         # items of no row, of one row and of several, on both branches
         items = [0, 2, 0, 1, 3]
         with serial_pool(cpus=2, threads=threads) as started:
-            blocks = cli._map(numbered_rows, items)
+            blocks = cli._map(numbered_texts, items)
         assert started == pools
         assert blocks == [[(k % 2 == 0, cli._render(row, cli._ROW_INDENT))
                            for k, row in enumerate(numbered_rows(n))] for n in items]
@@ -873,9 +916,15 @@ def numbered_rows(n: int) -> list[dict]:
     return [{"n": n, "k": k, "passed": k % 2 == 0} for k in range(n)]
 
 
+def numbered_texts(n: int) -> list[tuple[bool, str]]:
+    """numbered_rows(n) as the (pass flag, text) pairs _map's function gives."""
+    return [(row["passed"], cli._render(row, cli._ROW_INDENT)) for row in numbered_rows(n)]
+
+
 def deform_row(q, ram, i, j, e_rel, l) -> dict:
-    """The deform row at one point: the first row of its level pair's item."""
-    return cli._deform_rows((cli._setup(q, ram), i, j, [e_rel], [l]))[0]
+    """The deform row at one point, read back from its text: the first row of
+    its level pair's item."""
+    return json.loads(cli._deform_rows((cli._setup(q, ram), i, j, [e_rel], [l]))[0][1])
 
 
 class TestRenderCost:
@@ -957,11 +1006,11 @@ class TestRenderCost:
             return attainable(*args)
 
         monkeypatch.setattr(cli, "hom_height_attainable", counting)
-        # each row's parameters in place of its text, one list per item: rows
-        # are built, not rendered
+        # each row's parameters, read back from its text, in place of the
+        # text, one list per item
         monkeypatch.setattr(cli, "_map", lambda fn, items: [
             [(row["ramified"], row["q"], row["i"], row["j"], row["e_rel"], row["l"])
-             for row in fn(item)] for item in items])
+             for row in (json.loads(text) for _, text in fn(item))] for item in items])
         # the deform_grid benchmark's seed-0 grid
         ram, q, ij, e, l = [False, True], range(2, 8), range(8), range(1, 4), range(61)
         params = [row for block in cli.run_deform(ram, q, ij, e, l)["rows"] for row in block]
@@ -977,7 +1026,18 @@ class TestRenderCost:
     def test_one_format_per_key_set(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AFL_CALC_THREADS", "1")
         cli._sorted_keys.cache_clear()
-        assert main(["deform", "--out", str(tmp_path / "r.json")]) == 0
+        out = tmp_path / "r.json"
+        assert main(["deform", "--out", str(out)]) == 0
+        # a deform row fills one of the two formats built at import, so the
+        # run formats only the echoed params and the report itself
+        assert cli._sorted_keys.cache_info().misses == 2
+        # _flat_text gives a row of each kind, read back, the text it has in
+        # the report, from the format it builds for the row's key set
+        report = out.read_text()
+        rows = json.loads(report)["rows"]
+        for status in ("ok", "inadmissible-parity"):
+            row = next(row for row in rows if row["status"] == status)
+            assert f"\n{cli._ROW_INDENT}{cli._flat_text(row, cli._ROW_INDENT)}," in report
         info = cli._sorted_keys.cache_info()
         # the two row kinds, the echoed params and the report itself
         assert info.misses == info.currsize == 4

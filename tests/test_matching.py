@@ -3,10 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aflcalc import matching
-from aflcalc.cli import COMMANDS, parse_ram, parse_range
+from aflcalc.cli import COMMANDS, main, parse_ram, parse_range
 from aflcalc.deformation import ramification_index
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
 from aflcalc.germs import extract_germ, function_from_germ, validity_threshold
@@ -601,3 +601,71 @@ class TestCrossModuleOracles:
                 continue
             lhs = transfer_factor(gamma) * d_orb(gamma, f)
             assert lhs == Fraction(ctx.e_f * t, 2)
+
+
+def own_geometric_sum(n: int, q: int) -> int:
+    """a(n) = 1 + q + ... + q^n, with a(-1) = 0, by its own loop."""
+    total, power = 0, 1
+    for _ in range(n + 1):
+        total += power
+        power *= q
+    return total
+
+
+def own_ramification_index(q: int, ramified: bool, s: int) -> int:
+    """The ramification index of the level-s ring class field over the
+    unramified base, one level at a time: 2 ramified and 1 not at level 0,
+    2q and q + 1 at level 1, and one more factor q per level above."""
+    index = 2 if ramified else 1
+    for level in range(1, s + 1):
+        index = (2 * q if ramified else q + 1) if level == 1 else index * q
+    return index
+
+
+def predicted_witness(q: int, ramified: bool, i: int, j: int, e_rel: int, cls: int) -> Fraction:
+    """W = e_F (i + j - 1 - cls)/2 - e_rel (2 a(max(i, j) - 1) - a(|i - j| - 1))."""
+    e_f = e_rel * own_ramification_index(q, ramified, max(i, j))
+    return (Fraction(e_f * (i + j - 1 - cls), 2)
+            - e_rel * (2 * own_geometric_sum(max(i, j) - 1, q)
+                       - own_geometric_sum(abs(i - j) - 1, q)))
+
+
+class TestWitnessClosedForm:
+    """Every ATI witness, the constant correction omega dOrb(f) - Int of a
+    valuation class cls, is W, with e_F = e_rel E(max(i, j)) and E(s) the
+    ramification index of the level-s ring class field.  W was fitted to the
+    reports and is the engine's value; its a(n) and E are computed here by
+    their own loops, not by geometric_sum or ramification_index."""
+
+    # the default grid, and the ati grid of the near_diagonal benchmark (seed 0)
+    GRIDS = {"default": ([], 108),
+             "near-diagonal": (["--q", "2,3,5", "--ram", "0,1", "--i", "0..3", "--j", "0..3",
+                                "--e", "1..3", "--t", "0..40"], 432)}
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_every_report_witness_is_w(self, grid, tmp_path, monkeypatch):
+        argv, count = self.GRIDS[grid]
+        monkeypatch.setenv("AFL_CALC_THREADS", "1")
+        out = tmp_path / "ati.json"
+        assert main(["ati", *argv, "--out", str(out)]) == 0
+        checked = 0
+        for row in json.loads(out.read_text())["rows"]:
+            q, ram, i, j, e_rel = (row[key] for key in ("q", "ramified", "i", "j", "e_rel"))
+            assert row["e_f"] == e_rel * own_ramification_index(q, ram, max(i, j))
+            witnesses = row["end_to_end"]["witnesses"]
+            assert sorted(witnesses) == (["0", "1"] if ram else ["0"])
+            for cls, witness in witnesses.items():
+                assert Fraction(witness) == predicted_witness(q, ram, i, j, e_rel, int(cls)), row
+                checked += 1
+        assert checked == count
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.sampled_from([3, 5, 7, 9, 11, 13]), ram=st.booleans(), i=st.integers(0, 5),
+           j=st.integers(0, 5), e_rel=st.integers(1, 3))
+    def test_witness_is_w_at_odd_prime_powers(self, q, ram, i, j, e_rel):
+        setup = FieldSetup(q, ram)
+        e_f = e_rel * own_ramification_index(q, ram, max(i, j))
+        report = ati_end_to_end(MatchContext(setup, i, j, e_f=e_f))
+        assert report.passed
+        assert report.witnesses == {cls: predicted_witness(q, ram, i, j, e_rel, cls)
+                                    for cls in setup.classes}

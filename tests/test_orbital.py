@@ -3,12 +3,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aflcalc import orbital
 from aflcalc.battery import germ_battery
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
-from aflcalc.germs import GermExpansion, GermPiece, function_from_germ, shell_box
+from aflcalc.germs import (GermExpansion, GermPiece, extract_germ, function_from_germ,
+                           shell_box)
 from aflcalc.matching import afl_verify
 from aflcalc.orbital import (INTEGRAL, Box, DivergenceError, Interval, InvariantFunction,
                              OrbitData, clear_diagonal, d_orb, diagonal_killer,
@@ -645,6 +646,35 @@ class TestEtaPiFInvariance:
         setup = gamma.setup
         flipped = gamma._replace(setup=FieldSetup(setup.q, True, -setup.eta_pi_f))
         assert outcome(orb_s, gamma, f) == outcome(orb_s, flipped, f)
+
+
+class TestQFreedom:
+    """No orbital or germ result reads q.  unit_integral, the one weight every
+    orbital and germ integral is built from, reads only the ramification,
+    and boxes constrain only valuations and signs; so moving an orbit, and
+    the setup a germ is extracted over, to another q changes nothing."""
+
+    @staticmethod
+    def germ_outcome(setup, f):
+        """extract_germ of f's diagonal-free part as JSON, or the
+        DivergenceError class when a germ integral diverges."""
+        try:
+            return extract_germ(setup, clear_diagonal(f)).to_json()
+        except DivergenceError:
+            return DivergenceError
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=orbits(), f=functions, q=st.integers(2, 13))
+    def test_only_q_changes(self, gamma, f, q):
+        setup = gamma.setup
+        moved = gamma._replace(setup=FieldSetup(q, setup.ramified, setup.eta_pi_f))
+        for integral in (orb_s, orb, d_orb):
+            assert outcome(integral, gamma, f) == outcome(integral, moved, f), integral
+        germ = self.germ_outcome(setup, f)
+        assert germ == self.germ_outcome(moved.setup, f)
+        if germ is not DivergenceError:
+            germs = [extract_germ(s, clear_diagonal(f)) for s in (setup, moved.setup)]
+            assert germs[0].predicted_orb_s(gamma) == germs[1].predicted_orb_s(moved)
 
 
 def pinned_mix():

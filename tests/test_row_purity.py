@@ -61,8 +61,9 @@ def params_of(command: str, text: str) -> tuple:
 
 @cache
 def grid_items() -> tuple:
-    """(command, row function, item) for every item of every grid, each grid
-    in its own order, as main hands them to _map."""
+    """(command, function, item) for every item of every grid, each grid in
+    its own order, as main hands them to _map: the function gives the item's
+    rows as (pass flag, text) pairs."""
     items = []
     for command, flags in GRIDS.items():
         mapped = []
@@ -114,7 +115,7 @@ def test_rows_are_pure(order):
     texts = fresh_texts()
     built = []
     for command, fn, item in items:
-        for _, text in cli._rendered_rows(fn, item):
+        for _, text in fn(item):
             key = params_of(command, text)
             assert text == texts[command].get(key), (command, key)
             built.append((command, key))
