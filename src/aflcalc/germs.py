@@ -83,13 +83,16 @@ class _GermExpansion(NamedTuple):
 
 class GermExpansion(_GermExpansion):
     # No __slots__: _cells, eval_side's sums by (side, lvl_a, lvl_d, vclass),
-    # lives in the instance dict, outside the fields, so it takes no part in
-    # ==, hash or repr.  The pieces never change, so the memo is exact.
+    # and _products, predicted_orb_s's side products by (side, lvl_a, lvl_d,
+    # vclass, v2, sign), live in the instance dict, outside the fields, so
+    # they take no part in ==, hash or repr.  The pieces never change, so the
+    # memos are exact.
 
     def __new__(cls, setup: FieldSetup, a0: tuple[GermPiece, ...], a1: tuple[GermPiece, ...],
                 threshold: int) -> "GermExpansion":
         self = tuple.__new__(cls, (setup, a0, a1, threshold))
         self._cells = {}
+        self._products = {}
         return self
 
     @property
@@ -136,14 +139,21 @@ class GermExpansion(_GermExpansion):
     def predicted_orb_s(self, gamma: OrbitData) -> LaurentPoly:
         """eta(b) T^v(b) A0 + eta(c) T^(-v(c)) A1 evaluated at the orbit's invariants.
 
-        A side whose germ is zero on the orbit's cell is already its own
-        product with the monomial, so it builds neither."""
+        Each side's product with its monomial is built on the first orbit
+        with the same cell, class, side valuation and sign, and kept in
+        _products.  A side whose germ is zero on the orbit's cell is already
+        its own product with the monomial, so it builds neither."""
         _, t, v_b2, b_sign, defect_sign, _, lvl_a, lvl_d = gamma
         cls = v_b2 % 2
         parts = []
         for side, v2, sign in ((0, v_b2, b_sign), (1, 2 * t - v_b2, defect_sign * b_sign)):
-            poly = self.eval_side(side, lvl_a, lvl_d, cls)
-            parts.append(LaurentPoly.monomial(-SIDE_SIGN[side] * v2, sign) * poly if poly else poly)
+            key = (side, lvl_a, lvl_d, cls, v2, sign)
+            part = self._products.get(key)
+            if part is None:
+                poly = self.eval_side(side, lvl_a, lvl_d, cls)
+                part = self._products[key] = (
+                    LaurentPoly.monomial(-SIDE_SIGN[side] * v2, sign) * poly if poly else poly)
+            parts.append(part)
         b_part, c_part = parts
         return b_part + c_part
 

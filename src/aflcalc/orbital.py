@@ -244,35 +244,58 @@ def _require_base(lam: ValClass) -> None:
 
 class InvariantFunction:
     """Finite rational combination of boxes, modeling a locally constant
-    compactly supported test function of the orbit invariants."""
+    compactly supported test function of the orbit invariants.
 
-    __slots__ = ("_terms", "_weights")
+    The terms never change, so two tables built from them on first use are
+    exact: the live boxes of each orbit's fixed invariants (_live_boxes) and,
+    per setup, the run weights of each eta (_run_weights), which _box_runs
+    reads for every orbit it is asked about."""
+
+    __slots__ = ("_terms", "_live", "_weights")
 
     def __init__(self, terms: Iterable[tuple[Rational, Box]] = ()):
         self._terms = tuple((as_fraction(c), box) for c, box in terms)
-        self._weights: dict[tuple[FieldSetup, Optional[int]],
-                            tuple[int, tuple[tuple[int, int], ...]]] = {}
+        self._live: dict[tuple[int, Optional[int], Optional[int]], tuple[tuple, ...]] = {}
+        self._weights: dict[FieldSetup, dict[Optional[int],
+                                             tuple[int, tuple[tuple[int, int], ...]]]] = {}
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Box], ...]:
         return self._terms
+
+    def _live_boxes(self, v_a2: int, lvl_a: Optional[int], lvl_d: Optional[int]
+                    ) -> tuple[tuple, ...]:
+        """(k, b_lo, b_hi, c_lo, c_hi, sgn_b, sgn_c, diverges), in term order,
+        for each term k with a nonzero coefficient whose box admits v(a) = v(d)
+        in i_a and i_d and the levels (None the point +oo) in its level
+        requirements.  These constraints do not move along the orbit and read
+        no field data, so the table is keyed by them alone.  diverges: b or c
+        is open on a side the other leaves unbounded."""
+        key = (v_a2, lvl_a, lvl_d)
+        live = self._live.get(key)
+        if live is None:
+            rows = []
+            for k, (coeff, box) in enumerate(self._terms):
+                if (coeff and box.i_a.contains(v_a2) and box.i_d.contains(v_a2)
+                        and box.lvl_a_req.contains(lvl_a) and box.lvl_d_req.contains(lvl_d)):
+                    (b_lo, b_hi), (c_lo, c_hi) = box.i_b, box.i_c
+                    rows.append((k, b_lo, b_hi, c_lo, c_hi, box.sgn_b_req, box.sgn_c_req,
+                                 (b_lo is None and c_hi is None) or (b_hi is None and c_lo is None)))
+            live = self._live[key] = tuple(rows)
+        return live
 
     def _run_weights(self, setup: FieldSetup, eta: Optional[int]
                      ) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(den, per term (even, odd)): integer numerators over den of
         coeff * unit_integral(setup, 0, eta) and coeff * unit_integral(setup,
         2, eta), the weights of the term's even and odd conjugator shells when
-        eta is asked of the conjugator.  Built on first use for each (setup,
-        eta); the terms never change, so the table is exact."""
-        key = (setup, eta)
-        weights = self._weights.get(key)
-        if weights is None:
-            even, odd = unit_integral(setup, 0, eta), unit_integral(setup, 2, eta)
-            pairs = [(c * even, c * odd) for c, _ in self._terms]
-            den = lcm(*(w.denominator for pair in pairs for w in pair))
-            weights = self._weights[key] = (den, tuple(
-                tuple(w.numerator * (den // w.denominator) for w in pair) for pair in pairs))
-        return weights
+        eta is asked of the conjugator.  _box_runs builds it on first use for
+        each (setup, eta) and keeps it in the setup's table."""
+        even, odd = unit_integral(setup, 0, eta), unit_integral(setup, 2, eta)
+        pairs = [(c * even, c * odd) for c, _ in self._terms]
+        den = lcm(*(w.denominator for pair in pairs for w in pair))
+        return den, tuple(
+            tuple(w.numerator * (den // w.denominator) for w in pair) for pair in pairs)
 
     @classmethod
     def from_box(cls, box: Box, coeff: Rational = 1) -> "InvariantFunction":
@@ -343,25 +366,20 @@ def _box_runs(gamma: OrbitData, f: InvariantFunction) -> list[tuple]:
     meets: the conjugator valuations n putting v(b) - 2n in i_b and v(c) + 2n
     in i_c, and the integer weights over den of their even and odd shells, each
     the eta-weighted measure of the conjugators h with eta(h) = req * eta(entry)
-    at every pin, which reads n only through its parity (see _run_weights)."""
+    at every pin, which reads n only through its parity (see _run_weights).
+    Only the boxes of f._live_boxes are tested, and each weight table is read
+    from the setup's table of f, so a call builds neither after the first
+    orbit with the same fixed invariants and eta."""
     setup, t, v_b2, b_sign, defect_sign, v_a2, lvl_a, lvl_d = gamma
     v_c2 = 2 * t - v_b2
     c_sign = defect_sign * b_sign
+    tables = f._weights.get(setup)
+    if tables is None:
+        tables = f._weights[setup] = {}
     runs = []
-    for k, (coeff, box) in enumerate(f.terms):
-        ((a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi), sgn_b, sgn_c,
-         (la_lo, la_hi), (ld_lo, ld_hi)) = box
-        # the constraints that do not move along the orbit; a level of None
-        # is the point +oo, which only an interval open above admits
-        if (not coeff or (a_lo is not None and v_a2 < a_lo) or (a_hi is not None and v_a2 > a_hi)
-                or (d_lo is not None and v_a2 < d_lo) or (d_hi is not None and v_a2 > d_hi)
-                or (la_hi is not None if lvl_a is None else
-                    (la_lo is not None and lvl_a < la_lo) or (la_hi is not None and lvl_a > la_hi))
-                or (ld_hi is not None if lvl_d is None else
-                    (ld_lo is not None and lvl_d < ld_lo) or (ld_hi is not None and lvl_d > ld_hi))):
-            continue
+    for k, b_lo, b_hi, c_lo, c_hi, sgn_b, sgn_c, diverges in f._live_boxes(v_a2, lvl_a, lvl_d):
         # where one interval leaves a side open the other bounds it
-        if (b_lo is None and c_hi is None) or (b_hi is None and c_lo is None):
+        if diverges:
             raise DivergenceError("the orbit meets the box in an unbounded set")
         n_hi = min((c_hi - v_c2) // 2 if b_lo is None else (v_b2 - b_lo) // 2,
                    (v_b2 - b_lo) // 2 if c_hi is None else (c_hi - v_c2) // 2)
@@ -373,8 +391,10 @@ def _box_runs(gamma: OrbitData, f: InvariantFunction) -> list[tuple]:
         eta_h = eta_b if sgn_c is None else sgn_c * c_sign
         if eta_b is not None and eta_h != eta_b:
             continue
-        den, weights = f._run_weights(setup, eta_h)
-        runs.append((den, weights[k], n_lo, n_hi))
+        table = tables.get(eta_h)
+        if table is None:
+            table = tables[eta_h] = f._run_weights(setup, eta_h)
+        runs.append((table[0], table[1][k], n_lo, n_hi))
     return runs
 
 
@@ -424,9 +444,10 @@ def transfer_factor(gamma: OrbitData) -> int:
 def integral_indicator() -> InvariantFunction:
     """Characteristic function of the elements with all four entries integral.
 
-    One shared instance per process: its terms never change and its run-weight
-    table is keyed by (setup, eta), so every caller can read the same table,
-    which then fills once per setup."""
+    One shared instance per process: its terms never change, its live-box
+    table reads no field data and its run-weight tables are kept per setup,
+    so every caller, of either ramification, can read the same tables, which
+    then fill once per fixed invariants and per (setup, eta)."""
     return InvariantFunction.from_box(Box(i_a=INTEGRAL, i_b=INTEGRAL, i_c=INTEGRAL, i_d=INTEGRAL))
 
 

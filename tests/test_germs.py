@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aflcalc import cli
 from aflcalc.battery import germ_battery
@@ -395,17 +395,39 @@ class TestPredictedOrbS:
         monkeypatch.setattr(LaurentPoly, "__mul__", counting)
         for setup in SETUPS:
             for a0, a1 in ((1, 0), (0, 2), (0, 0), (1, -1)):
-                germ = constant_germ(setup, [(ALL, ALL, a0, a1)])
                 for gamma in near_diagonal_orbits(setup, 1, t_span=2, vb2_range=range(-3, 4)):
+                    # a fresh germ per orbit: its side-product memo is empty
+                    germ = constant_germ(setup, [(ALL, ALL, a0, a1)])
                     products.clear()
-                    germ.predicted_orb_s(gamma)
+                    first = germ.predicted_orb_s(gamma)
                     assert len(products) == (a0 != 0) + (a1 != 0)
                     assert all(p and q for p, q in products)
+                    # the same orbit again finds both sides in the memo
+                    products.clear()
+                    assert germ.predicted_orb_s(gamma) == first
+                    assert products == []
+
+    @settings(deadline=None)
+    @given(pair=germ_pairs(), levels=st.lists(st.none() | st.integers(0, 6), min_size=2,
+                                              max_size=4, unique=True), data=st.data())
+    def test_warm_germ_predicts_like_a_fresh_one(self, pair, levels, data):
+        # one germ asked about orbits of every level cell, class and sign pair
+        # in random order; each answer must be the one a germ with empty
+        # memos gives
+        germ, _ = pair
+        gammas = [gamma for lvl_a in levels for lvl_d in levels
+                  for gamma in near_diagonal_orbits(germ.setup, germ.threshold, t_span=2,
+                                                    vb2_range=range(-2, 3),
+                                                    lvl_a=lvl_a, lvl_d=lvl_d)]
+        for gamma in data.draw(st.permutations(gammas)):
+            fresh = GermExpansion(*germ)
+            assert germ.predicted_orb_s(gamma) == fresh.predicted_orb_s(gamma)
 
 
 class TestCellMemo:
-    """eval_side memoizes each cell's sum; the memo is invisible to ==, hash,
-    repr and to_json, and each cell's pieces are summed once."""
+    """eval_side memoizes each cell's sum and predicted_orb_s each side's
+    product; the memos are invisible to ==, hash, repr and to_json, and each
+    cell's pieces are summed once."""
 
     @staticmethod
     def hash_or_error(germ):
@@ -423,12 +445,14 @@ class TestCellMemo:
             for gamma in near_diagonal_orbits(setup, filled.threshold, t_span=2):
                 filled.predicted_orb_s(gamma)
             assert filled._cells and not fresh._cells, name
+            assert filled._products and not fresh._products, name
             assert filled == fresh and filled.equivalent(fresh), name
             assert self.hash_or_error(filled) == self.hash_or_error(fresh), name
             assert repr(filled) == repr(fresh), name
             assert filled.to_json() == fresh.to_json(), name
         empty = extract_germ(setup, InvariantFunction())
         empty.eval_side(0, None, None, 0)
+        empty.predicted_orb_s(near_diagonal_orbits(setup, 1, t_span=1)[0])
         assert hash(empty) == hash(GermExpansion(setup, (), (), 1))
 
     @pytest.mark.parametrize("setup", SETUPS, ids=["unram", "ram", "ram-neg"])

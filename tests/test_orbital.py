@@ -1,13 +1,14 @@
 import pickle
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aflcalc import orbital
 from aflcalc.battery import germ_battery
-from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
+from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass, unit_integral
 from aflcalc.germs import (GermExpansion, GermPiece, extract_germ, function_from_germ,
                            shell_box)
 from aflcalc.matching import afl_verify
@@ -723,6 +724,83 @@ class TestRunWeightTable:
         assert [orb_s(gamma, copy) for gamma in orbits] == want
 
 
+def _runs_box_by_box(gamma, f):
+    """Reference for _box_runs: every term's box tested against the orbit in
+    turn, with nothing kept between calls, and its run weights computed here
+    from unit_integral, over the lcm of the denominators of all terms."""
+    setup = gamma.setup
+    runs = []
+    for k, (coeff, box) in enumerate(f.terms):
+        if not coeff or not _fixed_tests(gamma, box):
+            continue
+        rng = _shift_range(gamma, box)  # raises where the run is unbounded
+        if rng is None:
+            continue
+        eta_b = None if box.sgn_b_req is None else box.sgn_b_req * gamma.b_sign
+        eta_h = eta_b if box.sgn_c_req is None else box.sgn_c_req * gamma.c_sign
+        if eta_b is not None and eta_h != eta_b:
+            continue
+        measures = [unit_integral(setup, v2, eta_h) for v2 in (0, 2)]
+        den = lcm(*((c * m).denominator for c, _ in f.terms for m in measures))
+        weights = tuple(coeff * m * den for m in measures)
+        assert all(w.denominator == 1 for w in weights)
+        runs.append((den, tuple(int(w) for w in weights), *rng))
+    return runs
+
+
+@st.composite
+def fixed_invariant_pools(draw):
+    """Orbits that a box or weight table keyed wrongly would confuse: random
+    orbits, each followed by copies that differ from it only in v(a), only in
+    lvl_a, only in lvl_d, or only in the setup (the other ramification, or the
+    other eta(pi_F)), where those copies exist."""
+    levels = st.none() | st.integers(0, 4)
+    pool = []
+    for gamma in draw(st.lists(orbits(), min_size=1, max_size=3)):
+        setup = gamma.setup
+        others = [FieldSetup(setup.q, not setup.ramified, None if setup.ramified else PLUS)]
+        if setup.ramified:
+            others.append(FieldSetup(setup.q, True, -setup.eta_pi_f))
+        changes = [{"lvl_a": draw(levels)}, {"lvl_d": draw(levels)},
+                   {"t": 0, "defect_sign": PLUS, "v_a2": draw(st.integers(1, 4))}]
+        pool.append(gamma)
+        for change in changes + [{"setup": other} for other in others]:
+            try:
+                pool.append(OrbitData(*gamma._replace(**change)))
+            except ValueError:
+                pass  # the setup admits no such orbit
+    return pool
+
+
+# unit diagonal entries most of the time, so that v(a) > 0 leaves some box
+diagonal_windows = st.sampled_from((Interval(0, 0), Interval(0, 0), Interval(0, None),
+                                    Interval(1, 3), Interval(None, 1)))
+table_boxes = st.builds(lambda box, i_a, i_d: Box(*box._replace(i_a=i_a, i_d=i_d)),
+                        boxes(), diagonal_windows, diagonal_windows)
+table_functions = st.lists(st.tuples(st.just(0) | coefficients, table_boxes),
+                           min_size=1, max_size=4).map(InvariantFunction)
+
+
+class TestBoxTable:
+    """_box_runs reads the live boxes of an orbit's fixed invariants (v(a),
+    lvl_a, lvl_d) from one table per function, and each weight table from
+    the function's table for the orbit's setup; what it returns must not
+    depend on which orbits, of which setups, the function met before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool=fixed_invariant_pools(), f=table_functions, data=st.data())
+    def test_matches_the_box_by_box_filter(self, pool, f, data):
+        # every orbit of the pool once, then some again, in random order
+        calls = (data.draw(st.permutations(pool))
+                 + data.draw(st.lists(st.sampled_from(pool), max_size=8)))
+        for gamma in calls:
+            want = outcome(_runs_box_by_box, gamma, f)
+            cold = InvariantFunction(f.terms)
+            assert outcome(orbital._box_runs, gamma, cold) == want
+            assert outcome(orbital._box_runs, gamma, f) == want  # warm after the first call
+            assert outcome(orbital._box_runs, gamma, cold) == want
+
+
 class TestOrbSCost:
     def test_one_addition_per_term(self, monkeypatch):
         batteries = [(setup, germ_battery(setup)) for setup in SETUPS]
@@ -915,18 +993,23 @@ class TestClosedFormDOrb:
     @pytest.mark.parametrize("v_b", (0, -7, 300))
     def test_box_work_does_not_grow_with_t(self, monkeypatch, v_b):
         f = integral_indicator()
-        d_orb(unramified_orbit(UNRAM, 1, 0), f)  # the weight table is filled before counting
+        d_orb(unramified_orbit(UNRAM, 1, 0), f)  # the box and weight tables are filled first
         work = {}
         for t in (41, 20481):
             gamma = unramified_orbit(UNRAM, t, v_b)
-            calls = []
-            plain = InvariantFunction._run_weights
+            runs = []
+            plain = orbital._box_runs
 
-            def counting(self, *args):
-                calls.append(args)
-                return plain(self, *args)
+            def counting(*args):
+                out = plain(*args)
+                runs.extend(out)
+                return out
 
-            monkeypatch.setattr(InvariantFunction, "_run_weights", counting)
+            def no_build(*args):
+                raise AssertionError("a weight table was built again")
+
+            monkeypatch.setattr(orbital, "_box_runs", counting)
+            monkeypatch.setattr(InvariantFunction, "_run_weights", no_build)
             tracemalloc.start()
             try:
                 d_orb(gamma, f)
@@ -934,7 +1017,7 @@ class TestClosedFormDOrb:
             finally:
                 tracemalloc.stop()
                 monkeypatch.undo()
-            work[t] = (len(calls), peak)
+            work[t] = (len(runs), peak)
         assert work[41][0] == work[20481][0] == 1
         # a series of 20482 monomials would take hundreds of kB
         assert work[20481][1] <= 2 * work[41][1] + 1024

@@ -1,12 +1,18 @@
 """A report row is a function of its parameters alone.
 
 Several caches outlive a row: integral_indicator's shared instance and its
-run-weight tables, GermExpansion._cells, cli._sorted_keys (each key set's
-prefixes and getter, per indent, and the %-format of each tuple of value
-types met at them), and the two orbit caches, matching._locus_orbit (the
-orbits context_orbit hands out, per setup and defect sign) and
-cli._expansion_orbits (the orbits a germ row checks, per setup and
-threshold).
+two tables, the live boxes per v(a), lvl_a and lvl_d (InvariantFunction._live,
+which reads no field data and so serves both ramifications) and the run
+weights per setup and eta (InvariantFunction._weights), a germ's memos
+GermExpansion._cells and GermExpansion._products (the side products of
+predicted_orb_s), cli._sorted_keys (each key set's prefixes and getter, per
+indent, and the %-format of each tuple of value types met at them), and the
+two orbit caches, matching._locus_orbit (the orbits context_orbit hands out,
+per setup and defect sign) and cli._expansion_orbits (the orbits a germ row
+checks, per setup and threshold).
+afl and orb rows share integral_indicator across both ramifications, so a
+weight table keyed by eta without the setup hands one ramification's
+weights to the other, and test_rows_are_pure fails.
 Items of small grids of all five commands are built here in orders that mix
 the commands, in a process that has run whatever ran before.  Each row an
 item yields (a deform item yields the rows of an unordered level pair) must
@@ -33,7 +39,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # The afl grid holds the first orbit of each unramified ati row, so an order
 # can put an afl row and an ati row at one orbit, with different functions,
 # next to each other.  orb takes both ramifications of a q no other test uses,
-# so the first order run here decides which fills its shared weight table.
+# so the first order run here decides which setup first fills the shared
+# live-box table of integral_indicator.
 # germ takes both ramifications, so the unramified setup and the ramified
 # setups of both eta(pi_F) fill the expansion-orbit cache in mixed orders.
 GRIDS = {
