@@ -1,8 +1,8 @@
 """Exact-arithmetic orbital integrals on the GL(2) norm-one symmetric space,
 quasi-canonical-lift deformation lengths, and the AFL / ATI identity sweeps."""
 
-from .deformation import (DeformQuery, InadmissibleParityError, geometric_sum,
-                          hom_height_attainable, lift_bound, lift_bound_recursive,
+from .deformation import (InadmissibleParityError, geometric_sum, hom_height_attainable,
+                          inadmissible_heights, lift_bound, lift_bound_recursive,
                           ramification_index, reduction_commutes)
 from .field import MINUS, PLUS, FieldSetup, ValClass, unit_integral
 from .germs import (GermExpansion, GermGradingError, GermPiece,

@@ -13,10 +13,11 @@ writes the report.  A ``run_*`` only builds its grid's items and hands
 worker when a pool runs.  An item gives one row, except in ``deform``: there
 it is one unordered level pair, whose (i, j) rows come before its (j, i)
 rows, each closed form shared by both, and ``run_deform`` places the two
-halves in report order.  A ``deform`` row is no dict but one ``%`` of
-``_OK_ROW`` or ``_INADMISSIBLE_ROW``, built at import by the generator of
-``_flat_text``, which renders every other row of scalars alone; a row that
-nests goes through ``_render``.  ``render_report`` splices the row texts
+halves in report order; the item asks each lift-bound route for one column
+of heights per ordered pair and e_rel.  A ``deform`` row is no dict but one
+``%`` of ``_OK_ROW`` or ``_INADMISSIBLE_ROW``, built at import by the
+generator of ``_flat_text``, which renders every other row of scalars
+alone; a row that nests goes through ``_render``.  ``render_report`` splices the row texts
 into the document, joined once, and ``main`` writes it in 1 MiB slices.
 Reports are deterministic: rows are sorted by their parameter tuple, numbers
 render canonically, and a fixed schema number leads the document, so
@@ -46,8 +47,8 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .battery import germ_battery
-from .deformation import (DeformQuery, InadmissibleParityError, hom_height_attainable,
-                          lift_bound, lift_bound_recursive, ramification_index)
+from .deformation import (hom_height_attainable, lift_bound, lift_bound_recursive,
+                          ramification_index)
 from .field import MINUS, PLUS, FieldSetup
 from .germs import extract_germ, function_from_germ
 from .matching import (MatchContext, afl_verify, ati_end_to_end, ati_growth_check)
@@ -186,37 +187,32 @@ def _deform_rows(params: tuple[FieldSetup, int, int, list[int], list[int]]
     when i != j, the rows at (j, i) in the same order, each as its pass flag
     and its text, one ``%`` of _OK_ROW or _INADMISSIBLE_ROW.
 
-    A lift bound is symmetric in the levels, so each row's mirror, the closed
-    form at the swapped levels, is the other order's closed value at the same
-    point: each query's closed form is computed once and still compared."""
+    Each route gives a column of heights per ordered pair and e_rel.  A lift
+    bound is symmetric in the levels, so each row's mirror, the closed form
+    at the swapped levels, is the other order's closed value at the same
+    point: each ordered pair's closed column is computed once and still
+    compared."""
     setup, i, j, e, heights = params
     q, ram = setup.q, _LITERALS[setup.ramified]
     rows, swapped_rows = [], []  # the (i, j) rows; the (j, i) rows, none when i == j
     for e_rel in e:
-        for l in heights:
+        closed = lift_bound(setup, i, j, e_rel, heights)
+        mirror = lift_bound(setup, j, i, e_rel, heights) if i != j else closed
+        # (levels, their closed column, its mirror, the rows they go to)
+        orders = [(i, j, closed, mirror, rows)]
+        if i != j:
+            orders.append((j, i, mirror, closed, swapped_rows))
+        for a, b, own, other, out in orders:
+            recursive = lift_bound_recursive(setup, a, b, e_rel, heights)
             try:
-                query = DeformQuery(setup, i, j, e_rel, l)
-                swapped = DeformQuery(setup, j, i, e_rel, l) if i != j else query
-            except InadmissibleParityError:
-                rows.append((True, _INADMISSIBLE_ROW % (e_rel, i, j, l, "true", q, ram,
-                                                        _INADMISSIBLE)))
-                if i != j:
-                    swapped_rows.append((True, _INADMISSIBLE_ROW % (e_rel, j, i, l, "true", q,
-                                                                    ram, _INADMISSIBLE)))
-                continue
-            closed = lift_bound(query)
-            mirror = lift_bound(swapped) if i != j else closed
-            recursive = lift_bound_recursive(query)
-            passed = closed == recursive == mirror and closed >= e_rel
-            try:
-                rows.append((passed, _OK_ROW % (closed, e_rel, i, j, l, mirror, _LITERALS[passed],
-                                                q, ram, recursive, _OK)))
-                if i != j:
-                    recursive = lift_bound_recursive(swapped)
-                    passed = mirror == recursive == closed and mirror >= e_rel
-                    swapped_rows.append((passed, _OK_ROW % (mirror, e_rel, j, i, l, closed,
-                                                            _LITERALS[passed], q, ram,
-                                                            recursive, _OK)))
+                for l, c, m, r in zip(heights, own, other, recursive):
+                    if c is None:
+                        out.append((True, _INADMISSIBLE_ROW % (e_rel, a, b, l, "true", q, ram,
+                                                               _INADMISSIBLE)))
+                    else:
+                        passed = c == r == m and c >= e_rel
+                        out.append((passed, _OK_ROW % (c, e_rel, a, b, l, m, _LITERALS[passed],
+                                                       q, ram, r, _OK)))
             except ValueError as exc:  # only an int's conversion raises one
                 raise _digit_limit() from exc
     rows += swapped_rows

@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .deformation import DeformQuery, lift_bound, ramification_index, reduction_commutes
+from .deformation import (InadmissibleParityError, lift_bound, ramification_index,
+                          reduction_commutes)
 from .field import MINUS, PLUS, FieldSetup
 from .germs import (GermExpansion, constant_germ, function_from_germ, solve_transfer_germ,
                     validity_threshold)
@@ -73,9 +74,6 @@ class MatchContext(_MatchContext):
         the first case, +1 (U0) otherwise."""
         return MINUS if self.first_case else PLUS
 
-    def e_rel(self, level_i: int, level_j: int) -> int:
-        return self.e_f // ramification_index(self.setup, max(level_i, level_j))
-
 
 class EntryHeights(NamedTuple):
     """Heights of the four entries of the matched element; None means the
@@ -117,12 +115,24 @@ def diag_height_attainable(setup: FieldSetup, level: int, h: int) -> bool:
     return any(h == derived_diag_height(setup, lvl) for lvl in range(level))
 
 
+def _bounds(ctx: MatchContext, level_i: int, level_j: int, heights: Sequence[int]) -> list[int]:
+    """The lift bounds of entries of the given heights at levels (level_i,
+    level_j), as one column, e_rel being e_F over the ramification of the
+    larger level's class field; an inadmissible height raises."""
+    e_rel = ctx.e_f // ramification_index(ctx.setup, max(level_i, level_j))
+    bounds = lift_bound(ctx.setup, level_i, level_j, e_rel, heights)
+    if None in bounds:
+        raise InadmissibleParityError(f"height {heights[bounds.index(None)]} at levels "
+                                      f"({level_i}, {level_j}) has no attainable parity")
+    return bounds
+
+
 def _diag_bound(ctx: MatchContext, level: int, h: int) -> int:
     """Lift bound of a diagonal entry of finite class height h whose lift
     level is level; h must be a class height that level admits."""
     if not diag_height_attainable(ctx.setup, level, h):
         raise MatchingError(f"diagonal class height {h} is not attainable at level {level}")
-    return lift_bound(DeformQuery(ctx.setup, level, level, ctx.e_rel(level, level), h))
+    return _bounds(ctx, level, level, (h,))[0]
 
 
 def intersection_length(heights: EntryHeights, ctx: MatchContext) -> int:
@@ -130,8 +140,8 @@ def intersection_length(heights: EntryHeights, ctx: MatchContext) -> int:
 
     The off-diagonal entries always give a finite bound, so the length is
     finite; finite diagonal heights must be class heights their level admits."""
-    off_query = DeformQuery(ctx.setup, ctx.i, ctx.j, ctx.e_rel(ctx.i, ctx.j), heights.off_diag)
-    length = lift_bound(off_query)  # two identical off-diagonal entries
+    # two identical off-diagonal entries
+    length = _bounds(ctx, ctx.i, ctx.j, (heights.off_diag,))[0]
     for level, h in ((ctx.i, heights.diag_1), (ctx.j, heights.diag_4)):
         if h is not None:
             length = min(length, _diag_bound(ctx, level, h))
@@ -277,9 +287,11 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
     height of finite_lvl_a (finite regime).  The orbit those heights stand
     for exists at every t kept: v(b) = 0 admits eta(b) = +1 in every setup,
     and _context_ts keeps only the t whose defect sign the context admits.
-    Int is the minimum of the entrywise lift bounds, and the finite regime
-    adds only the first diagonal's, which does not depend on t: so its Int
-    at t is the open regime's capped by one diagonal bound per context."""
+    Int is the minimum of the entrywise lift bounds: in the open regime the
+    off-diagonal bound alone, one lift_bound column over the ts.  The finite
+    regime adds only the first diagonal's, which does not depend on t: so
+    its Int at t is the open regime's capped by one diagonal bound per
+    context."""
     ts = [t for t in _context_ts(ctx, ts) if t >= ctx.i + ctx.j]
     if not ts:
         return GrowthReport({}, {}, (), None, False)
@@ -287,7 +299,7 @@ def ati_growth_check(ctx: MatchContext, ts: Sequence[int],
     if any(type(t) is bool for t in ts):
         raise TypeError("defect valuations are ints, not bools")
     e_f = ctx.e_f
-    values = [intersection_length(EntryHeights(t, None, None), ctx) for t in ts]
+    values = _bounds(ctx, ctx.i, ctx.j, ts)
     open_rows: dict[int, list[GrowthRow]] = {}
     for t, value in zip(ts, values):
         row = GrowthRow(t, value, Fraction(2 * value - e_f * t, 2))

@@ -8,9 +8,8 @@ import time
 from fractions import Fraction
 
 from aflcalc.battery import germ_battery
-from aflcalc.deformation import (DeformQuery, InadmissibleParityError,
-                                 hom_height_attainable, lift_bound,
-                                 lift_bound_recursive, ramification_index)
+from aflcalc.deformation import (hom_height_attainable, lift_bound, lift_bound_recursive,
+                                 ramification_index)
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
 from aflcalc.germs import extract_germ, function_from_germ
 from aflcalc.matching import (MatchContext, afl_verify, ati_end_to_end,
@@ -84,18 +83,15 @@ def test_criterion_3_closed_form_vs_recursion():
             setup = FieldSetup(q, ram)
             for i in range(6):
                 for j in range(6):
+                    heights = [l for l in range(26) if hom_height_attainable(setup, i, j, l)]
                     for e_rel in (1, 2, 3):
-                        for l in range(26):
-                            if not hom_height_attainable(setup, i, j, l):
-                                continue
-                            try:
-                                query = DeformQuery(setup, i, j, e_rel, l)
-                            except InadmissibleParityError:
+                        closed = lift_bound(setup, i, j, e_rel, heights)
+                        assert closed == lift_bound_recursive(setup, i, j, e_rel, heights)
+                        assert closed == lift_bound(setup, j, i, e_rel, heights)
+                        for l, bound in zip(heights, closed):
+                            if bound is None:
                                 rejected += 1
                                 continue
-                            closed = lift_bound(query)
-                            assert closed == lift_bound_recursive(query)
-                            assert closed == lift_bound(DeformQuery(setup, j, i, e_rel, l))
                             if l >= i + j:
                                 prod = (l - (i + j - 1)) * ramification_index(setup, max(i, j))
                                 assert prod % 2 == 0

@@ -22,8 +22,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from aflcalc import cli
 from aflcalc.cli import COMMANDS, ConfigError, main, parse_ram, parse_range, render_report
-from aflcalc.deformation import (DeformQuery, InadmissibleParityError, hom_height_attainable,
-                                 lift_bound, lift_bound_recursive)
+from aflcalc.deformation import (hom_height_attainable, inadmissible_heights, lift_bound,
+                                 lift_bound_recursive)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -241,16 +241,15 @@ class TestDeformPairs:
     @staticmethod
     def reference_row(setup, i, j, e_rel, l, bound=lift_bound,
                       recursion=lift_bound_recursive) -> dict:
-        """The row built on its own: its query and its mirror built and
-        bounded separately, by bound and by recursion."""
+        """The row built on its own: its point and its mirror checked and
+        bounded separately, each a one-height column, by bound and by
+        recursion."""
         point = {"ramified": setup.ramified, "q": setup.q, "i": i, "j": j, "e_rel": e_rel,
                  "l": l}
-        try:
-            query = DeformQuery(setup, i, j, e_rel, l)
-            mirror = DeformQuery(setup, j, i, e_rel, l)
-        except InadmissibleParityError:
+        if inadmissible_heights(setup, i, j, e_rel, [l]):
             return {**point, "status": "inadmissible-parity", "passed": True}
-        closed, recursive, symmetric = bound(query), recursion(query), bound(mirror)
+        (closed,), (symmetric,) = bound(setup, i, j, e_rel, [l]), bound(setup, j, i, e_rel, [l])
+        (recursive,) = recursion(setup, i, j, e_rel, [l])
         return {**point, "status": "ok", "closed": closed, "recursive": recursive,
                 "mirror": symmetric,
                 "passed": closed == recursive == symmetric and closed >= e_rel}
@@ -306,16 +305,19 @@ class TestDeformPairs:
             assert json.loads(out.read_text())["rows"] == want
 
     @staticmethod
-    def distinct_bound(query) -> int:
+    def distinct_bound(setup, i, j, e_rel, heights) -> list:
         """A stand-in closed form whose values at (i, j) and (j, i) differ when
-        i != j and exceed every other value a row holds."""
-        _, i, j, e_rel, l = query
-        return 10_000 + 1_000 * i + 100 * j + 10 * e_rel + l
+        i != j and exceed every other value a row holds, None where the
+        heights are inadmissible."""
+        inadmissible = inadmissible_heights(setup, i, j, e_rel, heights)
+        return [None if l in inadmissible else 10_000 + 1_000 * i + 100 * j + 10 * e_rel + l
+                for l in heights]
 
     @staticmethod
-    def distinct_recursion(query) -> int:
+    def distinct_recursion(setup, i, j, e_rel, heights) -> list:
         """A stand-in recursion that never equals distinct_bound."""
-        return 50_000 + TestDeformPairs.distinct_bound(query)
+        return [None if value is None else 50_000 + value
+                for value in TestDeformPairs.distinct_bound(setup, i, j, e_rel, heights)]
 
     # each text must be json.dumps of the row built on its own.  On a passing
     # row closed, recursive and mirror are equal, so only the stand-ins, which
@@ -351,11 +353,12 @@ class TestDeformPairs:
     @pytest.mark.parametrize("wrong_when", ["ascending", "descending"])
     def test_an_order_sensitive_lift_bound_fails_every_ok_row_off_the_diagonal(
             self, wrong_when, tmp_path, monkeypatch):
-        def order_sensitive(query):
+        def order_sensitive(setup, i, j, e_rel, heights):
             # a closed form that reads the levels in order: one more when they
             # come in this order
-            _, i, j, _, _ = query
-            return lift_bound(query) + ((i < j) if wrong_when == "ascending" else (i > j))
+            wrong = (i < j) if wrong_when == "ascending" else (i > j)
+            return [None if bound is None else bound + wrong
+                    for bound in lift_bound(setup, i, j, e_rel, heights)]
 
         monkeypatch.setattr(cli, "lift_bound", order_sensitive)
         monkeypatch.setenv("AFL_CALC_THREADS", "1")
@@ -373,8 +376,9 @@ class TestDeformPairs:
 
         def counting(name, fn):
             def call(*args):
-                calls[name].append(args)
-                return fn(*args)
+                result = fn(*args)
+                calls[name].append((args, result))
+                return result
             return call
 
         for name in calls:
@@ -385,11 +389,15 @@ class TestDeformPairs:
         ok = sorted((row["ramified"], row["q"], row["i"], row["j"], row["e_rel"], row["l"])
                     for row in json.loads(out.read_text())["rows"] if row["status"] == "ok")
         for name in ("lift_bound", "lift_bound_recursive"):
+            # one column per ordered level pair and e_rel: two ramifications,
+            # two q, nine ordered pairs of three levels, two e_rel
+            assert len(calls[name]) == len({args[:4] for args, _ in calls[name]}) == 2 * 2 * 9 * 2
             queried = [(setup.ramified, setup.q, i, j, e_rel, l)
-                       for (setup, i, j, e_rel, l), in calls[name]]
+                       for (setup, i, j, e_rel, heights), bounds in calls[name]
+                       for l, bound in zip(heights, bounds) if bound is not None]
             assert sorted(queried) == ok, name
         # two ramifications, two q, six unordered pairs of three levels, 17 heights
-        heights = calls["hom_height_attainable"]
+        heights = [args for args, _ in calls["hom_height_attainable"]]
         assert len(heights) == len(set(heights)) == 2 * 2 * 6 * 17
         assert all(i <= j for _, i, j, _ in heights)
 

@@ -184,3 +184,13 @@ def test_the_package_imports_nothing_from_the_tests():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_values_are_built_through_their_class(path):
     assert unchecked_builds(path.read_text()) == []
+
+
+def test_the_recursion_reads_no_other_definition_of_its_module():
+    # lift_bound_recursive is the closed form's check in every deform row, so
+    # it shares no premise with it: not ramification_index, not
+    # geometric_sum, only the one check of the inputs
+    source = (ROOT / "src" / "aflcalc" / "deformation.py").read_text()
+    recursion = next(node for node in ast.parse(source).body
+                     if isinstance(node, ast.FunctionDef) and node.name == "lift_bound_recursive")
+    assert reads([ast.unparse(recursion)]) & set(definitions(source)) == {"inadmissible_heights"}

@@ -298,13 +298,16 @@ class TestGrowthFromHeights:
                                                   (MatchContext(RAM3, 3, 0, e_f=54), 2)])
     def test_finite_regime_adds_one_lift_bound(self, ctx, finite_lvl_a, monkeypatch):
         # its Int is the open regime's capped by one diagonal bound, which
-        # does not depend on t: one Int per t and one lift bound beyond them
-        calls = {"intersection_length": 0, "lift_bound": 0}
-        for name in calls:
+        # does not depend on t: the open regime's one lift bound column, with
+        # one height per t, and one one-height column beyond it
+        calls = {"intersection_length": 0, "lift_bound": 0, "heights": 0}
+        for name in ("intersection_length", "lift_bound"):
             real = getattr(matching, name)
 
             def counting(*args, name=name, real=real):
                 calls[name] += 1
+                if name == "lift_bound":
+                    calls["heights"] += len(args[-1])
                 return real(*args)
             monkeypatch.setattr(matching, name, counting)
         counts = []
@@ -315,8 +318,8 @@ class TestGrowthFromHeights:
             counts.append(dict(calls))
         n_ts = sum(map(len, report.open_rows.values()))
         assert len(report.saturated_rows) == n_ts > 1
-        assert counts == [{"intersection_length": n_ts, "lift_bound": n_ts},
-                          {"intersection_length": n_ts, "lift_bound": n_ts + 1}]
+        assert counts == [{"intersection_length": 0, "lift_bound": 1, "heights": n_ts},
+                          {"intersection_length": 0, "lift_bound": 2, "heights": n_ts + 1}]
 
 
 class TestEndToEnd:
@@ -479,6 +482,17 @@ def _perturb_int(monkeypatch, delta, at):
                         lambda heights, ctx: real(heights, ctx) + (delta if at(heights) else 0))
 
 
+def _perturb_bound(monkeypatch, delta, at):
+    """Shift each lift bound matching reads by delta wherever at(height)
+    holds: ati_growth_check reads its open Int as one lift_bound column."""
+    real = matching.lift_bound
+
+    def lift_bound(setup, i, j, e_rel, heights):
+        bounds = real(setup, i, j, e_rel, heights)
+        return [bound + (delta if at(l) else 0) for l, bound in zip(heights, bounds)]
+    monkeypatch.setattr(matching, "lift_bound", lift_bound)
+
+
 def _perturb_analytic(monkeypatch, delta, at):
     """Shift omega * dOrb(f) by delta * log q wherever at(gamma) holds."""
     real = matching.d_orb
@@ -494,7 +508,7 @@ class TestVerdictFailures:
 
     def test_non_constant_open_residual(self, monkeypatch):
         ctx = MatchContext(UNRAM3, 0, 0, e_f=1)
-        _perturb_int(monkeypatch, 1, lambda h: h.off_diag == 5)
+        _perturb_bound(monkeypatch, 1, lambda l: l == 5)
         report = ati_growth_check(ctx, range(1, 22))
         assert not report.passed
         assert report.open_constants == {}
@@ -504,7 +518,7 @@ class TestVerdictFailures:
         # diagonal bound 5, so the dip comes through the open Int at t = 11
         ctx = MatchContext(UNRAM3, 2, 2, e_f=ramification_index(UNRAM3, 2))
         open_11 = intersection_length(EntryHeights(11, None, None), ctx)
-        _perturb_int(monkeypatch, 4 - open_11, lambda h: h.off_diag == 11)
+        _perturb_bound(monkeypatch, 4 - open_11, lambda l: l == 11)
         report = ati_growth_check(ctx, range(4, 20), finite_lvl_a=1)
         assert not report.passed
         # every t kept is odd here, so the one open parity loses its constant
@@ -514,9 +528,10 @@ class TestVerdictFailures:
     def test_leaving_the_plateau_on_two_open_lines(self, monkeypatch):
         # the odd line moves down as a whole, below the diagonal bound 8 at
         # t = 5: each parity keeps its open constant, so the plateau rule
-        # alone fails the report
+        # alone fails the report; the diagonal's height 3 is odd too, but
+        # below i + j, where no open row is
         ctx = MatchContext(RAM3, 2, 2, e_f=ramification_index(RAM3, 2))
-        _perturb_int(monkeypatch, -19, lambda h: h.off_diag % 2 == 1)
+        _perturb_bound(monkeypatch, -19, lambda l: l % 2 == 1 and l >= 4)
         report = ati_growth_check(ctx, range(4, 10), finite_lvl_a=1)
         assert not report.passed
         assert report.open_constants == {0: Fraction(-19), 1: Fraction(-38)}

@@ -10,7 +10,6 @@ import pickle
 import pytest
 
 from aflcalc.battery import germ_battery
-from aflcalc.deformation import DeformQuery
 from aflcalc.field import MINUS, PLUS, FieldSetup, ValClass
 from aflcalc.germs import GermExpansion, GermPiece, extract_germ
 from aflcalc.matching import (AflRow, EndToEndReport, EndToEndRow, EntryHeights, GrowthReport,
@@ -23,7 +22,7 @@ RAM = FieldSetup(3, True, MINUS)
 
 
 def values():
-    """One value of each of the fifteen types, built by the engine where it
+    """One value of each of the fourteen types, built by the engine where it
     builds them."""
     box = Box(Interval(0, 0), Interval(0, 2), Interval(-1, 3), Interval(0, 0),
               sgn_b_req=MINUS, sgn_c_req=PLUS, lvl_a_req=Interval(1, None))
@@ -32,7 +31,7 @@ def values():
     ctx = MatchContext(RAM, 1, 0, 6)  # e_F = 2q, the level-1 class-field ramification
     growth = ati_growth_check(ctx, range(8), finite_lvl_a=0)
     end_to_end = ati_end_to_end(ctx)
-    return [RAM, ValClass(2, MINUS), DeformQuery(RAM, 1, 2, 1, 3), Interval(0, None), box,
+    return [RAM, ValClass(2, MINUS), Interval(0, None), box,
             OrbitData(RAM, 0, -3, MINUS, PLUS, v_a2=1, lvl_a=2, lvl_d=0),
             GermPiece(Interval(1, None), Interval(), 0, LaurentPoly.monomial(2, 3)), germ,
             ctx, entry_heights(context_orbit(ctx, 3, lvl_a=0), ctx),
@@ -40,7 +39,7 @@ def values():
             end_to_end.rows[0][0], end_to_end]
 
 
-TYPES = [FieldSetup, ValClass, DeformQuery, Interval, Box, OrbitData, GermPiece, GermExpansion,
+TYPES = [FieldSetup, ValClass, Interval, Box, OrbitData, GermPiece, GermExpansion,
          MatchContext, EntryHeights, AflRow, GrowthRow, GrowthReport, EndToEndRow,
          EndToEndReport]
 
@@ -71,7 +70,6 @@ def test_equal_values_hash_equal():
 INVALID = [
     (FieldSetup(3, False), {"eta_pi_f": PLUS}),
     (ValClass(2, MINUS), {"eta_sign": 0}),
-    (DeformQuery(RAM, 0, 0, 1, 0), {"l": -1}),
     (Box(Interval(0, 0), Interval(0, 2), Interval(0, None), Interval(0, 0)), {"i_c": None}),
     (unramified_orbit(FieldSetup(3, False), 1, 0), {"t": -1}),
     (MatchContext(RAM, 0, 0, 2), {"e_f": 0}),
