@@ -8,17 +8,19 @@ each command's help text and the defaults of its range flags.  ``main`` is
 the one sweep driver: it parses every range once, checks LOWER_BOUNDS, hands
 the command's ``run_*`` the sorted, de-duplicated values, counts the failed
 rows and collects the texts of the row lists it returns in one pass, and
-writes the report.  A ``run_*`` only builds its grid's items and hands
-``_map`` a function giving an item's rows as (pass flag, text) pairs, in the
-worker when a pool runs.  An item gives one row, except in ``deform``: there
-it is one unordered level pair, whose (i, j) rows come before its (j, i)
-rows, each closed form shared by both, and ``run_deform`` places the two
-halves in report order; the item asks each lift-bound route for one column
-of heights per ordered pair and e_rel.  A ``deform`` row is no dict but one
-``%`` of ``_OK_ROW`` or ``_INADMISSIBLE_ROW``, built at import by the
-generator of ``_flat_text``, which renders every other row of scalars
-alone; a row that nests goes through ``_render``.  ``render_report`` splices the row texts
-into the document, joined once, and ``main`` writes it in 1 MiB slices.
+writes the report.  ``afl``, ``orb``, ``germ`` and ``ati`` map items: their
+``run_*`` only builds its grid's items, one row each, and hands ``_map`` a
+function giving an item's rows as (pass flag, text) pairs, in the worker
+when a pool runs.  ``run_deform`` maps nothing: one loop walks its setups
+and ordered level pairs in report order, giving one block of rows per pair,
+and asks each lift-bound route for one column of heights per ordered pair
+and e_rel; the first of two transposed pairs also computes the other's
+closed columns, each row's mirror, and leaves them to it.  A ``deform`` row
+is no dict but one ``%`` of ``_OK_ROW`` or ``_INADMISSIBLE_ROW``, built at
+import by the generator of ``_flat_text``, which renders every other row of
+scalars alone; a row that nests goes through ``_render``.  ``render_report``
+splices the row texts into the document, joined once, and ``main`` writes
+it in 1 MiB slices.
 Reports are deterministic: rows are sorted by their parameter tuple, numbers
 render canonically, and a fixed schema number leads the document, so
 identical configs yield identical bytes.  Exit code 0 means every row passed,
@@ -29,10 +31,11 @@ row with an int of more digits than Python prints; exit 2 also ends a run
 whose report write fails (a full disk, a closed pipe), with one line on
 stderr.
 
-AFL_CALC_THREADS caps item-level parallelism (default 1, serial), the
-process pool never exceeds the CPU count, and fewer than four items run
-serially.  The pool's modules are imported only when a pool starts, so a
-serial run never loads them.
+AFL_CALC_THREADS caps the item-level parallelism of the four commands that
+map items (default 1, serial), the process pool never exceeds the CPU
+count, and fewer than four items run serially; ``deform`` always runs in
+process, where its rows need no trip through pickle.  The pool's modules
+are imported only when a pool starts, so a serial run never loads them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import argparse
 import os
 import sys
 from functools import lru_cache, partial
-from itertools import product
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -146,11 +149,15 @@ _ROW_INDENT = "    "
 
 def _rendered_rows(fn: Callable, item) -> list[tuple[bool, str]]:
     """fn's row dict for item as [(pass flag, text)], a flat row in one
-    _flat_text call; bound to fn by a partial, it can ship to a pool."""
-    row = fn(item)
+    _flat_text call; bound to fn by a partial, it can ship to a pool.  An int
+    too long to print, in fn's to_json calls or in the text, is a
+    configuration error; no other ValueError fn raises is."""
     try:
+        row = fn(item)
         text = _flat_text(row, _ROW_INDENT)
-    except ValueError as exc:  # only an int's conversion raises one
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # the int-to-str limit's message
+            raise
         raise _digit_limit() from exc
     return [(bool(row.get("passed", False)), _render(row, _ROW_INDENT) if text is None else text)]
 
@@ -181,60 +188,47 @@ def run_afl(q: list[int], t: list[int], vb: list[int]) -> dict:
     return {"rows": _map(partial(_rendered_rows, _afl_row), params)}
 
 
-def _deform_rows(params: tuple[FieldSetup, int, int, list[int], list[int]]
-                 ) -> list[tuple[bool, str]]:
-    """The rows at levels (i, j), for each e_rel and height in order, then,
-    when i != j, the rows at (j, i) in the same order, each as its pass flag
-    and its text, one ``%`` of _OK_ROW or _INADMISSIBLE_ROW.
-
-    Each route gives a column of heights per ordered pair and e_rel.  A lift
-    bound is symmetric in the levels, so each row's mirror, the closed form
-    at the swapped levels, is the other order's closed value at the same
-    point: each ordered pair's closed column is computed once and still
-    compared."""
-    setup, i, j, e, heights = params
-    q, ram = setup.q, _LITERALS[setup.ramified]
-    rows, swapped_rows = [], []  # the (i, j) rows; the (j, i) rows, none when i == j
-    for e_rel in e:
-        closed = lift_bound(setup, i, j, e_rel, heights)
-        mirror = lift_bound(setup, j, i, e_rel, heights) if i != j else closed
-        # (levels, their closed column, its mirror, the rows they go to)
-        orders = [(i, j, closed, mirror, rows)]
-        if i != j:
-            orders.append((j, i, mirror, closed, swapped_rows))
-        for a, b, own, other, out in orders:
-            recursive = lift_bound_recursive(setup, a, b, e_rel, heights)
-            try:
-                for l, c, m, r in zip(heights, own, other, recursive):
-                    if c is None:
-                        out.append((True, _INADMISSIBLE_ROW % (e_rel, a, b, l, "true", q, ram,
-                                                               _INADMISSIBLE)))
-                    else:
-                        passed = c == r == m and c >= e_rel
-                        out.append((passed, _OK_ROW % (c, e_rel, a, b, l, m, _LITERALS[passed],
-                                                       q, ram, r, _OK)))
-            except ValueError as exc:  # only an int's conversion raises one
-                raise _digit_limit() from exc
-    rows += swapped_rows
-    return rows
-
-
 def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
                l: list[int]) -> dict:
+    """One block per setup and ordered level pair, in report order, of its
+    rows at each e_rel and attainable height as (pass flag, text), one ``%``
+    of _OK_ROW or _INADMISSIBLE_ROW.  A lift bound is symmetric in the
+    levels, so a row's mirror is the transposed row's closed value: the
+    first of two transposed pairs computes both closed columns and leaves
+    them, with its heights, to the second."""
     setups = [_setup(q_, ram_) for ram_, q_ in product(ram, q)]
-    # one item per setup and unordered level pair; hom_height_attainable
-    # reads only |i - j| and min(i, j)
-    items = [(setup, i, j, e, [l_ for l_ in l if hom_height_attainable(setup, i, j, l_)])
-             for setup in setups for k, i in enumerate(ij) for j in ij[k:]]
-    # an item's rows are its (i, j) block, then, when i != j, its (j, i) block
-    blocks = {}
-    for (setup, i, j, _, _), rows in zip(items, _map(_deform_rows, items)):
-        if i == j:
-            blocks[setup, i, j] = rows
+    blocks = []
+    left = {}  # (setup, i, j) -> heights and (closed, mirror) columns from (j, i)
+    for setup, i, j in product(setups, ij, ij):
+        if (setup, i, j) in left:
+            heights, columns = left.pop((setup, i, j))
         else:
-            half = len(rows) // 2
-            blocks[setup, i, j], blocks[setup, j, i] = rows[:half], rows[half:]
-    return {"rows": [blocks[key] for key in product(setups, ij, ij)]}
+            # hom_height_attainable reads only |i - j| and min(i, j)
+            heights = [l_ for l_ in l if hom_height_attainable(setup, i, j, l_)]
+            columns = []
+            for e_rel in e:
+                closed = lift_bound(setup, i, j, e_rel, heights)
+                columns.append((closed, lift_bound(setup, j, i, e_rel, heights)
+                                if i != j else closed))
+            if i != j:
+                left[setup, j, i] = heights, [(mirror, closed) for closed, mirror in columns]
+        q_, ram_ = setup.q, _LITERALS[setup.ramified]
+        block = []
+        for e_rel, (closed, mirror) in zip(e, columns):
+            recursive = lift_bound_recursive(setup, i, j, e_rel, heights)
+            try:
+                for l_, c, m, r in zip(heights, closed, mirror, recursive):
+                    if c is None:
+                        block.append((True, _INADMISSIBLE_ROW % (e_rel, i, j, l_, "true", q_,
+                                                                 ram_, _INADMISSIBLE)))
+                    else:
+                        passed = c == r == m and c >= e_rel
+                        block.append((passed, _OK_ROW % (c, e_rel, i, j, l_, m,
+                                                         _LITERALS[passed], q_, ram_, r, _OK)))
+            except ValueError as exc:  # only an int's conversion raises one
+                raise _digit_limit() from exc
+        blocks.append(block)
+    return {"rows": blocks}
 
 
 def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
@@ -553,13 +547,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "deform":
         params["oracle_cross_check"] = args.oracle_cross_check
     # one list of (passed, text) per item or block; the pairs are dropped
-    # before the report is rendered, so they and its text are never all held
+    # before the report is rendered, and no name keeps a block of them, so
+    # they and its text are never all held
     failures = 0
     texts = _RenderedItems()
-    for block in body["rows"]:
-        for passed, text in block:
-            failures += not passed
-            texts.append(text)
+    for passed, text in chain.from_iterable(body["rows"]):
+        failures += not passed
+        texts.append(text)
     body["rows"] = texts
     body.update(command=args.command, params=params, total=len(body["rows"]),
                 failures=failures, passed=failures == 0)

@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aflcalc import cli
+from aflcalc import cli, matching
 from aflcalc.cli import COMMANDS, ConfigError, main, parse_ram, parse_range, render_report
 from aflcalc.deformation import (hom_height_attainable, inadmissible_heights, lift_bound,
                                  lift_bound_recursive)
@@ -225,10 +225,11 @@ class TestReports:
 
 
 class TestDeformPairs:
-    """A deform item is one unordered level pair.  Each ordered query's closed
-    form is computed once: it is its own row's closed value and the
-    transposed row's mirror, and both rows still compare it.  The report,
-    serial or pooled, holds the rows built one by one, in product order."""
+    """run_deform builds one block per setup and ordered level pair, in
+    product order.  Each ordered query's closed form is computed once: it is
+    its own row's closed value and the transposed row's mirror, and both
+    rows still compare it.  The report, whatever AFL_CALC_THREADS says,
+    holds the rows built one by one, in product order, and no pool starts."""
 
     # gapped levels with both ramifications, which hold inadmissible rows
     # (at level 0, unramified), and a single level, which holds none
@@ -270,11 +271,11 @@ class TestDeformPairs:
     def test_rows_are_the_row_by_row_reference_in_product_order(self, grid, tmp_path):
         argv = self.GRIDS[grid]
         out = tmp_path / "r.json"
-        # serially, then through the pool: each grid has at least four items
+        # deform builds its rows in process, whatever AFL_CALC_THREADS says
         for threads in (1, 2):
             with serial_pool(cpus=2, threads=threads) as started:
                 assert main(["deform", *argv, "--out", str(out)]) == 0
-            assert bool(started) == (threads > 1)
+            assert started == []
             rows = json.loads(out.read_text())["rows"]
             assert rows == self.reference_rows(argv)
         statuses = {"ok", "inadmissible-parity"} if grid == "gapped-levels" else {"ok"}
@@ -335,18 +336,23 @@ class TestDeformPairs:
             assume(i != j)  # at i == j the mirror is the closed value itself
             bound, recursion = self.distinct_bound, self.distinct_recursion
         setup = cli._setup(q, ram)
-        orders = [(i, j)] if i == j else [(i, j), (j, i)]
-        want = [self.reference_row(setup, a, b, e_rel, l, bound, recursion)
-                for a, b in orders for e_rel in e for l in heights]
+        # one block per ordered pair of the levels, each e_rel and height in
+        # the order given, the heights its pair attains
+        levels = sorted({i, j})
+        want = [[self.reference_row(setup, a, b, e_rel, l, bound, recursion)
+                 for e_rel in e for l in heights if hom_height_attainable(setup, a, b, l)]
+                for a, b in product(levels, levels)]
         with mock.patch.object(cli, "lift_bound", bound), \
                 mock.patch.object(cli, "lift_bound_recursive", recursion):
-            got = cli._deform_rows((setup, i, j, e, heights))
-        assert [text for _, text in got] == [
-            json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n" + cli._ROW_INDENT)
-            for row in want]
-        assert [passed for passed, _ in got] == [row["passed"] for row in want]
+            got = cli.run_deform([ram], [q], levels, e, heights)["rows"]
+        assert [[text for _, text in block] for block in got] == [
+            [json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n" + cli._ROW_INDENT)
+             for row in block] for block in want]
+        assert [[passed for passed, _ in block] for block in got] == [
+            [row["passed"] for row in block] for block in want]
         if stand_ins:
-            ok = [row for row in want if row["status"] == "ok"]
+            ok = [row for block in want for row in block
+                  if row["status"] == "ok" and row["i"] != row["j"]]
             assert all(len({row["closed"], row["recursive"], row["mirror"]}) == 3
                        and not row["passed"] for row in ok)
 
@@ -514,22 +520,39 @@ class TestConfigContract:
         assert "cannot write" in capsys.readouterr().err
         assert not new.exists()
 
-    @pytest.mark.parametrize("workers, ij", [("1", "0,11000"), ("2", "0,11000"),
-                                             ("2", "0,1,11000")],
-                             ids=["serial", "two-rows", "pool"])
-    def test_int_past_the_digit_limit_exits_two(self, workers, ij, tmp_path, capsys,
+    # the deform row at levels (11000, 11000) has a lift bound of over 4,650
+    # digits, past Python's int-to-str limit of 4,300, and deform builds its
+    # rows in process whatever AFL_CALC_THREADS says; the ati row at levels
+    # (11000, 0) has a witness of as many digits, which its to_json meets
+    # while the row is built, and four ati rows start the pool, whose worker
+    # raises
+    @pytest.mark.parametrize("workers, argv", [
+        ("1", ["deform", "--ij", "0,11000", "--e", "1", "--l", "10998"]),
+        ("2", ["deform", "--ij", "0,11000", "--e", "1", "--l", "10998"]),
+        ("2", ["ati", "--i", "0,1,2,11000", "--j", "0", "--e", "1", "--t", "0"]),
+        ("1", ["ati", "--i", "11000", "--j", "0", "--e", "1", "--t", "0"]),
+    ], ids=["serial", "two-rows", "pool", "ati-serial"])
+    def test_int_past_the_digit_limit_exits_two(self, workers, argv, tmp_path, capsys,
                                                 monkeypatch):
-        # the (11000, 11000) row's lift bound has over 4,650 digits, past
-        # Python's int-to-str limit of 4,300; two levels make three level-pair
-        # items, which run serially whatever AFL_CALC_THREADS says, and three
-        # make six, which start the pool, whose worker raises
         monkeypatch.setenv("AFL_CALC_THREADS", workers)
         out = tmp_path / "r.json"
-        assert main(["deform", "--ram", "0", "--q", "7", "--ij", ij, "--e", "1",
-                     "--l", "10998", "--out", str(out)]) == 2
+        assert main([*argv, "--ram", "0", "--q", "7", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "digits" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_a_row_error_is_no_config_error(self, monkeypatch):
+        # a ValueError a row's build raises other than the int-to-str limit's,
+        # a MatchingError among them, propagates as it is
+        setup = cli._setup(3, False)
+        for error in (matching.MatchingError("no orbit"), ValueError("levels are >= 0")):
+            def failing(ctx, error=error):
+                raise error
+
+            monkeypatch.setattr(cli, "ati_end_to_end", failing)
+            with pytest.raises(type(error)) as raised:
+                cli._rendered_rows(cli._ati_row, (setup, 0, 0, 1, (0,)))
+            assert raised.value is error
 
     def test_int_past_the_digit_limit_in_a_nested_dict(self):
         if not hasattr(sys, "get_int_max_str_digits"):
@@ -599,6 +622,19 @@ class TestProcessPool:
         assert started == pools
         assert blocks == [[(k % 2 == 0, cli._render(row, cli._ROW_INDENT))
                            for k, row in enumerate(numbered_rows(n))] for n in items]
+
+    @pytest.mark.parametrize("threads", [1, 2, 1000000])
+    def test_deform_starts_no_pool(self, threads, tmp_path, monkeypatch):
+        # deform builds its rows in one loop in process: it maps nothing, so
+        # no AFL_CALC_THREADS starts a pool for it
+        mapped, map_items = [], cli._map
+        monkeypatch.setattr(cli, "_map", lambda fn, items: mapped.append(items)
+                            or map_items(fn, items))
+        out = tmp_path / "r.json"
+        with serial_pool(cpus=4, threads=threads) as started:
+            assert main(["deform", "--out", str(out)]) == 0
+        assert started == [] and mapped == []
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_DIGESTS["deform"]
 
     def test_serial_run_never_imports_the_pool(self, tmp_path):
         script = ("import sys, aflcalc.cli\n"
@@ -740,6 +776,39 @@ class TestReportMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * out.stat().st_size
+
+    def test_no_block_of_pairs_is_held_while_the_report_renders(self, tmp_path, monkeypatch):
+        # a run_* stand-in returns one block of many (pass flag, text) pairs,
+        # all sharing one text; once main has read the block, only the list
+        # of texts it collected is left, so render_report starts with far
+        # less traced memory than the pairs took
+        n = 200_000
+        held = {}
+
+        def one_block(**params):
+            before, text = tracemalloc.get_traced_memory()[0], "0"
+            block = [(True, text) for _ in range(n)]  # n tuples, not one constant
+            held["pairs"] = tracemalloc.get_traced_memory()[0] - before
+            held["start"] = before
+            return {"rows": [block]}
+
+        def rendering(body):
+            held["at_render"] = tracemalloc.get_traced_memory()[0] - held["start"]
+            return render(body)
+
+        render = cli.render_report
+        monkeypatch.setattr(cli, "run_orb", one_block)
+        monkeypatch.setattr(cli, "render_report", rendering)
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            assert main(["orb", "--out", str(out)]) == 0
+        finally:
+            tracemalloc.stop()
+        assert json.loads(out.read_text())["total"] == n
+        # the list of texts is a pointer per row; the pairs and their list
+        # take about eight
+        assert held["at_render"] < held["pairs"] / 3
 
 
 def _parsed_args(argv):
@@ -930,9 +999,12 @@ def numbered_texts(n: int) -> list[tuple[bool, str]]:
 
 
 def deform_row(q, ram, i, j, e_rel, l) -> dict:
-    """The deform row at one point, read back from its text: the first row of
-    its level pair's item."""
-    return json.loads(cli._deform_rows((cli._setup(q, ram), i, j, [e_rel], [l]))[0][1])
+    """The deform row at one point, read back from its text: the one row of
+    its ordered level pair's block in a grid of that point alone."""
+    levels = sorted({i, j})
+    blocks = cli.run_deform([ram], [q], levels, [e_rel], [l])["rows"]
+    ((_, text),) = blocks[levels.index(i) * len(levels) + levels.index(j)]
+    return json.loads(text)
 
 
 class TestRenderCost:
@@ -1014,14 +1086,14 @@ class TestRenderCost:
             return attainable(*args)
 
         monkeypatch.setattr(cli, "hom_height_attainable", counting)
-        # each row's parameters, read back from its text, in place of the
-        # text, one list per item
-        monkeypatch.setattr(cli, "_map", lambda fn, items: [
-            [(row["ramified"], row["q"], row["i"], row["j"], row["e_rel"], row["l"])
-             for row in (json.loads(text) for _, text in fn(item))] for item in items])
         # the deform_grid benchmark's seed-0 grid
         ram, q, ij, e, l = [False, True], range(2, 8), range(8), range(1, 4), range(61)
-        params = [row for block in cli.run_deform(ram, q, ij, e, l)["rows"] for row in block]
+        blocks = cli.run_deform(ram, q, ij, e, l)["rows"]
+        # one block per setup and ordered level pair
+        assert len(blocks) == 2 * 6 * 8 * 8
+        # each row's parameters, read back from its text
+        params = [(row["ramified"], row["q"], row["i"], row["j"], row["e_rel"], row["l"])
+                  for row in (json.loads(text) for block in blocks for _, text in block)]
         # one call per setup, unordered level pair and height
         assert len(calls) == len(set(calls)) == 2 * 6 * (8 * 9 // 2) * 61 == 26_352
         assert all(i <= j for _, i, j, _ in calls)

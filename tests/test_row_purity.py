@@ -15,16 +15,18 @@ weight table keyed by eta without the setup hands one ramification's
 weights to the other, and test_rows_are_pure fails.
 Items of small grids of all five commands are built here in orders that mix
 the commands, in a process that has run whatever ran before.  Each row an
-item yields (a deform item yields the rows of an unordered level pair) must
-equal the row with the same parameters in an in-order run of its own grid in
-a fresh interpreter, and the items must build every report row exactly once."""
+item yields (deform maps no items: a deform item here is the grid of one
+setup, e_rel and height, whose rows run_deform builds at every level pair)
+must equal the row with the same parameters in an in-order run of its own
+grid in a fresh interpreter, and the items must build every report row
+exactly once."""
 
 import json
 import os
 import subprocess
 import sys
 from functools import cache
-from itertools import chain, zip_longest
+from itertools import chain, product, zip_longest
 from pathlib import Path
 from unittest import mock
 
@@ -66,20 +68,34 @@ def params_of(command: str, text: str) -> tuple:
     return tuple(row[key] for key in PARAMS[command])
 
 
+def deform_point_rows(point: dict) -> list:
+    """The (pass flag, text) pairs of run_deform's blocks for point, the
+    grid of one setup, e_rel and height at every level pair."""
+    return [pair for block in cli.run_deform(**point)["rows"] for pair in block]
+
+
 @cache
 def grid_items() -> tuple:
     """(command, function, item) for every item of every grid, each grid in
-    its own order, as main hands them to _map: the function gives the item's
-    rows as (pass flag, text) pairs."""
+    its own order, as main hands them to _map, and for deform one item per
+    setup, e_rel and height: the function gives the item's rows as (pass
+    flag, text) pairs."""
     items = []
     for command, flags in GRIDS.items():
         mapped = []
 
+        # no rows for any item: main stops with "the sweep selects no rows"
         def recording(fn, fn_items):
             mapped.extend((fn, item) for item in fn_items)
-            # no rows for any item: main stops with "the sweep selects no rows"
             return [[] for _ in fn_items]
-        with mock.patch.object(cli, "_map", recording):
+
+        def deform_points(ram, q, ij, e, l):
+            mapped.extend((deform_point_rows, {"ram": [ram_], "q": [q_], "ij": ij,
+                                               "e": [e_rel], "l": [l_]})
+                          for ram_, q_, e_rel, l_ in product(ram, q, e, l))
+            return {"rows": []}
+        with mock.patch.object(cli, "_map", recording), \
+                mock.patch.object(cli, "run_deform", deform_points):
             assert cli.main([command, *flags]) == 2
         items.extend((command, fn, item) for fn, item in mapped)
     return tuple(items)
