@@ -18,9 +18,11 @@ and e_rel; the first of two transposed pairs also computes the other's
 closed columns, each row's mirror, and leaves them to it.  A ``deform`` row
 is no dict but one ``%`` of ``_OK_ROW`` or ``_INADMISSIBLE_ROW``, built at
 import by the generator of ``_flat_text``, which renders every other row of
-scalars alone; a row that nests goes through ``_render``.  ``render_report``
-splices the row texts into the document, joined once, and ``main`` writes
-it in 1 MiB slices.
+scalars alone; a row that nests goes through ``_render``.  The growth and
+end-to-end rows inside an ``ati`` row are no dicts either: ``_leaf_texts``
+renders each as one ``%`` of its type's format from the same generator.
+``render_report`` splices the row texts into the document, joined once, and
+``main`` writes it in 1 MiB slices.
 Reports are deterministic: rows are sorted by their parameter tuple, numbers
 render canonically, and a fixed schema number leads the document, so
 identical configs yield identical bytes.  Exit code 0 means every row passed,
@@ -149,9 +151,10 @@ _ROW_INDENT = "    "
 
 def _rendered_rows(fn: Callable, item) -> list[tuple[bool, str]]:
     """fn's row dict for item as [(pass flag, text)], a flat row in one
-    _flat_text call; bound to fn by a partial, it can ship to a pool.  An int
-    too long to print, in fn's to_json calls or in the text, is a
-    configuration error; no other ValueError fn raises is."""
+    _flat_text call, any other through _render, where the leaf lists of an
+    ati row are text already; bound to fn by a partial, it can ship to a
+    pool.  An int too long to print, in fn's row or leaf texts or in the
+    row's text, is a configuration error; no other ValueError fn raises is."""
     try:
         row = fn(item)
         text = _flat_text(row, _ROW_INDENT)
@@ -298,9 +301,10 @@ def _ati_row(params: tuple[FieldSetup, int, int, int, tuple[int, ...]]) -> dict:
     ctx = MatchContext(setup, i, j, e_f=e_rel * ramification_index(setup, max(i, j)))
     growth = ati_growth_check(ctx, ts, finite_lvl_a=(0 if i >= 1 else None))
     end_to_end = ati_end_to_end(ctx)
+    leaves = partial(_leaf_texts, indent=_ROW_INDENT + "  ")  # the reports' indent in the row
     return {"q": setup.q, "ramified": setup.ramified, "i": i, "j": j, "e_rel": e_rel,
-            "e_f": ctx.e_f, "growth": growth.to_json(), "end_to_end": end_to_end.to_json(),
-            "passed": growth.passed and end_to_end.passed}
+            "e_f": ctx.e_f, "growth": growth.to_json(leaves),
+            "end_to_end": end_to_end.to_json(leaves), "passed": growth.passed and end_to_end.passed}
 
 
 def run_ati(q: list[int], ram: list[bool], i: list[int], j: list[int], e: list[int],
@@ -346,9 +350,10 @@ _SCALAR_TEXT = {str: _escape, int: int.__repr__, bool: _LITERALS.__getitem__,
 @lru_cache(maxsize=256)
 def _sorted_keys(keys: tuple, indent: str) -> tuple[tuple[str, ...], Callable, dict]:
     """keys' escaped ``"key": `` prefixes in sorted order, a getter of a dict's
-    values in that order, and the dict _flat_text fills with the format of
-    each tuple of value types it meets.  Each key set is sorted and escaped
-    once per indent; a non-str key raises TypeError, and a raise is not cached."""
+    values in that order, and the dict _flat_text and _leaf_texts fill with
+    the format of each tuple of value types they meet.  Each key set is
+    sorted and escaped once per indent; a non-str key raises TypeError, and
+    a raise is not cached."""
     ordered = sorted(keys)
     getter = itemgetter(*ordered) if len(keys) > 1 else lambda obj: (obj[ordered[0]],)
     return tuple(_escape(key) + ": " for key in ordered), getter, {}
@@ -383,6 +388,25 @@ def _flat_text(obj: dict, indent: str) -> str | None:
     for k, text in form[1]:
         values[k] = text(values[k])
     return form[0] % tuple(values)
+
+
+def _leaf_texts(rows: Sequence, depth: int, indent: str) -> _RenderedItems:
+    """rows' texts depth levels below indent, with no dict: each is one ``%``
+    of the _typed_format of its type's json_keys and of the first row's
+    value types, which a list's rows share, filled from its json_values."""
+    texts = _RenderedItems()
+    if rows:
+        indent += "  " * depth
+        prefixes, _, forms = _sorted_keys(rows[0].json_keys, indent)
+        row_values = [row.json_values() for row in rows]
+        kinds = tuple(map(type, row_values[0]))
+        form, conversions = forms.get(kinds) or forms.setdefault(
+            kinds, _typed_format(prefixes, kinds, indent))
+        for values in row_values:
+            for k, text in conversions:
+                values[k] = text(values[k])
+            texts.append(form % tuple(values))
+    return texts
 
 
 def _row_format(*ints: str) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .deformation import (InadmissibleParityError, lift_bound, ramification_index,
                           reduction_commutes)
@@ -203,6 +203,10 @@ class AflRow(NamedTuple):
         }
 
 
+# the level-(0, 0) context of an unramified setup, built and checked once per setup
+_level_zero = lru_cache(maxsize=64)(lambda setup: MatchContext(setup, 0, 0, e_f=1))
+
+
 def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
     """Check the level-(0,0) identity at one orbit.
 
@@ -218,7 +222,7 @@ def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
     lhs = d_value if omega == PLUS else -d_value
     orb_value = orb(gamma, f)
     if gamma.defect_sign == MINUS:  # odd t
-        int_value = _int_at(gamma, MatchContext(setup, 0, 0, e_f=1))
+        int_value = _int_at(gamma, _level_zero(setup))
         closed = Fraction(1 + t, 2)
         passed = lhs == int_value and int_value == closed and orb_value == 0
         return AflRow(setup.q, t, v_b, omega, d_value, lhs, int_value, closed,
@@ -232,13 +236,24 @@ def afl_verify(setup: FieldSetup, t: int, v_b: int) -> AflRow:
 # ---------------------------------------------------------------------------
 # ATI skeleton: growth of Int and the end-to-end residual constancy
 
+def _row_dicts(rows: Sequence, depth: int) -> list[dict]:
+    """A report's to_json default for rows(leaf rows, depth), the JSON list
+    of leaf rows depth levels below the report's dict: their dicts."""
+    return [row.to_json() for row in rows]
+
+
 class GrowthRow(NamedTuple):
     t: int
     int_value: int
     residual: Fraction  # Int - e_F * t / 2 in the open regime, Int itself when saturated
 
+    json_keys = ("int", "residual", "t")  # sorted: json_values gives the values in this order
+
+    def json_values(self) -> list:
+        return [self.int_value, str(self.residual), self.t]
+
     def to_json(self) -> dict:
-        return {"t": self.t, "int": self.int_value, "residual": str(self.residual)}
+        return dict(zip(self.json_keys, self.json_values()))
 
 
 class GrowthReport(NamedTuple):
@@ -248,11 +263,11 @@ class GrowthReport(NamedTuple):
     saturation_value: Optional[int]
     passed: bool
 
-    def to_json(self) -> dict:
+    def to_json(self, rows: Callable = _row_dicts) -> dict:
         return {
-            "open": {str(p): [r.to_json() for r in rows] for p, rows in self.open_rows.items()},
+            "open": {str(p): rows(r, 3) for p, r in self.open_rows.items()},
             "open_constants": {str(p): str(c) for p, c in self.open_constants.items()},
-            "saturated": [r.to_json() for r in self.saturated_rows],
+            "saturated": rows(self.saturated_rows, 2),
             "saturation_value": self.saturation_value,
             "passed": self.passed,
         }
@@ -339,11 +354,15 @@ class EndToEndRow(NamedTuple):
     geometric_residual: Fraction
     correction: Fraction     # analytic - Int, the correction-term witness
 
+    json_keys = ("analytic", "analytic_residual", "correction", "geometric_residual", "int",
+                 "t", "v_b2")  # sorted: json_values gives the values in this order
+
+    def json_values(self) -> list:
+        return [str(self.analytic), str(self.analytic_residual), str(self.correction),
+                str(self.geometric_residual), self.int_value, self.t, self.v_b2]
+
     def to_json(self) -> dict:
-        return {"t": self.t, "v_b2": self.v_b2, "analytic": str(self.analytic),
-                "int": self.int_value, "analytic_residual": str(self.analytic_residual),
-                "geometric_residual": str(self.geometric_residual),
-                "correction": str(self.correction)}
+        return dict(zip(self.json_keys, self.json_values()))
 
 
 class EndToEndReport(NamedTuple):
@@ -354,11 +373,11 @@ class EndToEndReport(NamedTuple):
     threshold: int
     passed: bool
 
-    def to_json(self) -> dict:
+    def to_json(self, rows: Callable = _row_dicts) -> dict:
         return {
-            "rows": {str(c): [r.to_json() for r in rows] for c, rows in self.rows.items()},
+            "rows": {str(c): rows(r, 3) for c, r in self.rows.items()},
             "witnesses": {str(c): str(w) for c, w in self.witnesses.items()},
-            "outside": [r.to_json() for r in self.outside_rows],
+            "outside": rows(self.outside_rows, 2),
             "outside_witness": None if self.outside_witness is None else str(self.outside_witness),
             "threshold": self.threshold,
             "passed": self.passed,
@@ -390,34 +409,38 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
 
     The v(b) sample of a valuation class repeats an orbit at some t; each
     distinct orbit's row is computed once and reported at every place the
-    sample puts it."""
+    sample puts it.  A row is integer arithmetic on dOrb's lowest terms n/d,
+    n signed by omega, and the offset doubled to the int e_F * t (0 outside
+    the support): one Fraction per residual, and none subtracted."""
     f = function_from_germ(prescribed_transfer_germ(ctx))
     threshold = max(validity_threshold(f), ctx.i + ctx.j)
     ts = _context_ts(ctx, range(threshold, threshold + 2 * T_COUNT))[:T_COUNT]
 
     # Int sees an orbit of the context only through its heights, so Int and
-    # its geometric residual Int - offset are computed once per (t, lvl_a,
-    # lvl_d), on which the offset depends too, and not once per v(b)
+    # its geometric residual Int - offset / 2 are computed once per (t,
+    # lvl_a, lvl_d), on which the offset depends too, and not once per v(b)
     geometric: dict[tuple[int, Optional[int], Optional[int]], tuple[int, Fraction]] = {}
     # an orbit fixes its row: the offset follows from lvl_a, None on the
     # support and i - 1 outside it
     known_rows: dict[OrbitData, EndToEndRow] = {}
 
-    def row(gamma: OrbitData, offset: Fraction) -> EndToEndRow:
+    def row(gamma: OrbitData, offset: int) -> EndToEndRow:
         known_row = known_rows.get(gamma)
         if known_row is not None:
             return known_row
-        d_value = d_orb(gamma, f)
-        analytic = d_value if transfer_factor(gamma) == PLUS else -d_value  # omega = +-1
+        analytic = d_orb(gamma, f)
+        n, d = analytic.numerator, analytic.denominator
+        if transfer_factor(gamma) != PLUS:  # omega = -1
+            analytic, n = -analytic, -n
         key = (gamma.t, gamma.lvl_a, gamma.lvl_d)
         known = geometric.get(key)
         if known is None:
             int_value = _int_at(gamma, ctx)
-            known = geometric[key] = (int_value, int_value - offset)
+            known = geometric[key] = (int_value, Fraction(2 * int_value - offset, 2))
         int_value, geometric_residual = known
         known_row = known_rows[gamma] = EndToEndRow(
-            gamma.t, gamma.v_b2, analytic, int_value, analytic - offset, geometric_residual,
-            analytic - int_value)
+            gamma.t, gamma.v_b2, analytic, int_value, Fraction(2 * n - offset * d, 2 * d),
+            geometric_residual, Fraction(n - int_value * d, d))
         return known_row
 
     def steady(group: Sequence[EndToEndRow]) -> bool:
@@ -426,13 +449,13 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
         return None not in (_constant(r.analytic_residual for r in group),
                             _constant(r.geometric_residual for r in group))
 
-    offsets = {t: Fraction(ctx.e_f * t, 2) for t in ts}
     rows: dict[int, tuple[EndToEndRow, ...]] = {}
     for cls in ctx.setup.classes:
         group = []
         for t in ts:
+            offset = ctx.e_f * t
             for v_b2 in (2 * ((t // 2) % 3) - 2 + cls, cls, 4 + cls):
-                group.append(row(context_orbit(ctx, t, v_b2=v_b2), offsets[t]))
+                group.append(row(context_orbit(ctx, t, v_b2=v_b2), offset))
         rows[cls] = tuple(group)
     corrections = {cls: _constant(r.correction for r in group) for cls, group in rows.items()}
     witnesses = {cls: c for cls, c in corrections.items() if c is not None}
@@ -440,8 +463,7 @@ def ati_end_to_end(ctx: MatchContext) -> EndToEndReport:
     outside_rows: tuple[EndToEndRow, ...] = ()
     outside_witness: Optional[Fraction] = None
     if ctx.i >= 1:
-        zero = Fraction(0)
-        outside_rows = tuple(row(context_orbit(ctx, t, lvl_a=ctx.i - 1), zero) for t in ts)
+        outside_rows = tuple(row(context_orbit(ctx, t, lvl_a=ctx.i - 1), 0) for t in ts)
         if steady(outside_rows) and all(r.analytic == 0 for r in outside_rows):
             outside_witness = outside_rows[0].correction
         else:

@@ -14,7 +14,7 @@ import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from unittest import mock
 
 import pytest
@@ -23,7 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from aflcalc import cli, matching
 from aflcalc.cli import COMMANDS, ConfigError, main, parse_ram, parse_range, render_report
 from aflcalc.deformation import (hom_height_attainable, inadmissible_heights, lift_bound,
-                                 lift_bound_recursive)
+                                 lift_bound_recursive, ramification_index)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -865,6 +865,15 @@ _TREES = st.recursive(
     max_leaves=24)
 
 
+# Rationals of zero and negative numerators, over 1, 2, 3 and large
+# denominators, and ints up to hundreds of digits.
+_INTS = st.integers(-3, 3) | st.integers(-10 ** 300, 10 ** 300)
+_RATIONALS = st.builds(Fraction, _INTS, st.sampled_from([1, 2, 3]) | st.integers(1, 10 ** 300))
+_GROWTH_ROWS = st.builds(matching.GrowthRow, _INTS, _INTS, _RATIONALS)
+_END_TO_END_ROWS = st.builds(matching.EndToEndRow, _INTS, _INTS, _RATIONALS, _INTS, _RATIONALS,
+                             _RATIONALS, _RATIONALS)
+
+
 class _Small(enum.IntEnum):
     ONE = 1
 
@@ -928,6 +937,44 @@ class TestReportWriter:
 
     def test_key_cache_is_bounded(self):
         assert cli._sorted_keys.cache_info().maxsize is not None
+
+    @given(st.lists(_GROWTH_ROWS, max_size=4) | st.lists(_END_TO_END_ROWS, max_size=4),
+           st.integers(0, 4))
+    def test_leaf_texts_are_json_dumps(self, rows, depth):
+        # each growth or end-to-end row, one % of its type's format, has the
+        # text json.dumps gives its dict at its place in the report
+        texts = cli._leaf_texts(rows, depth, cli._ROW_INDENT)
+        assert type(texts) is cli._RenderedItems
+        place = cli._ROW_INDENT + "  " * depth
+        assert texts == [json.dumps(row.to_json(), sort_keys=True, indent=2)
+                         .replace("\n", "\n" + place) for row in rows]
+        for kind in (matching.GrowthRow, matching.EndToEndRow):
+            assert list(kind.json_keys) == sorted(kind.json_keys)
+
+    @settings(max_examples=20, deadline=None)
+    @given(q=st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=2, unique=True),
+           ram=st.sampled_from(["0", "1", "0,1"]),
+           i=st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+           j=st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+           e=st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
+           t_lo=st.integers(0, 8), t_span=st.integers(0, 6))
+    def test_ati_reports_are_json_dumps_of_their_parse(self, q, ram, i, j, e, t_lo, t_span):
+        # growth and end-to-end rows render from their formats, serially and
+        # in the (faked) pool's workers, to the bytes json.dumps gives
+        argv = ["ati", "--q", ",".join(map(str, q)), "--ram", ram,
+                "--i", ",".join(map(str, i)), "--j", ",".join(map(str, j)),
+                "--e", ",".join(map(str, e)), "--t", f"{t_lo}..{t_lo + t_span}"]
+        reports = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for threads in (1, 2):
+                out = pathlib.Path(tmp, f"{threads}.json")
+                with serial_pool(cpus=2, threads=threads) as started:
+                    assert main([*argv, "--out", str(out)]) in (0, 1)
+                items = len(q) * len(ram.split(",")) * len(i) * len(j) * len(e)
+                assert bool(started) == (threads == 2 and items >= 4)
+                reports.append(out.read_text())
+        assert reports[0] == reports[1]
+        assert json.dumps(json.loads(reports[0]), sort_keys=True, indent=2) + "\n" == reports[0]
 
     @pytest.mark.parametrize("key", ["%", "%s", "%%", "%(a)s", "100%"])
     def test_percent_in_keys(self, key):
@@ -1007,6 +1054,10 @@ def deform_row(q, ram, i, j, e_rel, l) -> dict:
     return json.loads(text)
 
 
+# the containers a report dict may hold: a dict holding one is rendered key by key
+NESTING = (dict, list, cli._RenderedItems)
+
+
 class TestRenderCost:
     """A dict of scalars alone is rendered from a %-format built once per key
     set, value types and indent, and converts only its non-int values; a
@@ -1054,23 +1105,58 @@ class TestRenderCost:
         assert text == json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
 
     @pytest.mark.parametrize("command", ["ati", "germ", "orb"])
-    def test_nested_dict_converts_each_scalar_once(self, command, conversions):
+    def test_nested_dict_converts_each_scalar_once(self, command, conversions, monkeypatch):
         def conversions_of(obj):
             # a scalar in a list or beside a container is converted once; a
             # dict of scalars alone converts its non-ints and prints its ints
-            # with %d
+            # with %d; a list of leaf texts is text already
+            if type(obj) is cli._RenderedItems:
+                return 0
             values = obj.values() if type(obj) is dict else obj
-            if type(obj) is dict and not any(type(v) in (dict, list) for v in values):
+            if type(obj) is dict and not any(type(v) in NESTING for v in values):
                 return sum(type(value) is not int for value in values)
-            return sum(conversions_of(value) if type(value) in (dict, list) else 1
+            return sum(conversions_of(value) if type(value) in NESTING else 1
                        for value in values)
 
         setup = cli._setup(3, True)
+        leaves = []
+        if command == "ati":
+            # each growth and end-to-end row is one % of its type's format,
+            # given its values with the non-ints converted, and builds no dict
+            ctx = matching.MatchContext(setup, 1, 1, e_f=ramification_index(setup, 1))
+            growth = matching.ati_growth_check(ctx, (2, 3), finite_lvl_a=0)
+            end_to_end = matching.ati_end_to_end(ctx)
+            leaves = [*chain(*growth.open_rows.values()), *growth.saturated_rows,
+                      *chain(*end_to_end.rows.values()), *end_to_end.outside_rows]
+            filled = []
+
+            class CountingFormat(str):
+                def __mod__(self, values):
+                    filled.append(values)
+                    return str.__mod__(self, values)
+
+            def counting_format(*args):
+                form = typed_format(*args)
+                return form and (CountingFormat(form[0]), form[1])
+
+            def refuse(row):
+                raise AssertionError("a leaf row built its dict")
+            typed_format = cli._typed_format
+            monkeypatch.setattr(cli, "_typed_format", counting_format)
+            for kind in (matching.GrowthRow, matching.EndToEndRow):
+                monkeypatch.setattr(kind, "to_json", refuse)
         row = {"ati": lambda: cli._ati_row((setup, 1, 1, 1, (2, 3))),
                "germ": lambda: cli._germ_row((setup, *cli.germ_battery(setup)[0])),
                "orb": lambda: cli._orb_row((setup, 2, 1))}[command]()
+        if command == "ati":
+            assert len(leaves) > 40
+            escaped = [tuple(cli._escape(v) if type(v) is str else v for v in leaf.json_values())
+                       for leaf in leaves]
+            assert sorted(filled, key=repr) == sorted(escaped, key=repr)
+            assert sorted(conversions, key=str) == [str] * sum(
+                type(v) is not int for leaf in leaves for v in leaf.json_values())
         for obj in (row, {"a": 1, "b": [2, "c"], "d": None}):
-            assert any(type(value) in (dict, list) for value in obj.values())
+            assert any(type(value) in NESTING for value in obj.values())
             for _ in range(2):
                 conversions.clear()
                 cli._render(obj, "")

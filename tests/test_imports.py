@@ -39,7 +39,7 @@ READ_OUTSIDE_THE_PACKAGE = {
 # by name alone, so reading one class's method counts for every class that
 # shares its name; each of these is read on every class that defines it, as
 # checked by hand when it was declared.
-SHARED_METHOD_NAMES = {"to_json", "pulled_back", "terms"}
+SHARED_METHOD_NAMES = {"to_json", "json_values", "pulled_back", "terms"}
 
 
 def unused_imports(source: str) -> list[str]:

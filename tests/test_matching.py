@@ -177,6 +177,21 @@ class TestAflVerify:
         with pytest.raises(ValueError):
             afl_verify(RAM3, 1, 0)
 
+    def test_one_level_zero_context_per_setup(self, monkeypatch):
+        # every odd-t row of a setup reads Int in one checked context
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return MatchContext(*args, **kwargs)
+        monkeypatch.setattr(matching, "MatchContext", counting)
+        matching._level_zero.cache_clear()
+        setups = [FieldSetup(q, False) for q in (3, 5)]
+        for setup, t, v_b in product(setups, range(1, 12), range(-2, 3)):
+            assert afl_verify(setup, t, v_b).passed
+        assert built == [(setup, 0, 0) for setup in setups]
+        matching._level_zero.cache_clear()
+
 
 class TestGrowth:
     def test_level_zero_residual(self):
@@ -395,20 +410,44 @@ class TestEndToEndCost:
         assert len(calls) <= 2 * matching.T_COUNT
 
     def test_one_offset_per_t(self, monkeypatch):
-        # each e_F * t / 2 is built once, not once per v(b) and class, and the
-        # outside rows share one zero offset
-        built = []
+        # the offset e_F * t / 2 enters doubled, as the int e_F * t on the
+        # support and 0 outside it: each reported residual and correction is
+        # one Fraction of integer terms, the geometric residual one per t and
+        # diagonal cell, and no row subtracts a Fraction: the only ones
+        # subtracted are the prescribed germ's
+        for ctx in (MatchContext(RAM3, 1, 1, e_f=6), MatchContext(UNRAM3, 2, 1, e_f=24)):
+            built, subtracted = [], []
 
-        def counting(*args):
-            built.append(args)
-            return Fraction(*args)
-        monkeypatch.setattr(matching, "Fraction", counting)
-        ctx = MatchContext(RAM3, 1, 1, e_f=6)
-        report = ati_end_to_end(ctx)
-        assert report.passed and report.outside_rows
-        ts = sorted({row.t for group in report.rows.values() for row in group})
-        assert len(ts) == matching.T_COUNT
-        assert sorted(built) == sorted([(ctx.e_f * t, 2) for t in ts] + [(0,)])
+            def counting(*args):
+                built.append(args)
+                return Fraction(*args)
+
+            def subtracting(real):
+                def sub(a, b):
+                    subtracted.append((a, b))
+                    return real(a, b)
+                return sub
+            monkeypatch.setattr(matching, "Fraction", counting)
+            for name in ("__sub__", "__rsub__"):
+                monkeypatch.setattr(Fraction, name, subtracting(getattr(Fraction, name)))
+            prescribed_transfer_germ(ctx)
+            germ_subtractions = len(subtracted)
+            built.clear()
+            subtracted.clear()
+            report = ati_end_to_end(ctx)
+            monkeypatch.undo()
+            assert report.passed and report.outside_rows
+            assert len(subtracted) == germ_subtractions
+            inside = {(r.t, r.v_b2): r for group in report.rows.values() for r in group}
+            assert len({t for t, _ in inside}) == matching.T_COUNT
+            expected = []
+            for rows, e_f in ((inside.values(), ctx.e_f), (report.outside_rows, 0)):
+                for r in rows:
+                    n, d = r.analytic.numerator, r.analytic.denominator
+                    expected += [(2 * n - e_f * r.t * d, 2 * d), (n - r.int_value * d, d)]
+                one_per_t = {r.t: r for r in rows}.values()
+                expected += [(2 * r.int_value - e_f * r.t, 2) for r in one_per_t]
+            assert sorted(built) == sorted(expected)
 
     @pytest.mark.parametrize("ctx", [MatchContext(RAM3, 1, 1, e_f=6),
                                      MatchContext(UNRAM3, 2, 1, e_f=24)])
@@ -429,6 +468,21 @@ class TestEndToEndCost:
         assert len(set(reported)) < len(reported)  # some orbit repeats
         assert len(calls) == len(set(calls)) == len(set(reported)) + len(report.outside_rows)
         assert report == _end_to_end_the_old_way(ctx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.sampled_from([3, 5, 7, 9, 11, 13]), ram=st.booleans(), i=st.integers(0, 3),
+           j=st.integers(0, 3), e_rel=st.integers(1, 3))
+    def test_integer_residuals_are_the_old_route(self, q, ram, i, j, e_rel):
+        # Fraction(3) == 3, so an int residual would pass the equality alone
+        setup = FieldSetup(q, ram)
+        ctx = MatchContext(setup, i, j, e_f=e_rel * ramification_index(setup, max(i, j)))
+        report = ati_end_to_end(ctx)
+        assert report == _end_to_end_the_old_way(ctx)
+        for r in (*(r for group in report.rows.values() for r in group), *report.outside_rows):
+            values = (r.analytic, r.analytic_residual, r.geometric_residual, r.correction)
+            assert all(type(value) is Fraction for value in values)
+        witnesses = [*report.witnesses.values(), report.outside_witness]
+        assert all(type(w) is Fraction for w in witnesses[:-1 if ctx.i == 0 else None])
 
     def test_constant(self):
         assert matching._constant([]) is None
@@ -674,7 +728,7 @@ class TestWitnessClosedForm:
                 checked += 1
         assert checked == count
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(q=st.sampled_from([3, 5, 7, 9, 11, 13]), ram=st.booleans(), i=st.integers(0, 5),
            j=st.integers(0, 5), e_rel=st.integers(1, 3))
     def test_witness_is_w_at_odd_prime_powers(self, q, ram, i, j, e_rel):
