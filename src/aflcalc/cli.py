@@ -6,23 +6,24 @@ indicator), germ (extraction round-trip and expansion validity battery), and
 ati (growth plus end-to-end residual checks).  COMMANDS is the flag table:
 each command's help text and the defaults of its range flags.  ``main`` is
 the one sweep driver: it parses every range once, checks LOWER_BOUNDS, hands
-the command's ``run_*`` the sorted, de-duplicated values, counts the failed
-rows and collects the texts of the row lists it returns in one pass, and
-writes the report.  ``afl``, ``orb``, ``germ`` and ``ati`` map items: their
-``run_*`` only builds its grid's items, one row each, and hands ``_map`` a
+the command's ``run_*`` the sorted, de-duplicated values, takes back its
+report texts with the ``total`` and ``failures`` of their rows, and writes
+the report.  ``afl``, ``orb``, ``germ`` and ``ati`` map items: their
+``run_*`` only builds its grid's items, one row each, hands ``_map`` a
 function giving an item's rows as (pass flag, text) pairs, in the worker
-when a pool runs.  ``run_deform`` maps nothing: one loop walks its setups
-and ordered level pairs in report order, giving one block of rows per pair,
-and asks each lift-bound route for one column of heights per ordered pair
-and e_rel; the first of two transposed pairs also computes the other's
-closed columns, each row's mirror, and leaves them to it.  A ``deform`` row
-is no dict but one ``%`` of ``_OK_ROW`` or ``_INADMISSIBLE_ROW``, built at
-import by the generator of ``_flat_text``, which renders every other row of
-scalars alone; a row that nests goes through ``_render``.  The growth and
-end-to-end rows inside an ``ati`` row are no dicts either: ``_leaf_texts``
-renders each as one ``%`` of its type's format from the same generator.
-``render_report`` splices the row texts into the document, joined once, and
-``main`` writes it in 1 MiB slices.
+when a pool runs, and counts them in ``_counted``.  ``run_deform`` maps
+nothing: one loop walks its setups and ordered level pairs in report order,
+giving one text of rows per pair, and asks each lift-bound route for one
+column of heights per ordered pair and e_rel; the first of two transposed
+pairs also computes the other's closed columns, each row's mirror, and
+leaves them to it.  A ``deform`` row is no dict but one ``%`` of its
+column's ``_OK_ROW`` or ``_INADMISSIBLE_ROW``, built at import by the
+generator of ``_flat_text``, which renders every other row of scalars alone;
+a row that nests goes through ``_render``.  The growth and end-to-end rows
+inside an ``ati`` row are no dicts either: ``_leaf_texts`` renders each as
+one ``%`` of its type's format from the same generator.  ``render_report``
+splices the texts into the document, joined once, and ``main`` writes it in
+1 MiB slices.
 Reports are deterministic: rows are sorted by their parameter tuple, numbers
 render canonically, and a fixed schema number leads the document, so
 identical configs yield identical bytes.  Exit code 0 means every row passed,
@@ -145,15 +146,17 @@ def _workers() -> int:
         raise ConfigError(f"AFL_CALC_THREADS must be an integer, got {raw!r}")
 
 
-# Rows are the items of the report's top-level "rows" list, two levels deep.
+# Rows are the items of the report's top-level "rows" list, two levels deep;
+# the list renderer puts _ROW_SEPARATOR between two of them.
 _ROW_INDENT = "    "
+_ROW_SEPARATOR = ",\n" + _ROW_INDENT
 
 
 def _rendered_rows(fn: Callable, item) -> list[tuple[bool, str]]:
-    """fn's row dict for item as [(pass flag, text)], a flat row in one
-    _flat_text call, any other through _render, where the leaf lists of an
-    ati row are text already; bound to fn by a partial, it can ship to a
-    pool.  An int too long to print, in fn's row or leaf texts or in the
+    """fn's row dict for item as [(pass flag, text)] for _counted, a flat row
+    in one _flat_text call, any other through _render, where the leaf lists
+    of an ati row are text already; bound to fn by a partial, it can ship to
+    a pool.  An int too long to print, in fn's row or leaf texts or in the
     row's text, is a configuration error; no other ValueError fn raises is."""
     try:
         row = fn(item)
@@ -166,7 +169,7 @@ def _rendered_rows(fn: Callable, item) -> list[tuple[bool, str]]:
 
 
 def _map(fn: Callable, items: Sequence) -> list[list[tuple[bool, str]]]:
-    """fn over items, in order: each item's list of (pass flag, text) pairs."""
+    """fn over items, in order: each item's (pass flag, text) list for _counted."""
     # the executor starts every worker up front, so more than one per CPU
     # only costs processes
     n = min(_workers(), os.cpu_count() or 1)
@@ -181,6 +184,17 @@ def _map(fn: Callable, items: Sequence) -> list[list[tuple[bool, str]]]:
         return list(pool.map(fn, items, chunksize=-(-len(items) // (4 * n))))
 
 
+def _counted(blocks: list[list[tuple[bool, str]]]) -> dict:
+    """The body of _map's lists: their texts in order, their count and the
+    count of failed rows.  Only the texts outlive the call."""
+    failures = 0
+    texts = _RenderedItems()
+    for passed, text in chain.from_iterable(blocks):
+        failures += not passed
+        texts.append(text)
+    return {"rows": texts, "total": len(texts), "failures": failures}
+
+
 def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
     setup, t, v_b = params
     return afl_verify(setup, t, v_b).to_json()
@@ -188,19 +202,19 @@ def _afl_row(params: tuple[FieldSetup, int, int]) -> dict:
 
 def run_afl(q: list[int], t: list[int], vb: list[int]) -> dict:
     params = list(product([_setup(q_, False) for q_ in q], [t_ for t_ in t if t_ >= 0], vb))
-    return {"rows": _map(partial(_rendered_rows, _afl_row), params)}
+    return _counted(_map(partial(_rendered_rows, _afl_row), params))
 
 
 def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
                l: list[int]) -> dict:
-    """One block per setup and ordered level pair, in report order, of its
-    rows at each e_rel and attainable height as (pass flag, text), one ``%``
-    of _OK_ROW or _INADMISSIBLE_ROW.  A lift bound is symmetric in the
-    levels, so a row's mirror is the transposed row's closed value: the
-    first of two transposed pairs computes both closed columns and leaves
-    them, with its heights, to the second."""
+    """One text per setup and ordered level pair with rows, in report order,
+    of its rows at each e_rel and attainable height, each one ``%`` of its
+    column's format; with the count of rows and of failed ones.  A lift
+    bound is symmetric in the levels, so a row's mirror is the transposed
+    row's closed value: the first of two transposed pairs computes both
+    closed columns and leaves them, with its heights, to the second."""
     setups = [_setup(q_, ram_) for ram_, q_ in product(ram, q)]
-    blocks = []
+    texts, rows, failures = _RenderedItems(), 0, 0
     left = {}  # (setup, i, j) -> heights and (closed, mirror) columns from (j, i)
     for setup, i, j in product(setups, ij, ij):
         if (setup, i, j) in left:
@@ -220,18 +234,22 @@ def run_deform(ram: list[bool], q: list[int], ij: list[int], e: list[int],
         for e_rel, (closed, mirror) in zip(e, columns):
             recursive = lift_bound_recursive(setup, i, j, e_rel, heights)
             try:
+                ok = _OK_COLUMN % ("%d", e_rel, i, j, "%d", "%d", "%s", q_, ram_, "%d", _OK)
+                inadmissible = _INADMISSIBLE_COLUMN % (e_rel, i, j, "%d", "true", q_, ram_,
+                                                       _INADMISSIBLE)
                 for l_, c, m, r in zip(heights, closed, mirror, recursive):
                     if c is None:
-                        block.append((True, _INADMISSIBLE_ROW % (e_rel, i, j, l_, "true", q_,
-                                                                 ram_, _INADMISSIBLE)))
+                        block.append(inadmissible % l_)
                     else:
                         passed = c == r == m and c >= e_rel
-                        block.append((passed, _OK_ROW % (c, e_rel, i, j, l_, m,
-                                                         _LITERALS[passed], q_, ram_, r, _OK)))
+                        failures += not passed
+                        block.append(ok % (c, l_, m, _LITERALS[passed], r))
             except ValueError as exc:  # only an int's conversion raises one
                 raise _digit_limit() from exc
-        blocks.append(block)
-    return {"rows": blocks}
+        if block:
+            rows += len(block)
+            texts.append(_ROW_SEPARATOR.join(block))
+    return {"rows": texts, "total": rows, "failures": failures}
 
 
 def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
@@ -257,7 +275,7 @@ def _orb_row(params: tuple[FieldSetup, int, int]) -> dict:
 def run_orb(q: list[int], ram: list[bool], t: list[int], vb: list[int]) -> dict:
     setups = [_setup(q_, ram_) for q_, ram_ in product(q, ram)]
     params = list(product(setups, [t_ for t_ in t if t_ >= 0], vb))
-    return {"rows": _map(partial(_rendered_rows, _orb_row), params),
+    return {**_counted(_map(partial(_rendered_rows, _orb_row), params)),
             "f": integral_indicator().to_json()}
 
 
@@ -293,7 +311,7 @@ def run_germ(q: list[int], ram: list[bool]) -> dict:
     setups = [_setup(q_, ram_, eta_pi) for q_, ram_ in product(q, ram)
               for eta_pi in _setup(q_, ram_).signs(2)]
     params = [(setup, name, f) for setup in setups for name, f in germ_battery(setup)]
-    return {"rows": _map(partial(_rendered_rows, _germ_row), params)}
+    return _counted(_map(partial(_rendered_rows, _germ_row), params))
 
 
 def _ati_row(params: tuple[FieldSetup, int, int, int, tuple[int, ...]]) -> dict:
@@ -311,7 +329,7 @@ def run_ati(q: list[int], ram: list[bool], i: list[int], j: list[int], e: list[i
             t: list[int]) -> dict:
     setups = [_setup(q_, ram_) for q_, ram_ in product(q, ram)]
     params = [(*point, tuple(t)) for point in product(setups, i, j, e)]
-    return {"rows": _map(partial(_rendered_rows, _ati_row), params)}
+    return _counted(_map(partial(_rendered_rows, _ati_row), params))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,6 +438,9 @@ def _row_format(*ints: str) -> str:
 _OK_ROW = _row_format("closed", "e_rel", "i", "j", "l", "mirror", "q", "recursive")
 _INADMISSIBLE_ROW = _row_format("e_rel", "i", "j", "l", "q")
 _OK, _INADMISSIBLE = _escape("ok"), _escape("inadmissible-parity")
+# Every slot a %s: a column fills in its constant values and its rows' %d or %s
+_OK_COLUMN, _INADMISSIBLE_COLUMN = (form.replace("%d", "%s")
+                                     for form in (_OK_ROW, _INADMISSIBLE_ROW))
 
 
 def _render_into(obj, indent: str, parts: list[str]) -> None:
@@ -563,24 +584,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                                   "(levels and heights are >= 0, e_rel is >= 1)")
         run = globals()[f"run_{args.command}"]  # looked up per call, so a tracer's wrapper runs
         body = run(**{flag: sorted(set(values)) for flag, values in params.items()})
-        if not any(body["rows"]):
+        if not body["total"]:
             raise ConfigError("the sweep selects no rows")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "deform":
         params["oracle_cross_check"] = args.oracle_cross_check
-    # one list of (passed, text) per item or block; the pairs are dropped
-    # before the report is rendered, and no name keeps a block of them, so
-    # they and its text are never all held
-    failures = 0
-    texts = _RenderedItems()
-    for passed, text in chain.from_iterable(body["rows"]):
-        failures += not passed
-        texts.append(text)
-    body["rows"] = texts
-    body.update(command=args.command, params=params, total=len(body["rows"]),
-                failures=failures, passed=failures == 0)
+    body.update(command=args.command, params=params, passed=body["failures"] == 0)
     text = render_report(body)
     try:
         if args.out is not None:
@@ -595,7 +606,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out is None:
             _drop_stdout()
         return 2
-    return 1 if failures else 0
+    return 1 if body["failures"] else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, count, product
 from unittest import mock
 
 import pytest
@@ -320,9 +320,10 @@ class TestDeformPairs:
         return [None if value is None else 50_000 + value
                 for value in TestDeformPairs.distinct_bound(setup, i, j, e_rel, heights)]
 
-    # each text must be json.dumps of the row built on its own.  On a passing
-    # row closed, recursive and mirror are equal, so only the stand-ins, which
-    # keep the three apart (and fail the row), show a format that swaps two
+    # each block's text must be the json.dumps texts of its rows built on
+    # their own, joined as the report joins rows.  On a passing row closed,
+    # recursive and mirror are equal, so only the stand-ins, which keep the
+    # three apart (and fail the row), show a format that swaps two
     @pytest.mark.parametrize("stand_ins", [False, True], ids=["engine", "distinct"])
     @settings(max_examples=60, deadline=None)
     @example(q=2, ram=False, i=0, j=1, e=[1], heights=[0, 1])  # inadmissible at odd l
@@ -344,29 +345,36 @@ class TestDeformPairs:
                 for a, b in product(levels, levels)]
         with mock.patch.object(cli, "lift_bound", bound), \
                 mock.patch.object(cli, "lift_bound_recursive", recursion):
-            got = cli.run_deform([ram], [q], levels, e, heights)["rows"]
-        assert [[text for _, text in block] for block in got] == [
-            [json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n" + cli._ROW_INDENT)
-             for row in block] for block in want]
-        assert [[passed for passed, _ in block] for block in got] == [
+            body = cli.run_deform([ram], [q], levels, e, heights)
+        want = [block for block in want if block]  # a pair of no row gives no text
+        assert body["rows"] == [(",\n" + cli._ROW_INDENT).join(
+            json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n" + cli._ROW_INDENT)
+            for row in block) for block in want]
+        got = [json.loads("[" + text + "]") for text in body["rows"]]
+        assert [[row["passed"] for row in block] for block in got] == [
             [row["passed"] for row in block] for block in want]
+        assert body["total"] == sum(map(len, got))
+        assert body["failures"] == sum(not row["passed"] for block in got for row in block)
         if stand_ins:
             ok = [row for block in want for row in block
                   if row["status"] == "ok" and row["i"] != row["j"]]
             assert all(len({row["closed"], row["recursive"], row["mirror"]}) == 3
                        and not row["passed"] for row in ok)
 
+    @staticmethod
+    def order_sensitive(wrong_when: str):
+        """A closed form that reads the levels in order: lift_bound, and one
+        more when the levels come in wrong_when order."""
+        def bound(setup, i, j, e_rel, heights):
+            wrong = (i < j) if wrong_when == "ascending" else (i > j)
+            return [None if value is None else value + wrong
+                    for value in lift_bound(setup, i, j, e_rel, heights)]
+        return bound
+
     @pytest.mark.parametrize("wrong_when", ["ascending", "descending"])
     def test_an_order_sensitive_lift_bound_fails_every_ok_row_off_the_diagonal(
             self, wrong_when, tmp_path, monkeypatch):
-        def order_sensitive(setup, i, j, e_rel, heights):
-            # a closed form that reads the levels in order: one more when they
-            # come in this order
-            wrong = (i < j) if wrong_when == "ascending" else (i > j)
-            return [None if bound is None else bound + wrong
-                    for bound in lift_bound(setup, i, j, e_rel, heights)]
-
-        monkeypatch.setattr(cli, "lift_bound", order_sensitive)
+        monkeypatch.setattr(cli, "lift_bound", self.order_sensitive(wrong_when))
         monkeypatch.setenv("AFL_CALC_THREADS", "1")
         out = tmp_path / "r.json"
         assert main(["deform", "--out", str(out)]) == 1
@@ -582,6 +590,96 @@ class TestConfigContract:
         assert out.read_text() == "kept"
 
 
+class TestCounts:
+    """A body's total and failures, counted where its texts were built, are
+    the counts of the rows the texts hold: run_deform's and the report's,
+    on grids where rows fail and grids where none does.  No text is empty,
+    and the report is json.dumps of its own parse."""
+
+    @staticmethod
+    def report_rows(report: str, code: int) -> list[dict]:
+        """The rows of report, on which main exited with code, once its bytes
+        and its counts are checked."""
+        parsed = json.loads(report)
+        assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == report
+        rows = parsed["rows"]
+        failures = sum(not row["passed"] for row in rows)
+        assert (parsed["total"], parsed["failures"]) == (len(rows), failures)
+        assert parsed["passed"] == (failures == 0) and code == (1 if failures else 0)
+        return rows
+
+    # the stand-in bounds of TestDeformPairs fail some rows: an order-sensitive
+    # closed form those off the diagonal, the distinct pair every ok row off
+    # it; levels in 0..9 and heights in 0..6 leave some level pairs no row
+    @settings(max_examples=40, deadline=None)
+    @example(bounds="ascending", ram="0,1", q=[3, 5], ij=[0, 2, 9], e=[1, 2],
+             l=[0, 1, 2, 3, 4, 5])
+    @given(bounds=st.sampled_from(["engine", "ascending", "descending", "distinct"]),
+           ram=st.sampled_from(["0", "1", "0,1"]),
+           q=st.lists(st.sampled_from([2, 3, 4, 5, 7]), min_size=1, max_size=2),
+           ij=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+           e=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           l=st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    def test_deform_counts_are_the_rows_of_its_texts(self, bounds, ram, q, ij, e, l):
+        patches = {"lift_bound": lift_bound, "lift_bound_recursive": lift_bound_recursive}
+        if bounds == "distinct":
+            patches = {"lift_bound": TestDeformPairs.distinct_bound,
+                       "lift_bound_recursive": TestDeformPairs.distinct_recursion}
+        elif bounds != "engine":
+            patches["lift_bound"] = TestDeformPairs.order_sensitive(bounds)
+        values = {"q": q, "ij": ij, "e": e, "l": l}
+        argv = ["deform", "--ram", ram, *chain.from_iterable(
+            (f"--{flag}", ",".join(map(str, v))) for flag, v in values.items())]
+        with mock.patch.multiple(cli, **patches), tempfile.TemporaryDirectory() as tmp:
+            body = cli.run_deform(sorted(set(parse_ram(ram))),
+                                  **{flag: sorted(set(v)) for flag, v in values.items()})
+            assert all(body["rows"])  # no text is empty
+            rows = [row for text in body["rows"] for row in json.loads("[" + text + "]")]
+            assert body["total"] == len(rows)
+            assert body["failures"] == sum(not row["passed"] for row in rows)
+            out = pathlib.Path(tmp, "r.json")
+            code = main([*argv, "--out", str(out)])
+            if not rows:
+                assert code == 2 and not out.exists()  # the sweep selects no rows
+            else:
+                assert self.report_rows(out.read_text(), code) == rows
+
+    # four items or more each, so two threads start the (faked) pool
+    MAPPED = {
+        "afl": ["--q", "3", "--t", "1..3", "--vb", "-1..0"],
+        "orb": ["--q", "3", "--ram", "0,1", "--t", "0..1", "--vb", "0"],
+        "germ": ["--q", "3", "--ram", "0"],
+        "ati": ["--q", "3", "--ram", "0", "--i", "0..1", "--j", "0..1", "--e", "1",
+                "--t", "0..8"],
+    }
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["engine", "every-other-fails"])
+    @pytest.mark.parametrize("command", sorted(MAPPED))
+    def test_mapped_counts_are_the_rows_of_the_report(self, command, failing, tmp_path,
+                                                       monkeypatch):
+        threads = (1, 2)
+        if failing:
+            # every other row the row function builds fails; serially, so the
+            # rows are built in order in this process
+            row_of, built = getattr(cli, f"_{command}_row"), count()
+
+            def every_other_fails(item):
+                row = row_of(item)
+                return {**row, "passed": row["passed"] and next(built) % 2 == 1}
+
+            monkeypatch.setattr(cli, f"_{command}_row", every_other_fails)
+            threads = (1,)
+        out = tmp_path / "r.json"
+        for n in threads:
+            with serial_pool(cpus=2, threads=n) as started:
+                code = main([command, *self.MAPPED[command], "--out", str(out)])
+            assert bool(started) == (n == 2)
+            rows = self.report_rows(out.read_text(), code)
+            assert len(rows) >= 4
+            failures = sum(not row["passed"] for row in rows)
+            assert failures == ((len(rows) + 1) // 2 if failing else 0)
+
+
 class TestRamFlags:
     @pytest.mark.parametrize("command, extra", [
         ("orb", ["--t", "0..2", "--vb", "0"]),
@@ -777,27 +875,50 @@ class TestReportMemory:
             tracemalloc.stop()
         assert peak < 4 * out.stat().st_size
 
+    def test_the_report_is_most_of_what_is_held_when_it_renders(self, tmp_path, monkeypatch):
+        # run_deform hands main one text per level pair, counted where it
+        # was built, so what render_report starts with is little more than
+        # the report: 1.01 times it on the default deform (Python 3.10 to
+        # 3.13), against 1.23 to 1.27 when every row was a (pass flag, text)
+        # pair and a text of its own.  A first, one-row run imports what
+        # main loads lazily (argparse's translations among it), up to 0.09
+        # times the report on Python 3.12, so no import is counted here
+        held = []
+        render = cli.render_report
+        monkeypatch.setattr(cli, "render_report", lambda body: held.append(
+            tracemalloc.get_traced_memory()[0]) or render(body))
+        monkeypatch.setenv("AFL_CALC_THREADS", "1")
+        out = tmp_path / "r.json"
+        assert main(["deform", "--ij", "0", "--l", "0", "--out", str(out)]) == 0
+        held.clear()
+        tracemalloc.start()
+        try:
+            assert main(["deform", "--out", str(out)]) == 0
+        finally:
+            tracemalloc.stop()
+        assert held[0] < 1.15 * out.stat().st_size
+
     def test_no_block_of_pairs_is_held_while_the_report_renders(self, tmp_path, monkeypatch):
-        # a run_* stand-in returns one block of many (pass flag, text) pairs,
-        # all sharing one text; once main has read the block, only the list
-        # of texts it collected is left, so render_report starts with far
-        # less traced memory than the pairs took
+        # a _map stand-in returns one list of many (pass flag, text) pairs,
+        # all sharing one text; once _counted has read the list, only the
+        # list of texts it collected is left, so render_report starts with
+        # far less traced memory than the pairs took
         n = 200_000
         held = {}
 
-        def one_block(**params):
+        def one_block(fn, items):
             before, text = tracemalloc.get_traced_memory()[0], "0"
             block = [(True, text) for _ in range(n)]  # n tuples, not one constant
             held["pairs"] = tracemalloc.get_traced_memory()[0] - before
             held["start"] = before
-            return {"rows": [block]}
+            return [block]
 
         def rendering(body):
             held["at_render"] = tracemalloc.get_traced_memory()[0] - held["start"]
             return render(body)
 
         render = cli.render_report
-        monkeypatch.setattr(cli, "run_orb", one_block)
+        monkeypatch.setattr(cli, "_map", one_block)
         monkeypatch.setattr(cli, "render_report", rendering)
         out = tmp_path / "r.json"
         tracemalloc.start()
@@ -805,7 +926,8 @@ class TestReportMemory:
             assert main(["orb", "--out", str(out)]) == 0
         finally:
             tracemalloc.stop()
-        assert json.loads(out.read_text())["total"] == n
+        report = json.loads(out.read_text())
+        assert (report["total"], report["failures"]) == (n, 0)
         # the list of texts is a pointer per row; the pairs and their list
         # take about eight
         assert held["at_render"] < held["pairs"] / 3
@@ -1047,11 +1169,11 @@ def numbered_texts(n: int) -> list[tuple[bool, str]]:
 
 def deform_row(q, ram, i, j, e_rel, l) -> dict:
     """The deform row at one point, read back from its text: the one row of
-    its ordered level pair's block in a grid of that point alone."""
-    levels = sorted({i, j})
-    blocks = cli.run_deform([ram], [q], levels, [e_rel], [l])["rows"]
-    ((_, text),) = blocks[levels.index(i) * len(levels) + levels.index(j)]
-    return json.loads(text)
+    its ordered level pair in a grid of that point alone."""
+    texts = cli.run_deform([ram], [q], sorted({i, j}), [e_rel], [l])["rows"]
+    (row,) = [row for text in texts for row in json.loads("[" + text + "]")
+              if (row["i"], row["j"]) == (i, j)]
+    return row
 
 
 # the containers a report dict may hold: a dict holding one is rendered key by key
@@ -1174,12 +1296,15 @@ class TestRenderCost:
         monkeypatch.setattr(cli, "hom_height_attainable", counting)
         # the deform_grid benchmark's seed-0 grid
         ram, q, ij, e, l = [False, True], range(2, 8), range(8), range(1, 4), range(61)
-        blocks = cli.run_deform(ram, q, ij, e, l)["rows"]
-        # one block per setup and ordered level pair
+        body = cli.run_deform(ram, q, ij, e, l)
+        # one text per setup and ordered level pair, each of which has rows
+        blocks = [json.loads("[" + text + "]") for text in body["rows"]]
         assert len(blocks) == 2 * 6 * 8 * 8
+        assert all(len({(row["ramified"], row["q"], row["i"], row["j"]) for row in block}) == 1
+                   for block in blocks)
         # each row's parameters, read back from its text
         params = [(row["ramified"], row["q"], row["i"], row["j"], row["e_rel"], row["l"])
-                  for row in (json.loads(text) for block in blocks for _, text in block)]
+                  for block in blocks for row in block]
         # one call per setup, unordered level pair and height
         assert len(calls) == len(set(calls)) == 2 * 6 * (8 * 9 // 2) * 61 == 26_352
         assert all(i <= j for _, i, j, _ in calls)
@@ -1187,7 +1312,8 @@ class TestRenderCost:
         assert params == [(setup.ramified, setup.q, i, j, e_rel, l_)
                           for setup, i, j, e_rel, l_ in product(setups, ij, ij, e, l)
                           if attainable(setup, i, j, l_)]
-        assert len(params) == 98_640
+        assert len(params) == body["total"] == 98_640
+        assert body["failures"] == 0
 
     def test_one_format_per_key_set(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AFL_CALC_THREADS", "1")

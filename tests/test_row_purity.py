@@ -69,9 +69,16 @@ def params_of(command: str, text: str) -> tuple:
 
 
 def deform_point_rows(point: dict) -> list:
-    """The (pass flag, text) pairs of run_deform's blocks for point, the
-    grid of one setup, e_rel and height at every level pair."""
-    return [pair for block in cli.run_deform(**point)["rows"] for pair in block]
+    """The (pass flag, text) pairs of the rows in run_deform's texts for
+    point, the grid of one setup, e_rel and height at every level pair; each
+    text must be its rows' texts joined as the report joins rows."""
+    pairs = []
+    for block in cli.run_deform(**point)["rows"]:
+        rows = json.loads("[" + block + "]")
+        texts = [cli._render(row, cli._ROW_INDENT) for row in rows]
+        assert block == (",\n" + cli._ROW_INDENT).join(texts)
+        pairs.extend((row["passed"], text) for row, text in zip(rows, texts))
+    return pairs
 
 
 @cache
@@ -93,7 +100,7 @@ def grid_items() -> tuple:
             mapped.extend((deform_point_rows, {"ram": [ram_], "q": [q_], "ij": ij,
                                                "e": [e_rel], "l": [l_]})
                           for ram_, q_, e_rel, l_ in product(ram, q, e, l))
-            return {"rows": []}
+            return {"rows": [], "total": 0, "failures": 0}
         with mock.patch.object(cli, "_map", recording), \
                 mock.patch.object(cli, "run_deform", deform_points):
             assert cli.main([command, *flags]) == 2
